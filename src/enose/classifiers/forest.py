@@ -10,7 +10,7 @@ import numpy as np
 from ..errors import ShapeMismatch
 from ..rng import derive_rng
 from .base import predict_from_proba
-from .tree import DecisionTree, TreeParams, dt_fit
+from .tree import DecisionTree, TreeParams, dt_fit, presort
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,12 @@ class RandomForest:
 
 
 def rf_fit(X: np.ndarray, y: np.ndarray, params: ForestParams, n_classes: int | None = None) -> RandomForest:
-    """Fit a forest; each tree uses the stream derived from (seed, tree index)."""
+    """Fit a forest; each tree uses the stream derived from (seed, tree index).
+
+    X is sorted once for the whole forest.  A bootstrap replica is passed to
+    each tree as integer row weights (how often each row was drawn), which
+    grows the same tree as the duplicated rows would.
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or X.shape[0] != y.shape[0] or X.shape[0] < 1:
@@ -63,18 +68,18 @@ def rf_fit(X: np.ndarray, y: np.ndarray, params: ForestParams, n_classes: int | 
         n_classes = int(y.max()) + 1
     n, d = X.shape
     k = resolve_max_features(params.max_features, d)
+    order = presort(X)
     trees = []
     for t in range(params.n_estimators):
         rng = derive_rng(params.seed, "tree", t)
+        weights = None
         if params.bootstrap:
-            idx = rng.integers(0, n, size=n)
-            Xt, yt = X[idx], y[idx]
-        else:
-            Xt, yt = X, y
+            weights = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(np.float64)
         if k >= d:
             sampler = np.arange
         else:
             def sampler(n_features, _rng=rng, _k=k):
                 return _rng.choice(n_features, size=_k, replace=False)
-        trees.append(dt_fit(Xt, yt, params.tree, n_classes=n_classes, feature_sampler=sampler))
+        trees.append(dt_fit(X, y, params.tree, n_classes=n_classes, feature_sampler=sampler,
+                            presorted=order, weights=weights))
     return RandomForest(params, trees, n_classes)

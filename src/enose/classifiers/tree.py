@@ -41,6 +41,66 @@ def gini_impurity(counts) -> float:
     return float(1.0 - (p * p).sum())
 
 
+def presort(X: np.ndarray) -> np.ndarray:
+    """``d x n`` row indices; row f lists the rows of X in stable ascending order of feature f."""
+    return np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
+
+
+def _search(
+    X: np.ndarray,
+    table: np.ndarray,
+    order: np.ndarray,
+    counts: np.ndarray,
+    n: float,
+    feature_indices: np.ndarray,
+    min_samples_leaf: int,
+) -> tuple[int, float, float, int, np.ndarray] | None:
+    """Best split of the node whose rows ``order`` lists, sorted by every feature.
+
+    ``table[r]`` is row r's one-hot class times its weight, followed by the
+    weight itself; ``counts`` are the node's weighted class counts and ``n``
+    their sum.  All k candidate features are searched at once over one
+    ``k x m x (C+1)`` cumulative sum.  The Gini arithmetic per position is
+    the single-feature expression applied elementwise, and the first maximum
+    of each feature feeds the same tie-break loop.  Returns (feature,
+    threshold, decrease, rows going left, left counts).
+    """
+    parent_gini = gini_impurity(counts)
+    m = order.shape[1]
+    if m < 2:
+        return None
+    feats = np.sort(feature_indices)
+    rows = order[feats]                                  # k x m, each row sorted by its feature
+    sv = X[rows, feats[:, None]]
+    cum = table[rows]
+    np.cumsum(cum, axis=1, out=cum)                      # class counts and size with value <= sv
+    left_counts = cum[:, :-1, :-1]                       # split after position i
+    nl = cum[:, :-1, -1]
+    nr = n - nl
+    ok = sv[:, :-1] < sv[:, 1:]
+    if min_samples_leaf > 1:
+        ok &= (nl >= min_samples_leaf) & (nr >= min_samples_leaf)
+    # 1 - sum((counts / size) ** 2) on each side, in one scratch array
+    p = np.divide(left_counts, nl[..., None])
+    gl = 1.0 - np.square(p, out=p).sum(axis=2)
+    np.subtract(counts, left_counts, out=p)
+    np.divide(p, nr[..., None], out=p)
+    gr = 1.0 - np.square(p, out=p).sum(axis=2)
+    decrease = parent_gini - (nl * gl + nr * gr) / n
+    decrease[~ok] = -np.inf
+    first = np.argmax(decrease, axis=1).tolist()         # first max = lowest threshold
+    best = None
+    for j, dec in enumerate(decrease.max(axis=1).tolist()):
+        if dec > 1e-15 and (best is None or dec > best[2] + 1e-15):
+            best = (j, first[j], dec)
+    if best is None:
+        return None
+    j, i, dec = best
+    threshold = float(0.5 * (sv[j, i] + sv[j, i + 1]))
+    n_left = int(np.searchsorted(sv[j], threshold, side="right"))
+    return int(feats[j]), threshold, dec, n_left, cum[j, n_left - 1, :-1].copy()
+
+
 def best_split(
     X: np.ndarray,
     y: np.ndarray,
@@ -54,37 +114,11 @@ def best_split(
     Ties break by (lower feature index, lower threshold).  Returns None when
     no split with positive decrease satisfies the leaf-size constraint.
     """
-    n = y.shape[0]
-    total_counts = np.bincount(y, minlength=n_classes).astype(np.float64)
-    parent_gini = gini_impurity(total_counts)
-    best: tuple[int, float, float] | None = None
-    for f in np.sort(feature_indices):
-        v = X[:, f]
-        order = np.argsort(v, kind="stable")
-        sv = v[order]
-        sy = y[order]
-        distinct = np.flatnonzero(sv[:-1] < sv[1:])  # split after position i
-        if distinct.size == 0:
-            continue
-        onehot = np.zeros((n, n_classes), dtype=np.float64)
-        onehot[np.arange(n), sy] = 1.0
-        cum = np.cumsum(onehot, axis=0)
-        left_counts = cum[distinct]                  # counts with value <= threshold
-        nl = distinct + 1.0
-        nr = n - nl
-        ok = (nl >= min_samples_leaf) & (nr >= min_samples_leaf)
-        if not ok.any():
-            continue
-        right_counts = total_counts - left_counts
-        gl = 1.0 - ((left_counts / nl[:, None]) ** 2).sum(axis=1)
-        gr = 1.0 - ((right_counts / nr[:, None]) ** 2).sum(axis=1)
-        decrease = parent_gini - (nl * gl + nr * gr) / n
-        decrease = np.where(ok, decrease, -np.inf)
-        i = int(np.argmax(decrease))                 # first max = lowest threshold
-        if decrease[i] > 1e-15 and (best is None or decrease[i] > best[2] + 1e-15):
-            threshold = 0.5 * (sv[distinct[i]] + sv[distinct[i] + 1])
-            best = (int(f), float(threshold), float(decrease[i]))
-    return best
+    X = np.asarray(X, dtype=np.float64)
+    counts = np.bincount(y, minlength=n_classes).astype(np.float64)
+    split = _search(X, _weighted_table(y, np.ones(y.shape[0]), n_classes), presort(X), counts,
+                    y.shape[0], np.asarray(feature_indices), min_samples_leaf)
+    return None if split is None else split[:3]
 
 
 class DecisionTree:
@@ -126,34 +160,56 @@ class DecisionTree:
         return walk(self.root, 0)
 
 
-def _grow(
-    X: np.ndarray,
-    y: np.ndarray,
-    n_classes: int,
-    params: TreeParams,
-    depth: int,
-    feature_sampler,
-) -> TreeNode:
-    counts = np.bincount(y, minlength=n_classes).astype(np.float64)
-    node = TreeNode(counts=counts)
-    n = y.shape[0]
-    if (
-        counts.max() == n  # pure
-        or n < params.min_samples_split
-        or (params.max_depth is not None and depth >= params.max_depth)
-        or n < 2 * params.min_samples_leaf
-    ):
+def _weighted_table(y: np.ndarray, w: np.ndarray, n_classes: int) -> np.ndarray:
+    """``n x (C+1)``: row r holds ``w[r]`` in column ``y[r]`` and in the last column."""
+    table = np.zeros((y.shape[0], n_classes + 1))
+    table[np.arange(y.shape[0]), y] = w
+    table[:, -1] = w
+    return table
+
+
+class _Grower:
+    """Depth-first CART growth over presorted row indices.
+
+    A node is a ``d x m`` matrix whose row f lists the node's rows sorted by
+    feature f.  A split partitions every row of it with one stable boolean
+    gather, so the children stay sorted and no feature is sorted again.
+    """
+
+    def __init__(self, X, table, params, feature_sampler):
+        self.X = X
+        self.table = table
+        self.params = params
+        self.feature_sampler = feature_sampler
+        # scratch side flags; a split writes and reads only its node's rows
+        self.go_left = np.zeros(X.shape[0], dtype=bool)
+
+    def grow(self, order: np.ndarray, counts: np.ndarray, depth: int) -> TreeNode:
+        params = self.params
+        node = TreeNode(counts=counts)
+        n = counts.sum()
+        if (
+            counts.max() == n  # pure
+            or n < params.min_samples_split
+            or (params.max_depth is not None and depth >= params.max_depth)
+            or n < 2 * params.min_samples_leaf
+        ):
+            return node
+        d = order.shape[0]
+        split = _search(self.X, self.table, order, counts, n,
+                        self.feature_sampler(d), params.min_samples_leaf)
+        if split is None:
+            return node
+        f, threshold, _, n_left, left_counts = split
+        node.feature = f
+        node.threshold = threshold
+        self.go_left[order[f, :n_left]] = True
+        self.go_left[order[f, n_left:]] = False
+        go_left = self.go_left[order]
+        left, right = order[go_left].reshape(d, -1), order[~go_left].reshape(d, -1)
+        node.left = self.grow(left, left_counts, depth + 1)
+        node.right = self.grow(right, counts - left_counts, depth + 1)
         return node
-    split = best_split(X, y, n_classes, feature_sampler(X.shape[1]), params.min_samples_leaf)
-    if split is None:
-        return node
-    f, threshold, _ = split
-    mask = X[:, f] <= threshold
-    node.feature = f
-    node.threshold = threshold
-    node.left = _grow(X[mask], y[mask], n_classes, params, depth + 1, feature_sampler)
-    node.right = _grow(X[~mask], y[~mask], n_classes, params, depth + 1, feature_sampler)
-    return node
 
 
 def dt_fit(
@@ -162,8 +218,17 @@ def dt_fit(
     params: TreeParams = TreeParams(),
     n_classes: int | None = None,
     feature_sampler=None,
+    *,
+    presorted: np.ndarray | None = None,
+    weights: np.ndarray | None = None,
 ) -> DecisionTree:
-    """Fit a CART tree; ``feature_sampler`` enables per-split subsampling."""
+    """Fit a CART tree; ``feature_sampler`` enables per-split subsampling.
+
+    ``weights`` are integer row multiplicities (a bootstrap replica): the
+    tree equals the one grown on each row repeated that many times, and rows
+    of weight 0 are left out.  ``presorted`` is ``presort(X)``, for callers
+    that fit many trees on the same X.
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or X.shape[0] != y.shape[0] or X.shape[0] < 1:
@@ -172,8 +237,14 @@ def dt_fit(
         n_classes = int(y.max()) + 1
     if feature_sampler is None:
         feature_sampler = np.arange
-    root = _grow(X, y, n_classes, params, 0, feature_sampler)
-    return DecisionTree(params, n_classes, X.shape[1], root)
+    order = presort(X) if presorted is None else presorted
+    if weights is None:
+        weights = np.ones(X.shape[0])
+    else:
+        order = order[weights[order] > 0].reshape(X.shape[1], -1)
+    counts = np.bincount(y, weights=weights, minlength=n_classes)
+    grower = _Grower(X, _weighted_table(y, weights, n_classes), params, feature_sampler)
+    return DecisionTree(params, n_classes, X.shape[1], grower.grow(order, counts, 0))
 
 
 def dt_predict_proba(model: DecisionTree, X: np.ndarray) -> np.ndarray:

@@ -137,6 +137,12 @@ class BadSizes(ENoseError):
     pass
 
 
+# --- serialization -----------------------------------------------------------
+
+class CorruptModel(ENoseError):
+    pass
+
+
 # --- cli ---------------------------------------------------------------------
 
 class ConfigError(ENoseError):

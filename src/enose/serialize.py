@@ -10,7 +10,7 @@ from .classifiers.forest import ForestParams, RandomForest
 from .classifiers.svm import BinarySvm, MulticlassSvm, SvmParams
 from .classifiers.tree import DecisionTree, TreeNode, TreeParams
 from .ensemble import VotingEnsemble
-from .errors import ConfigError
+from .errors import ConfigError, CorruptModel
 from .evaluate import FeaturePipeline
 from .neural import Dense, BatchNorm, MlpModel, MlpSpec, OptimizerSpec, mlp_build
 from .preprocess import Scaler
@@ -138,7 +138,9 @@ def model_from_dict(doc: dict):
     if kind == "rf":
         p = doc["params"]
         trees = [model_from_dict(t) for t in doc["trees"]]
-        params = ForestParams(p["n_estimators"], p["max_features"], p["bootstrap"], TreeParams(), p["seed"])
+        # every member tree carries the forest's TreeParams
+        tree_params = trees[0].params if trees else TreeParams()
+        params = ForestParams(p["n_estimators"], p["max_features"], p["bootstrap"], tree_params, p["seed"])
         return RandomForest(params, trees, doc["n_classes"])
     if kind == "svm":
         machines = []
@@ -244,11 +246,29 @@ def save_model(path: str, model, pipeline: FeaturePipeline | None = None,
 
 
 def load_model(path: str):
-    """Returns (model, pipeline-or-None, classes-or-None)."""
+    """Returns (model, pipeline-or-None, classes-or-None).
+
+    Raises ConfigError for a document of another format, and CorruptModel
+    for an enose document that is truncated, malformed (including an unknown
+    model kind) or of another version.
+    """
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != FORMAT:
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise CorruptModel(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ConfigError(f"{path} is not an {FORMAT} document")
-    model = model_from_dict(doc["model"])
-    pipeline = pipeline_from_dict(doc["pipeline"]) if "pipeline" in doc else None
+    if doc.get("format_version") != FORMAT_VERSION:
+        raise CorruptModel(
+            f"{path}: format_version {doc.get('format_version')!r} is not supported "
+            f"(expected {FORMAT_VERSION})"
+        )
+    try:
+        model = model_from_dict(doc["model"])
+        pipeline = pipeline_from_dict(doc["pipeline"]) if "pipeline" in doc else None
+    except KeyError as exc:
+        raise CorruptModel(f"{path}: malformed {FORMAT} document, missing key {exc}") from exc
+    except (ConfigError, TypeError, ValueError, IndexError, StopIteration) as exc:
+        raise CorruptModel(f"{path}: malformed {FORMAT} document ({exc})") from exc
     return model, pipeline, doc.get("classes")

@@ -2,9 +2,12 @@ import filecmp
 import json
 import os
 
+import numpy as np
 import pytest
 
+from enose.classifiers.forest import ForestParams, rf_fit
 from enose.cli import main
+from enose.serialize import save_model
 
 
 def run_cli(capsys, *argv):
@@ -191,3 +194,37 @@ def test_evaluate_foreign_file_fails(tmp_path, capsys):
     code, out, err = run_cli(capsys, "evaluate", str(bad))
     assert code == 1
     assert "error:" in err
+
+
+def _saved_forest(tmp_path):
+    rng = np.random.default_rng(0)
+    path = tmp_path / "rf.model.json"
+    save_model(str(path), rf_fit(rng.normal(size=(20, 3)), rng.integers(0, 2, size=20),
+                                 ForestParams(n_estimators=2), n_classes=2))
+    return path
+
+
+def _truncate(path):
+    path.write_text(path.read_text()[:200])
+
+
+def _edit(change):
+    def apply(path):
+        doc = json.loads(path.read_text())
+        change(doc)
+        path.write_text(json.dumps(doc))
+    return apply
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_truncate, "not valid JSON"),
+    (_edit(lambda doc: doc["model"].pop("trees")), "missing key 'trees'"),
+    (_edit(lambda doc: doc.update(format_version=99)), "format_version 99"),
+    (_edit(lambda doc: doc["model"].update(kind="forest")), "unknown model kind 'forest'"),
+], ids=["truncated", "missing-key", "format-version", "unknown-kind"])
+def test_evaluate_corrupt_model_is_runtime_error(tmp_path, capsys, corrupt, message):
+    path = _saved_forest(tmp_path)
+    corrupt(path)
+    code, out, err = run_cli(capsys, "evaluate", str(path))
+    assert code == 2
+    assert str(path) in err and message in err

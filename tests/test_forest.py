@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from enose.classifiers.forest import ForestParams, RandomForest, resolve_max_features, rf_fit
 from enose.classifiers.tree import DecisionTree, TreeNode, TreeParams, dt_fit
 from enose.errors import ShapeMismatch
+from enose.rng import derive_rng
 
 
 def _data(n=60, d=4, C=3, seed=0):
@@ -84,3 +86,69 @@ def test_forest_improves_over_stump_on_noisy_data():
     forest = rf_fit(X[:200], y[:200], ForestParams(n_estimators=30, seed=3), n_classes=2)
     acc = (forest.predict(X[200:]) == y[200:]).mean()
     assert acc > 0.8
+
+
+def _nodes(node):
+    yield node
+    if not node.is_leaf:
+        yield from _nodes(node.left)
+        yield from _nodes(node.right)
+
+
+def _assert_same_tree(a, b):
+    for na, nb in zip(_nodes(a), _nodes(b), strict=True):
+        assert na.feature == nb.feature
+        assert na.threshold == nb.threshold
+        assert np.array_equal(na.counts, nb.counts)
+
+
+def _replica_tree(X, y, params, n_classes, t):
+    """Tree t grown the plain way: on the duplicated bootstrap rows X[idx], y[idx]."""
+    n, d = X.shape
+    k = resolve_max_features(params.max_features, d)
+    rng = derive_rng(params.seed, "tree", t)
+    if params.bootstrap:
+        idx = rng.integers(0, n, size=n)
+        X, y = X[idx], y[idx]
+    sampler = None
+    if k < d:
+        def sampler(n_features):
+            return rng.choice(n_features, size=k, replace=False)
+    return dt_fit(X, y, params.tree, n_classes=n_classes, feature_sampler=sampler)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    d=st.integers(1, 5),
+    n_classes=st.integers(2, 4),
+    ties=st.booleans(),
+    bootstrap=st.booleans(),
+    max_features=st.sampled_from(["sqrt", "all"]),
+    min_samples_leaf=st.sampled_from([1, 3]),
+    max_depth=st.sampled_from([None, 3]),
+)
+@settings(max_examples=60, deadline=None)
+def test_forest_trees_equal_trees_on_explicit_replicas(
+    seed, n, d, n_classes, ties, bootstrap, max_features, min_samples_leaf, max_depth
+):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    if ties:
+        X = np.round(X, 1)
+    y = rng.integers(0, n_classes, size=n)
+    params = ForestParams(n_estimators=3, max_features=max_features, bootstrap=bootstrap,
+                          tree=TreeParams(max_depth=max_depth, min_samples_leaf=min_samples_leaf),
+                          seed=seed)
+    forest = rf_fit(X, y, params, n_classes=n_classes)
+    for t, tree in enumerate(forest.trees):
+        _assert_same_tree(tree.root, _replica_tree(X, y, params, n_classes, t).root)
+
+
+def test_node_counts_own_their_data():
+    # a view into a split's scratch buffer would keep the whole buffer alive
+    X, y = _data(n=200, d=5, C=4, seed=8)
+    forest = rf_fit(X, y, ForestParams(n_estimators=5, seed=3), n_classes=4)
+    for tree in [dt_fit(X, y, n_classes=4), *forest.trees]:
+        for node in _nodes(tree.root):
+            assert node.counts.base is None

@@ -46,6 +46,17 @@ def test_rf_round_trip(tmp_path, query):
     assert np.array_equal(model.predict_proba(query), back.predict_proba(query))
 
 
+def test_rf_round_trip_keeps_tree_params(tmp_path, query):
+    X, y = _blobs(seed=1)
+    params = ForestParams(n_estimators=4, max_features="all", bootstrap=False,
+                          tree=TreeParams(max_depth=2, min_samples_leaf=3), seed=2)
+    model = rf_fit(X, y, params, n_classes=3)
+    back = _round_trip(model, tmp_path, "rf_params")
+    assert back.params == params
+    assert all(t.params == params.tree for t in back.trees)
+    assert np.array_equal(model.predict_proba(query), back.predict_proba(query))
+
+
 def test_svm_round_trip(tmp_path, query):
     X, y = _blobs(seed=2)
     model = svm_fit_multiclass(X, y, SvmParams(kernel="rbf", C=1.0, gamma="scale"))

@@ -147,18 +147,19 @@ def test_dt_row_stochastic_output():
 
 def test_best_split_matches_oracle_small():
     rng = np.random.default_rng(4)
-    for trial in range(30):
-        n = int(rng.integers(4, 25))
-        d = int(rng.integers(1, 4))
-        X = np.round(rng.normal(size=(n, d)), 2)
-        y = rng.integers(0, 3, size=n)
-        if np.unique(y).size < 2:
-            continue
-        mine = best_split(X, y.astype(np.int64), 3, np.arange(d))
-        ref = oracle_best_split(X, y, 3)
-        if ref is None:
-            assert mine is None
-        else:
-            assert mine is not None
-            assert mine[0] == ref[0]
-            assert mine[1] == pytest.approx(ref[1])
+    for min_leaf in (1, 2, 3):
+        for trial in range(30):
+            n = int(rng.integers(4, 25))
+            d = int(rng.integers(1, 4))
+            X = np.round(rng.normal(size=(n, d)), 2)
+            y = rng.integers(0, 3, size=n)
+            if np.unique(y).size < 2:
+                continue
+            mine = best_split(X, y.astype(np.int64), 3, np.arange(d), min_leaf)
+            ref = oracle_best_split(X, y, 3, min_leaf)
+            if ref is None:
+                assert mine is None
+            else:
+                assert mine is not None
+                assert mine[0] == ref[0]
+                assert mine[1] == ref[1]  # both are 0.5 * (lo + hi) of the same values
