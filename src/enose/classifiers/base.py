@@ -21,3 +21,10 @@ class ClassifierModel(Protocol):
 def predict_from_proba(proba: np.ndarray) -> np.ndarray:
     """Per-row argmax with lowest-index tie-break."""
     return np.argmax(proba, axis=1).astype(np.int64)
+
+
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax, shifted by each row's maximum for stability."""
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ShapeMismatch
+from ..errors import ConfigError, ShapeMismatch
 from ..rng import derive_rng
 from .base import predict_from_proba
 from .tree import DecisionTree, TreeParams, dt_fit, presort
@@ -29,9 +29,14 @@ def resolve_max_features(spec: str | float, d: int) -> int:
         return max(1, math.ceil(math.log2(d))) if d > 1 else 1
     if spec == "all":
         return d
-    f = float(spec)
+    try:
+        f = float(spec)
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"max_features must be sqrt, log2, all or a fraction, got {spec!r}"
+        ) from None
     if not (0.0 < f <= 1.0):
-        raise ValueError(f"max_features fraction {f} outside (0, 1]")
+        raise ConfigError(f"max_features fraction {f} outside (0, 1]")
     return max(1, math.ceil(f * d))
 
 

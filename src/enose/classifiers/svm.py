@@ -1,4 +1,4 @@
-"""Soft-margin kernel SVM trained by pairwise dual coordinate ascent (SMO)."""
+"""Soft-margin kernel SVM trained by SMO with second-order working-set selection."""
 
 from __future__ import annotations
 
@@ -6,8 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DegenerateLabels, DimensionMismatch, ShapeMismatch
-from .base import predict_from_proba
+from ..errors import (
+    ConfigError, DegenerateLabels, DimensionMismatch, ProblemTooLarge, ShapeMismatch,
+)
+from .base import predict_from_proba, softmax
 
 
 @dataclass(frozen=True)
@@ -23,9 +25,12 @@ def resolve_gamma(gamma: float | str, X: np.ndarray) -> float:
     if gamma == "scale":
         v = X.var()
         return 1.0 / (X.shape[1] * v) if v > 0 else 1.0
-    g = float(gamma)
-    if g <= 0:
-        raise ValueError(f"gamma must be positive, got {g}")
+    try:
+        g = float(gamma)
+    except (TypeError, ValueError):
+        raise ConfigError(f"gamma must be 'scale' or a number, got {gamma!r}") from None
+    if not g > 0:
+        raise ConfigError(f"gamma must be positive, got {g}")
     return g
 
 
@@ -35,7 +40,24 @@ def kernel_matrix(params: SvmParams, gamma: float, A: np.ndarray, B: np.ndarray)
     if params.kernel == "rbf":
         sq = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
         return np.exp(-gamma * np.maximum(sq, 0.0))
-    raise ValueError(f"unknown kernel {params.kernel!r}")
+    raise ConfigError(f"unknown kernel {params.kernel!r}")
+
+
+# The dense n x n float64 Gram matrix may take at most this much memory
+# (2 GiB: up to n = 16,384 training rows).
+GRAM_LIMIT_BYTES = 2 << 30
+
+
+def gram_matrix(params: SvmParams, gamma: float, X: np.ndarray) -> np.ndarray:
+    """K(X, X), refused before allocation when it would exceed GRAM_LIMIT_BYTES."""
+    n = X.shape[0]
+    need = n * n * 8
+    if need > GRAM_LIMIT_BYTES:
+        raise ProblemTooLarge(
+            f"SVM Gram matrix for n={n} training rows needs {need} bytes "
+            f"({need / 2**30:.2f} GiB), over the {GRAM_LIMIT_BYTES}-byte limit"
+        )
+    return kernel_matrix(params, gamma, X, X)
 
 
 class BinarySvm:
@@ -64,140 +86,120 @@ def dual_objective(K: np.ndarray, y: np.ndarray, alpha: np.ndarray) -> float:
     return float(alpha.sum() - 0.5 * ay @ K @ ay)
 
 
-class _Smo:
-    """Platt-style SMO working state over a precomputed Gram matrix."""
+TAU = 1e-12  # curvature used when K_ii + K_jj - 2 K_ij <= 0 (duplicate rows)
 
-    def __init__(self, K, y, C, tol):
+
+class _Wss2:
+    """SMO with second-order working-set selection (Fan, Chen & Lin, JMLR 2005).
+
+    Minimises 1/2 a'Qa - e'a with Q_ij = y_i y_j K_ij, 0 <= a <= C, y'a = 0.
+    The state is F = -y * G = y - K(a * y), G being the gradient; I_up holds
+    the indices whose a_i may move along +y_i, I_low those that may move
+    along -y_i.  The iterate is optimal to within tol once
+    m = max F[I_up] and M = min F[I_low] satisfy m - M < tol.
+    """
+
+    def __init__(self, K: np.ndarray, y: np.ndarray, C: float, tol: float):
         self.K = K
-        self.y = y.astype(np.float64)
+        self.Kd = np.diag(K).copy()
+        self.y = y = np.asarray(y, dtype=np.float64)
         self.C = C
         self.tol = tol
-        self.n = y.shape[0]
-        self.alpha = np.zeros(self.n)
-        self.b = 0.0
-        self.errors = -self.y.copy()  # f(x)=0 initially, E = f - y
+        self.alpha = np.zeros(y.shape[0])
+        self.F = y.copy()
+        self.up = y > 0     # a < C for y = +1, a > 0 for y = -1
+        self.low = y < 0    # a > 0 for y = +1, a < C for y = -1
 
-    def take_step(self, i: int, j: int) -> bool:
-        if i == j:
-            return False
-        ai, aj = self.alpha[i], self.alpha[j]
-        yi, yj = self.y[i], self.y[j]
-        Ei, Ej = self.errors[i], self.errors[j]
-        if yi != yj:
-            L = max(0.0, aj - ai)
-            H = min(self.C, self.C + aj - ai)
-        else:
-            L = max(0.0, ai + aj - self.C)
-            H = min(self.C, ai + aj)
-        if L >= H:
-            return False
-        Kii, Kjj, Kij = self.K[i, i], self.K[j, j], self.K[i, j]
-        eta = Kii + Kjj - 2.0 * Kij
-        if eta > 0:
-            aj_new = aj + yj * (Ei - Ej) / eta
-            aj_new = min(H, max(L, aj_new))
-        else:
-            # objective is linear (or flat) along the segment: pick the better endpoint
-            s = yi * yj
-            f1 = yi * (Ei + self.b) - ai * Kii - s * aj * Kij
-            f2 = yj * (Ej + self.b) - s * ai * Kij - aj * Kjj
-            L1 = ai + s * (aj - L)
-            H1 = ai + s * (aj - H)
-            obj_L = L1 * f1 + L * f2 + 0.5 * L1 * L1 * Kii + 0.5 * L * L * Kjj + s * L * L1 * Kij
-            obj_H = H1 * f1 + H * f2 + 0.5 * H1 * H1 * Kii + 0.5 * H * H * Kjj + s * H * H1 * Kij
-            if obj_L < obj_H - 1e-12:
-                aj_new = L
-            elif obj_H < obj_L - 1e-12:
-                aj_new = H
-            else:
-                return False
-        if abs(aj_new - aj) < 1e-12 * (aj_new + aj + 1e-12):
-            return False
-        ai_new = ai + yi * yj * (aj - aj_new)
+    def _extremes(self) -> tuple[int, float, np.ndarray]:
+        Fu = np.where(self.up, self.F, -np.inf)
+        i = int(Fu.argmax())
+        return i, float(Fu[i]), np.where(self.low, self.F, np.inf)
 
-        b1 = self.b - Ei - yi * (ai_new - ai) * Kii - yj * (aj_new - aj) * Kij
-        b2 = self.b - Ej - yi * (ai_new - ai) * Kij - yj * (aj_new - aj) * Kjj
-        if 0.0 < ai_new < self.C:
-            b_new = b1
-        elif 0.0 < aj_new < self.C:
-            b_new = b2
-        else:
-            b_new = 0.5 * (b1 + b2)
+    def select(self) -> tuple[int, int] | None:
+        """The working pair (i, j), or None once m - M < tol."""
+        i, m, Fl = self._extremes()
+        M = Fl.min()
+        if m - M < self.tol or m <= M:
+            return None
+        b = m - Fl  # > 0 exactly where j in I_low can improve the pair
+        a = self.Kd[i] + self.Kd - 2.0 * self.K[i]
+        a = np.where(a > 0, a, TAU)
+        j = int(np.where(b > 0, b * b / a, -1.0).argmax())
+        return i, j
 
-        self.errors += (
-            yi * (ai_new - ai) * self.K[i]
-            + yj * (aj_new - aj) * self.K[j]
-            + (b_new - self.b)
-        )
-        self.alpha[i] = ai_new
-        self.alpha[j] = aj_new
-        self.b = b_new
+    def update(self, i: int, j: int) -> None:
+        """Move a_i by +y_i t and a_j by -y_j t for the clipped Newton step t."""
+        K, y, alpha, C = self.K, self.y, self.alpha, self.C
+        a = self.Kd[i] + self.Kd[j] - 2.0 * K[i, j]
+        t = (self.F[i] - self.F[j]) / (a if a > 0 else TAU)
+        room_i = C - alpha[i] if y[i] > 0 else alpha[i]
+        room_j = alpha[j] if y[j] > 0 else C - alpha[j]
+        t = min(t, room_i, room_j)
+        ai = (C if y[i] > 0 else 0.0) if t == room_i else alpha[i] + y[i] * t
+        aj = (0.0 if y[j] > 0 else C) if t == room_j else alpha[j] - y[j] * t
+        self.F -= y[i] * (ai - alpha[i]) * K[i] + y[j] * (aj - alpha[j]) * K[j]
+        alpha[i], alpha[j] = ai, aj
+        for k, ak in ((i, ai), (j, aj)):
+            pos = y[k] > 0
+            self.up[k] = ak < C if pos else ak > 0.0
+            self.low[k] = ak > 0.0 if pos else ak < C
+
+    def step(self) -> bool:
+        """One working-set step; False (and no change) once optimal to tol."""
+        pair = self.select()
+        if pair is None:
+            return False
+        self.update(*pair)
         return True
 
-    def examine(self, i: int) -> bool:
-        yi, ai, Ei = self.y[i], self.alpha[i], self.errors[i]
-        r = Ei * yi
-        if not ((r < -self.tol and ai < self.C) or (r > self.tol and ai > 0.0)):
-            return False
-        non_bound = np.flatnonzero((self.alpha > 0.0) & (self.alpha < self.C))
-        if non_bound.size > 1:
-            j = int(non_bound[np.argmax(np.abs(Ei - self.errors[non_bound]))])
-            if self.take_step(i, j):
-                return True
-        for j in non_bound:
-            if self.take_step(i, int(j)):
-                return True
-        for j in range(self.n):
-            if self.take_step(i, j):
-                return True
-        return False
+    def bias(self) -> float:
+        """b = -rho: mean F over free vectors, else the midpoint of m and M."""
+        free = self.up & self.low
+        if free.any():
+            return float(self.F[free].mean())
+        _, m, Fl = self._extremes()
+        return 0.5 * (m + float(Fl.min()))
 
 
-def svm_fit_binary(X: np.ndarray, y: np.ndarray, params: SvmParams = SvmParams()) -> BinarySvm:
-    """Solve the soft-margin dual for labels in {-1, +1} by SMO."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+def _check_shapes(X: np.ndarray, y: np.ndarray) -> None:
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise ShapeMismatch(f"X {X.shape} incompatible with y {y.shape}")
+
+
+def svm_fit_binary(
+    X: np.ndarray, y: np.ndarray, params: SvmParams = SvmParams(), *,
+    gram: np.ndarray | None = None,
+) -> BinarySvm:
+    """Solve the soft-margin dual for labels in {-1, +1} by WSS2 SMO.
+
+    ``gram`` is K(X, X) for ``params`` when the caller already has it (one
+    matrix shared by every machine of a one-vs-rest fit).  At most
+    ``max_passes * n`` working-set steps are taken; ``n_passes`` reports
+    ceil(steps / n).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    _check_shapes(X, y)
     if np.unique(y).shape[0] < 2:
         raise DegenerateLabels("both -1 and +1 labels are required")
-    gamma = resolve_gamma(params.gamma, X)
-    K = kernel_matrix(params, gamma, X, X)
-    smo = _Smo(K, y, params.C, params.tol)
-
     n = X.shape[0]
-    passes = 0
-    examine_all = True
-    converged = False
-    while passes < params.max_passes:
-        passes += 1
-        changed = 0
-        if examine_all:
-            candidates = range(n)
-        else:
-            candidates = np.flatnonzero((smo.alpha > 0.0) & (smo.alpha < params.C))
-        for i in candidates:
-            if smo.examine(int(i)):
-                changed += 1
-        if examine_all:
-            if changed == 0:
-                converged = True
-                break
-            examine_all = False
-        elif changed == 0:
-            examine_all = True
+    gamma = resolve_gamma(params.gamma, X)
+    K = gram_matrix(params, gamma, X) if gram is None else gram
+    if K.shape != (n, n):
+        raise ShapeMismatch(f"Gram matrix {K.shape} does not match {n} rows")
+    solver = _Wss2(K, y, params.C, params.tol)
 
-    mask = smo.alpha > 1e-12
+    cap = params.max_passes * n
+    steps = 0
+    while steps < cap and solver.step():
+        steps += 1
+    converged = solver.select() is None
+
+    mask = solver.alpha > 1e-12
     return BinarySvm(
-        params, gamma, X[mask], y[mask], smo.alpha[mask],
-        smo.b, converged, passes,
+        params, gamma, X[mask], y[mask], solver.alpha[mask],
+        solver.bias(), converged, -(-steps // n),
     )
-
-
-def softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 class MulticlassSvm:
@@ -224,13 +226,17 @@ class MulticlassSvm:
 def svm_fit_multiclass(
     X: np.ndarray, y: np.ndarray, params: SvmParams = SvmParams(), n_classes: int | None = None
 ) -> MulticlassSvm:
+    """One machine per class, all solved over one shared Gram matrix."""
+    X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
+    _check_shapes(X, y)
     if n_classes is None:
         n_classes = int(y.max()) + 1
     if n_classes < 2:
         raise DegenerateLabels("multiclass SVM needs at least 2 classes")
+    K = gram_matrix(params, resolve_gamma(params.gamma, X), X)
     machines = []
     for c in range(n_classes):
         yc = np.where(y == c, 1.0, -1.0)
-        machines.append(svm_fit_binary(X, yc, params))
+        machines.append(svm_fit_binary(X, yc, params, gram=K))
     return MulticlassSvm(machines, n_classes)

@@ -97,6 +97,10 @@ class DegenerateLabels(ENoseError):
     pass
 
 
+class ProblemTooLarge(ENoseError):
+    pass
+
+
 # --- neural ------------------------------------------------------------------
 
 class BadSpec(ENoseError):

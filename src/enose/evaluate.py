@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset, FoldPlan
-from .errors import BadSizes, EmptyGrid, EmptyMatrix, LabelOutOfRange
+from .errors import BadSizes, EmptyGrid, EmptyMatrix, ENoseError, LabelOutOfRange
 from .preprocess import DROPPED_AMBIENT, VersionSpec, apply_version, drop_columns, fit_scaler
 from .reduce import lda_fit, pca_fit
 
@@ -75,13 +75,17 @@ class CvResult:
 
 def cross_validate(model_factory, params: dict, ds: Dataset, plan: FoldPlan,
                    version: str = "V1") -> CvResult:
-    """Per-fold: refit pipeline and model on train indices, score validation."""
+    """Per-fold: refit pipeline and model on train indices, score validation.
+
+    A fold that fails with a toolkit error or a numerical failure is recorded
+    and the others still run; any other exception is a bug and propagates.
+    """
     accs: list[float] = []
     failures: list[str] = []
     for fold_id, (train_idx, val_idx) in enumerate(plan.folds):
         try:
             accs.append(_fit_and_score(model_factory, params, ds, train_idx, val_idx, version))
-        except Exception as exc:  # failed fold recorded, not fatal
+        except (ENoseError, FloatingPointError, np.linalg.LinAlgError) as exc:
             failures.append(f"fold {fold_id}: {exc}")
     return CvResult(accs, failures)
 

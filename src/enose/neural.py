@@ -11,7 +11,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import BadSpec, DimensionMismatch, NonFiniteLoss, ShapeMismatch, UnknownVariant
 from .rng import derive_rng
-from .classifiers.base import predict_from_proba
+from .classifiers.base import predict_from_proba, softmax
 
 VARIANT_NAMES = ("baseline", "deeper", "wider", "l2", "rmsprop")
 
@@ -239,7 +239,7 @@ class MlpModel:
         """Cross-entropy (+ L2) loss; fills every layer's gradient buffers."""
         logits = self.forward(X, mode)
         n = X.shape[0]
-        probs = _softmax(logits)
+        probs = softmax(logits)
         data_loss = float(-np.log(probs[np.arange(n), y] + 1e-300).mean())
         reg = self.spec.l2_lambda
         if reg > 0:
@@ -259,7 +259,7 @@ class MlpModel:
         return data_loss
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return _softmax(self.forward(X, EVAL))
+        return softmax(self.forward(X, EVAL))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return predict_from_proba(self.predict_proba(X))
@@ -268,12 +268,6 @@ class MlpModel:
         for layer in self.layers:
             for name, value, grad in layer.params():
                 yield layer, name, value, grad
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def mlp_build(spec: MlpSpec) -> MlpModel:

@@ -73,16 +73,20 @@ def model_to_dict(model) -> dict:
             "n_classes": model.n_classes,
             "machines": [
                 {
-                    "kernel": m.params.kernel,
-                    "C": m.params.C,
-                    "tol": m.params.tol,
-                    "max_passes": m.params.max_passes,
+                    "params": {
+                        "kernel": m.params.kernel,
+                        "C": m.params.C,
+                        "gamma": m.params.gamma,
+                        "tol": m.params.tol,
+                        "max_passes": m.params.max_passes,
+                    },
                     "gamma": m.gamma,
                     "sv_x": m.sv_x.tolist(),
                     "sv_y": m.sv_y.tolist(),
                     "sv_alpha": m.sv_alpha.tolist(),
                     "b": m.b,
                     "converged": m.converged,
+                    "n_passes": m.n_passes,
                 }
                 for m in model.machines
             ],
@@ -145,13 +149,14 @@ def model_from_dict(doc: dict):
     if kind == "svm":
         machines = []
         for m in doc["machines"]:
-            params = SvmParams(m["kernel"], m["C"], m["gamma"], m["tol"], m["max_passes"])
+            p = m["params"]
+            params = SvmParams(p["kernel"], p["C"], p["gamma"], p["tol"], p["max_passes"])
             machines.append(BinarySvm(
                 params, m["gamma"],
                 np.asarray(m["sv_x"], dtype=np.float64),
                 np.asarray(m["sv_y"], dtype=np.float64),
                 np.asarray(m["sv_alpha"], dtype=np.float64),
-                m["b"], m["converged"], 0,
+                m["b"], m["converged"], m["n_passes"],
             ))
         return MulticlassSvm(machines, doc["n_classes"])
     if kind == "mlp":

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from enose.classifiers.svm import SvmParams, kernel_matrix, _Smo, dual_objective, svm_fit_binary
+from enose.classifiers.svm import SvmParams, kernel_matrix, _Wss2, dual_objective, svm_fit_binary
 from enose.classifiers.tree import TreeParams, dt_fit
 from enose.cli import main as cli_main
 from enose.dataset import stratified_kfold, stratified_split
@@ -179,19 +179,19 @@ def test_criterion_4_svm_dual():
         kkt = ((r < -params.tol) & (alpha < params.C - 1e-9)) | ((r > params.tol) & (alpha > 1e-9))
         if kkt.any():
             failures.append(f"seed {seed}: {int(kkt.sum())} KKT violations beyond tol")
-        # dual objective must be nondecreasing across full SMO passes
+        # dual objective must be nondecreasing after every SMO working-set step
         K = kernel_matrix(params, 1.0, Xs, Xs)
-        smo = _Smo(K, ys, params.C, params.tol)
-        objs = [dual_objective(K, ys, smo.alpha)]
-        for _ in range(20):
-            changed = sum(smo.examine(i) for i in range(n))
-            objs.append(dual_objective(K, ys, smo.alpha))
-            if changed == 0:
+        solver = _Wss2(K, ys, params.C, params.tol)
+        objs = [dual_objective(K, ys, solver.alpha)]
+        for _ in range(20 * n):
+            if not solver.step():
                 break
+            objs.append(dual_objective(K, ys, solver.alpha))
         if any(b < a - 1e-9 for a, b in zip(objs, objs[1:])):
             failures.append(f"seed {seed}: dual objective decreased")
     _verdict(4, not failures,
-             failures[0] if failures else "analytic (w, b, alpha) exact to 1e-6; KKT residuals < tol; dual nondecreasing")
+             failures[0] if failures else
+             "analytic (w, b, alpha) exact to 1e-6; KKT residuals < tol; dual nondecreasing per step")
 
 
 def test_criterion_5_gradient_check():

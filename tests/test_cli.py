@@ -188,6 +188,17 @@ def test_run_stage_failure_reports_stage(tmp_path, capsys):
     assert "[ingest]" in err
 
 
+def test_svm_problem_too_large_is_runtime_error(tmp_path, capsys, monkeypatch):
+    from enose.classifiers import svm
+
+    monkeypatch.setattr(svm, "GRAM_LIMIT_BYTES", 8 * 100 * 100)  # n > 100 refused
+    text = CONFIG_SMALL.replace("families = dt,rf", "families = svm")
+    cfg = write_config(tmp_path, text)
+    code, out, err = run_cli(capsys, "--config", cfg, "--out", str(tmp_path / "o"), "run")
+    assert code == 2
+    assert "[baseline:svm]" in err and "n=240" in err and "460800 bytes" in err
+
+
 def test_evaluate_foreign_file_fails(tmp_path, capsys):
     bad = tmp_path / "notamodel.json"
     bad.write_text('{"format": "other"}\n')

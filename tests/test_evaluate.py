@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from enose.dataset import stratified_kfold
-from enose.errors import BadSizes, EmptyGrid, EmptyMatrix, LabelOutOfRange
+from enose.errors import BadSizes, ConfigError, EmptyGrid, EmptyMatrix, LabelOutOfRange
 from enose.evaluate import (
     FeaturePipeline,
     GridSpec,
@@ -151,7 +151,7 @@ def test_grid_failed_cell_scores_neg_inf():
     class Exploding(ConstantModel):
         def fit(self, X, y, n_classes):
             if self.boom:
-                raise ValueError("bad hyperparameters")
+                raise ConfigError("bad hyperparameters")
             return super().fit(X, y, n_classes)
 
     def factory(params):
@@ -162,6 +162,33 @@ def test_grid_failed_cell_scores_neg_inf():
     spec = GridSpec("const", (("boom", (True, False)),))
     result = grid_search(spec, ds, plan, factory)
     assert result.cells[0].mean == float("-inf")
+    assert result.best_index == 1
+
+
+def test_grid_propagates_programmer_errors():
+    ds = _balanced_ds(n_per=6, C=2, seed=4)
+    plan = stratified_kfold(ds.labels, 2, 0)
+
+    class Buggy(ConstantModel):
+        def fit(self, X, y, n_classes):
+            return self.no_such_attribute
+
+    spec = GridSpec("const", (("x", (1, 2)),))
+    with pytest.raises(AttributeError):
+        grid_search(spec, ds, plan, lambda p: Buggy(p))
+    with pytest.raises(AttributeError):
+        grid_search(spec, ds, plan, lambda p: Buggy(p), workers=2)
+
+
+def test_grid_negative_gamma_cell_is_fold_failure():
+    ds = _balanced_ds(n_per=6, C=2, seed=4)
+    plan = stratified_kfold(ds.labels, 2, 0)
+    spec = GridSpec("svm", (("gamma", (-1.0, 1.0)),))
+    result = grid_search(spec, ds, plan, make_factory("svm"))
+    bad, good = result.cells
+    assert bad.mean == float("-inf") and bad.accuracies == []
+    assert len(bad.failures) == 2 and all("gamma must be positive" in f for f in bad.failures)
+    assert good.failures == [] and len(good.accuracies) == 2
     assert result.best_index == 1
 
 

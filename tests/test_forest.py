@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from enose.classifiers.forest import ForestParams, RandomForest, resolve_max_features, rf_fit
 from enose.classifiers.tree import DecisionTree, TreeNode, TreeParams, dt_fit
-from enose.errors import ShapeMismatch
+from enose.errors import ConfigError, ShapeMismatch
 from enose.rng import derive_rng
 
 
@@ -22,6 +22,12 @@ def test_resolve_max_features():
     assert resolve_max_features("all", 5) == 5
     assert resolve_max_features(0.5, 7) == 4
     assert resolve_max_features("sqrt", 1) == 1
+
+
+@pytest.mark.parametrize("spec", [0.0, 1.5, -0.2, "half"])
+def test_bad_max_features_is_config_error(spec):
+    with pytest.raises(ConfigError):
+        resolve_max_features(spec, 7)
 
 
 def test_single_tree_no_bootstrap_equals_dt():

@@ -61,6 +61,10 @@ def test_svm_round_trip(tmp_path, query):
     X, y = _blobs(seed=2)
     model = svm_fit_multiclass(X, y, SvmParams(kernel="rbf", C=1.0, gamma="scale"))
     back = _round_trip(model, tmp_path, "svm")
+    for m, b in zip(model.machines, back.machines, strict=True):
+        assert b.params == m.params  # gamma stays "scale", not the resolved float
+        assert (b.gamma, b.n_passes, b.converged, b.b) == (m.gamma, m.n_passes, m.converged, m.b)
+        assert b.n_passes > 0
     assert np.array_equal(model.decision_values(query), back.decision_values(query))
     assert np.array_equal(model.predict_proba(query), back.predict_proba(query))
 

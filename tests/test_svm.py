@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from enose.classifiers import svm
 from enose.classifiers.svm import (
     SvmParams,
-    _Smo,
+    _Wss2,
     dual_objective,
     kernel_matrix,
     softmax,
     svm_fit_binary,
     svm_fit_multiclass,
 )
-from enose.errors import DegenerateLabels, ShapeMismatch
+from enose.errors import ConfigError, DegenerateLabels, ProblemTooLarge, ShapeMismatch
 
 
 def test_two_point_analytic_case():
@@ -74,20 +77,18 @@ def test_kkt_residuals_within_tol():
     assert not violations.any()
 
 
-def test_dual_objective_nondecreasing_per_pass():
+def test_dual_objective_nondecreasing_per_step():
     X, y = _separable(n=24, seed=3)
     params = SvmParams(kernel="rbf", C=2.0, gamma=0.3)
     K = kernel_matrix(params, 0.3, X, X)
-    smo = _Smo(K, y, params.C, params.tol)
-    objectives = [dual_objective(K, y, smo.alpha)]
-    for _ in range(25):
-        changed = 0
-        for i in range(X.shape[0]):
-            if smo.examine(i):
-                changed += 1
-        objectives.append(dual_objective(K, y, smo.alpha))
-        if changed == 0:
+    solver = _Wss2(K, y, params.C, params.tol)
+    objectives = [dual_objective(K, y, solver.alpha)]
+    for _ in range(25 * X.shape[0]):
+        if not solver.step():
             break
+        objectives.append(dual_objective(K, y, solver.alpha))
+    else:
+        pytest.fail("solver did not reach tol within 25 * n steps")
     assert all(b >= a - 1e-9 for a, b in zip(objectives, objectives[1:]))
     assert objectives[-1] > objectives[0]
 
@@ -144,3 +145,81 @@ def test_nonconvergence_is_flagged_not_fatal():
     model = svm_fit_binary(X, y, SvmParams(kernel="rbf", C=100.0, gamma=5.0, max_passes=1))
     assert model.converged is False
     model.decision_function(X)  # best iterate still usable
+
+
+# --- shared Gram matrix, WSS2 optimality, memory guard ------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 30),
+    dups=st.integers(0, 6),
+    kernel=st.sampled_from(["linear", "rbf"]),
+    C=st.sampled_from([0.1, 1.0, 10.0]),
+)
+def test_shared_gram_machines_match_standalone_and_satisfy_kkt(seed, n, dups, kernel, C):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 3))
+    X = np.vstack([X, X[rng.integers(0, n, size=dups)]])  # duplicate rows
+    labels = rng.integers(0, 3, size=X.shape[0])
+    labels[:3] = [0, 1, 2]
+    params = SvmParams(kernel=kernel, C=C, gamma="scale")
+    multi = svm_fit_multiclass(X, labels, params, n_classes=3)
+    K = kernel_matrix(params, multi.machines[0].gamma, X, X)
+    for c, m in enumerate(multi.machines):
+        yc = np.where(labels == c, 1.0, -1.0)
+        alone = svm_fit_binary(X, yc, params)
+        for attr in ("sv_x", "sv_y", "sv_alpha"):
+            assert np.array_equal(getattr(m, attr), getattr(alone, attr))
+        assert (m.b, m.gamma, m.converged, m.n_passes) == (
+            alone.b, alone.gamma, alone.converged, alone.n_passes)
+
+        solver = _Wss2(K, yc, C, params.tol)
+        for _ in range(params.max_passes * X.shape[0]):
+            if not solver.step():
+                break
+        alpha = solver.alpha
+        assert np.array_equal(alpha[alpha > 1e-12], m.sv_alpha)
+        assert (alpha >= 0.0).all() and (alpha <= C).all()
+        assert abs(alpha @ yc) < 1e-8
+        if not m.converged:
+            # only the step cap may stop the solver short of tol (rank-deficient
+            # linear problems with large C can need more than max_passes * n steps)
+            assert m.n_passes == params.max_passes
+            continue
+        r = yc * m.decision_function(X) - 1.0
+        violations = (((r < -params.tol) & (alpha < C - 1e-9))
+                      | ((r > params.tol) & (alpha > 1e-9)))
+        assert not violations.any()
+
+
+def test_multiclass_builds_one_gram_matrix(monkeypatch):
+    X, y = _three_blobs()
+    calls = []
+    real = svm.kernel_matrix
+    monkeypatch.setattr(svm, "kernel_matrix", lambda *a: calls.append(a[2].shape) or real(*a))
+    svm_fit_multiclass(X, y, SvmParams(kernel="rbf", C=1.0))
+    assert calls == [X.shape]
+
+
+def test_gram_memory_guard_refuses_before_allocating():
+    X = np.zeros((20000, 1))
+    y = np.where(np.arange(20000) % 2 == 0, 1.0, -1.0)
+    with pytest.raises(ProblemTooLarge, match="n=20000.*3200000000 bytes"):
+        svm_fit_binary(X, y)
+    with pytest.raises(ProblemTooLarge, match="n=20000"):
+        svm_fit_multiclass(X, (y > 0).astype(int))
+
+
+@pytest.mark.parametrize("gamma", [-1.0, 0.0, "wide"])
+def test_bad_gamma_is_config_error(gamma):
+    X, y = _separable(n=10)
+    with pytest.raises(ConfigError):
+        svm_fit_binary(X, y, SvmParams(kernel="rbf", gamma=gamma))
+
+
+def test_unknown_kernel_is_config_error():
+    X, y = _separable(n=10)
+    with pytest.raises(ConfigError):
+        svm_fit_binary(X, y, SvmParams(kernel="poly"))
