@@ -61,7 +61,6 @@ def main() -> int:
     args = parser.parse_args()
 
     import os
-    import tempfile
 
     os.makedirs(args.out, exist_ok=True)
     ini_path = os.path.join(args.out, "experiment.ini")

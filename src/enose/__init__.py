@@ -9,15 +9,7 @@ from .dataset import (
     stratified_kfold,
     stratified_split,
 )
-from .preprocess import (
-    LabelEncoder,
-    Scaler,
-    VersionSpec,
-    apply_version,
-    encode_labels,
-    feature_target_correlation,
-    fit_scaler,
-)
-from .reduce import LdaModel, PcaModel, lda_fit, pca_fit, pca_transform
+from .preprocess import Scaler, feature_target_correlation, fit_scaler
+from .reduce import LdaModel, PcaModel, lda_fit, pca_fit
 
 __version__ = "0.1.0"

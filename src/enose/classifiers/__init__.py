@@ -1,15 +1,13 @@
-from .base import ClassifierModel, predict_from_proba
-from .tree import DecisionTree, TreeParams, dt_fit, dt_predict_proba, gini_impurity
+from .base import predict_from_proba
+from .tree import DecisionTree, TreeParams, dt_fit, gini_impurity
 from .forest import ForestParams, RandomForest, rf_fit
 from .svm import BinarySvm, SvmParams, MulticlassSvm, svm_fit_binary, svm_fit_multiclass
 
 __all__ = [
-    "ClassifierModel",
     "predict_from_proba",
     "DecisionTree",
     "TreeParams",
     "dt_fit",
-    "dt_predict_proba",
     "gini_impurity",
     "ForestParams",
     "RandomForest",

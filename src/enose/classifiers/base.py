@@ -1,21 +1,8 @@
-"""Shared classifier contract: probabilistic multiclass prediction."""
+"""Helpers shared by the classifiers: softmax and argmax prediction."""
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
-
 import numpy as np
-
-
-@runtime_checkable
-class ClassifierModel(Protocol):
-    """Fitted predictor exposing row-stochastic class probabilities."""
-
-    n_classes: int
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray: ...
-
-    def predict(self, X: np.ndarray) -> np.ndarray: ...
 
 
 def predict_from_proba(proba: np.ndarray) -> np.ndarray:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -245,7 +244,3 @@ def dt_fit(
     counts = np.bincount(y, weights=weights, minlength=n_classes)
     grower = _Grower(X, _weighted_table(y, weights, n_classes), params, feature_sampler)
     return DecisionTree(params, n_classes, X.shape[1], grower.grow(order, counts, 0))
-
-
-def dt_predict_proba(model: DecisionTree, X: np.ndarray) -> np.ndarray:
-    return model.predict_proba(X)

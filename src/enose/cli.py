@@ -32,8 +32,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
-CLASSICAL_FAMILIES = ("dt", "rf", "svm")
-
 
 class StageError(Exception):
     def __init__(self, stage: str, cause: Exception):
@@ -166,7 +164,7 @@ def cmd_run(cfg: PipelineConfig) -> int:
                 _write(os.path.join(out, "svg", f"{name}.roc.svg"),
                        line_chart_svg(curves, "false positive rate", "true positive rate"))
 
-        for family in [f for f in cfg.families if f in CLASSICAL_FAMILIES]:
+        for family in cfg.families:
             stage = f"baseline:{family}"
             factory = make_factory(family)
             base_params = {"seed": derive_seed(cfg.seed, family, "baseline")} if family == "rf" else {}

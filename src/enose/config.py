@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError
+from .models import CLASSICAL_FAMILIES
 from .preprocess import VERSIONS
 
 FORMATS = ("json", "csv", "svg")
@@ -51,6 +52,10 @@ class PipelineConfig:
             raise ConfigError(f"folds must be >= 2, got {self.folds}")
         if not (0.0 < self.test_fraction < 1.0):
             raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+        unknown = [f for f in self.families if f not in CLASSICAL_FAMILIES]
+        if unknown:
+            raise ConfigError(f"unknown model families {unknown}; expected a subset of "
+                              f"{CLASSICAL_FAMILIES}")
         if self.grid not in ("default", "small", "none"):
             raise ConfigError(f"grid must be default|small|none, got {self.grid!r}")
         bad = [f for f in self.formats if f not in FORMATS]

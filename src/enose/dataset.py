@@ -5,7 +5,7 @@ from __future__ import annotations
 import glob as _glob
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

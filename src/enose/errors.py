@@ -63,10 +63,6 @@ class MissingColumn(ENoseError):
     pass
 
 
-class UnfittedReducer(ENoseError):
-    pass
-
-
 class BadComponentCount(ENoseError):
     pass
 

@@ -5,13 +5,13 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset, FoldPlan
 from .errors import BadSizes, EmptyGrid, EmptyMatrix, ENoseError, LabelOutOfRange
-from .preprocess import DROPPED_AMBIENT, VersionSpec, apply_version, drop_columns, fit_scaler
+from .preprocess import DROPPED_AMBIENT, drop_columns, fit_scaler
 from .reduce import lda_fit, pca_fit
 
 
@@ -51,10 +51,6 @@ class FeaturePipeline:
             return work.with_features(names, scores)
         return work.with_features(work.feature_names, Z)
 
-    def version_spec(self) -> VersionSpec:
-        dropped = () if self.version == "V1" else DROPPED_AMBIENT
-        return VersionSpec(self.version, self.reducer, dropped)
-
 
 # --- cross-validation and grid search -----------------------------------------
 
@@ -84,21 +80,26 @@ def cross_validate(model_factory, params: dict, ds: Dataset, plan: FoldPlan,
     failures: list[str] = []
     for fold_id, (train_idx, val_idx) in enumerate(plan.folds):
         try:
-            accs.append(_fit_and_score(model_factory, params, ds, train_idx, val_idx, version))
+            model, _, val = _fit_fold(model_factory, params, ds, train_idx, val_idx, version)
+            accs.append(_accuracy(model, val))
         except (ENoseError, FloatingPointError, np.linalg.LinAlgError) as exc:
             failures.append(f"fold {fold_id}: {exc}")
     return CvResult(accs, failures)
 
 
-def _fit_and_score(model_factory, params, ds, train_idx, val_idx, version) -> float:
+def _fit_fold(model_factory, params, ds, train_idx, val_idx, version):
+    """Pipeline and model fit on the train rows; returns (model, train, val) transformed."""
     train = ds.subset(train_idx)
-    val = ds.subset(val_idx)
     pipe = FeaturePipeline(version).fit(train)
     t = pipe.transform(train)
-    v = pipe.transform(val)
+    v = pipe.transform(ds.subset(val_idx))
     model = model_factory(params)
     model.fit(t.features, t.labels, ds.n_classes)
-    return float((model.predict(v.features) == v.labels).mean())
+    return model, t, v
+
+
+def _accuracy(model, part: Dataset) -> float:
+    return float((model.predict(part.features) == part.labels).mean())
 
 
 @dataclass(frozen=True)
@@ -347,17 +348,10 @@ def learning_curve(model_factory, params: dict, ds: Dataset, sizes, plan: FoldPl
         train_accs = []
         val_accs = []
         for train_idx, val_idx in plan.folds:
-            count = math.ceil(s * train_idx.shape[0])
-            sub = stratified_head(train_idx, ds.labels, count)
-            train = ds.subset(sub)
-            val = ds.subset(val_idx)
-            pipe = FeaturePipeline(version).fit(train)
-            t = pipe.transform(train)
-            v = pipe.transform(val)
-            model = model_factory(params)
-            model.fit(t.features, t.labels, ds.n_classes)
-            train_accs.append(float((model.predict(t.features) == t.labels).mean()))
-            val_accs.append(float((model.predict(v.features) == v.labels).mean()))
+            sub = stratified_head(train_idx, ds.labels, math.ceil(s * train_idx.shape[0]))
+            model, t, v = _fit_fold(model_factory, params, ds, sub, val_idx, version)
+            train_accs.append(_accuracy(model, t))
+            val_accs.append(_accuracy(model, v))
         rows.append({
             "size": s,
             "train_acc": float(np.mean(train_accs)),

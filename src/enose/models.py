@@ -1,18 +1,228 @@
-"""Uniform fit/predict wrappers and default tuning grids for every family."""
+"""The model-family table: how each family fits, tunes and reads/writes JSON.
+
+Adding a family is one entry in ``FAMILIES``.  Every ``fit`` entry calls its
+learner through this module's globals at call time, so a wrapper installed on
+``rf_fit`` and the others (a tracer, a test double) sees every fit.
+"""
 
 from __future__ import annotations
 
+from dataclasses import asdict, dataclass, fields
+from typing import Callable
+
 import numpy as np
 
-from .classifiers.forest import ForestParams, rf_fit
-from .classifiers.svm import SvmParams, svm_fit_multiclass
-from .classifiers.tree import TreeParams, dt_fit
-from .dataset import Dataset
+from .classifiers.forest import ForestParams, RandomForest, rf_fit
+from .classifiers.svm import BinarySvm, MulticlassSvm, SvmParams, svm_fit_multiclass
+from .classifiers.tree import DecisionTree, TreeNode, TreeParams, dt_fit
 from .errors import ConfigError
 from .evaluate import GridSpec
-from .neural import MlpSpec, mlp_train, mlp_build, variant_spec
+from .neural import BatchNorm, Dense, MlpModel, MlpSpec, OptimizerSpec, mlp_build, mlp_train, variant_spec
 
-FAMILIES = ("dt", "rf", "svm", "mlp")
+
+def _from_params(cls, params: dict, **fixed):
+    """``cls`` built from the matching keys of ``params``; absent keys keep their defaults."""
+    names = [f.name for f in fields(cls) if f.name in params and f.name not in fixed]
+    return cls(**{n: params[n] for n in names}, **fixed)
+
+
+def _from_doc(cls, doc: dict, **fixed):
+    """``cls`` built from a saved document; every field must be present (KeyError)."""
+    names = [f.name for f in fields(cls) if f.name not in fixed]
+    return cls(**{n: doc[n] for n in names}, **fixed)
+
+
+def _array(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64)
+
+
+# --- dt -----------------------------------------------------------------------
+
+
+def _fit_dt(X, y, params: dict, n_classes: int) -> DecisionTree:
+    return dt_fit(X, y, _from_params(TreeParams, params), n_classes=n_classes)
+
+
+def _node_to_dict(node: TreeNode) -> dict:
+    if node.is_leaf:
+        return {"counts": node.counts.tolist()}
+    return {
+        "counts": node.counts.tolist(),
+        "feature": node.feature,
+        "threshold": node.threshold,
+        "left": _node_to_dict(node.left),
+        "right": _node_to_dict(node.right),
+    }
+
+
+def _node_from_dict(d: dict) -> TreeNode:
+    node = TreeNode(counts=_array(d["counts"]))
+    if "feature" in d:
+        node.feature = d["feature"]
+        node.threshold = d["threshold"]
+        node.left = _node_from_dict(d["left"])
+        node.right = _node_from_dict(d["right"])
+    return node
+
+
+def _dt_to_dict(model: DecisionTree) -> dict:
+    return {
+        "params": asdict(model.params),
+        "n_classes": model.n_classes,
+        "n_features": model.n_features,
+        "root": _node_to_dict(model.root),
+    }
+
+
+def _dt_from_dict(doc: dict) -> DecisionTree:
+    return DecisionTree(_from_doc(TreeParams, doc["params"]), doc["n_classes"],
+                        doc["n_features"], _node_from_dict(doc["root"]))
+
+
+# --- rf -----------------------------------------------------------------------
+
+
+def _fit_rf(X, y, params: dict, n_classes: int) -> RandomForest:
+    forest = _from_params(ForestParams, params, tree=_from_params(TreeParams, params))
+    return rf_fit(X, y, forest, n_classes=n_classes)
+
+
+def _rf_to_dict(model: RandomForest) -> dict:
+    # the tree params are stored once per member tree, not in the forest's params
+    params = asdict(model.params)
+    del params["tree"]
+    return {
+        "params": params,
+        "n_classes": model.n_classes,
+        "trees": [{"kind": "dt", **_dt_to_dict(t)} for t in model.trees],
+    }
+
+
+def _rf_from_dict(doc: dict) -> RandomForest:
+    if any(t["kind"] != "dt" for t in doc["trees"]):
+        raise ConfigError("every member of a forest must be of kind 'dt'")
+    trees = [_dt_from_dict(t) for t in doc["trees"]]
+    tree_params = trees[0].params if trees else TreeParams()
+    return RandomForest(_from_doc(ForestParams, doc["params"], tree=tree_params),
+                        trees, doc["n_classes"])
+
+
+# --- svm ----------------------------------------------------------------------
+
+
+def _fit_svm(X, y, params: dict, n_classes: int) -> MulticlassSvm:
+    return svm_fit_multiclass(X, y, _from_params(SvmParams, params), n_classes=n_classes)
+
+
+def _svm_to_dict(model: MulticlassSvm) -> dict:
+    return {
+        "n_classes": model.n_classes,
+        "machines": [
+            {
+                "params": asdict(m.params),
+                "gamma": m.gamma,
+                "sv_x": m.sv_x.tolist(),
+                "sv_y": m.sv_y.tolist(),
+                "sv_alpha": m.sv_alpha.tolist(),
+                "b": m.b,
+                "converged": m.converged,
+                "n_passes": m.n_passes,
+            }
+            for m in model.machines
+        ],
+    }
+
+
+def _svm_from_dict(doc: dict) -> MulticlassSvm:
+    machines = [
+        BinarySvm(_from_doc(SvmParams, m["params"]), m["gamma"], _array(m["sv_x"]),
+                  _array(m["sv_y"]), _array(m["sv_alpha"]), m["b"], m["converged"],
+                  m["n_passes"])
+        for m in doc["machines"]
+    ]
+    return MulticlassSvm(machines, doc["n_classes"])
+
+
+# --- mlp ----------------------------------------------------------------------
+
+
+def _fit_mlp(X, y, params: dict, n_classes: int) -> MlpModel:
+    overrides = {k: params[k] for k in ("epochs", "seed") if k in params}
+    spec = variant_spec(params.get("variant", "baseline"), X.shape[1], n_classes, **overrides)
+    return mlp_train(mlp_build(spec), X, y)
+
+
+# the layers that carry saved arrays: (saved "type", array attributes)
+_SAVED_LAYERS = {
+    Dense: ("dense", ("W", "b")),
+    BatchNorm: ("batchnorm", ("gamma", "beta", "running_mean", "running_var")),
+}
+
+
+def _mlp_to_dict(model: MlpModel) -> dict:
+    weights = []
+    for layer in model.layers:
+        if type(layer) in _SAVED_LAYERS:
+            kind, names = _SAVED_LAYERS[type(layer)]
+            weights.append({"type": kind, **{n: getattr(layer, n).tolist() for n in names}})
+    return {"spec": asdict(model.spec), "weights": weights}
+
+
+def _mlp_from_dict(doc: dict) -> MlpModel:
+    s = doc["spec"]
+    model = mlp_build(_from_doc(MlpSpec, s, hidden_sizes=tuple(s["hidden_sizes"]),
+                                optimizer=_from_doc(OptimizerSpec, s["optimizer"])))
+    saved = iter(doc["weights"])
+    for layer in model.layers:
+        if type(layer) in _SAVED_LAYERS:
+            w = next(saved)
+            for name in _SAVED_LAYERS[type(layer)][1]:
+                setattr(layer, name, _array(w[name]))
+    return model
+
+
+# --- the table ------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Family:
+    """One model family.  Grids are ordered ``(name, values)`` axes."""
+
+    model: type
+    fit: Callable  # (X, y, params dict, n_classes) -> fitted model
+    to_dict: Callable  # fitted model -> JSON-ready dict, without its "kind"
+    from_dict: Callable  # that dict -> fitted model; KeyError on a missing key
+    small_grid: tuple
+    default_grid: tuple
+
+
+FAMILIES = {
+    "dt": Family(
+        DecisionTree, _fit_dt, _dt_to_dict, _dt_from_dict,
+        small_grid=(("max_depth", (16, None)), ("min_samples_leaf", (1, 5))),
+        default_grid=(("max_depth", (8, 16, None)), ("min_samples_leaf", (1, 5, 20))),
+    ),
+    "rf": Family(
+        RandomForest, _fit_rf, _rf_to_dict, _rf_from_dict,
+        small_grid=(("n_estimators", (25, 50)), ("max_features", ("sqrt", "all"))),
+        default_grid=(("n_estimators", (50, 100, 200)),
+                      ("max_features", ("sqrt", "log2", "all"))),
+    ),
+    "svm": Family(
+        MulticlassSvm, _fit_svm, _svm_to_dict, _svm_from_dict,
+        small_grid=(("kernel", ("rbf",)), ("C", (1.0, 10.0))),
+        default_grid=(("kernel", ("linear", "rbf")), ("C", (0.1, 1.0, 10.0)),
+                      ("gamma", ("scale", 0.1, 1.0))),
+    ),
+    "mlp": Family(
+        MlpModel, _fit_mlp, _mlp_to_dict, _mlp_from_dict,
+        small_grid=(("variant", ("baseline",)),),
+        default_grid=(("variant", ("baseline", "deeper", "wider", "l2", "rmsprop")),),
+    ),
+}
+
+# families a run tunes by grid search; the MLP runs as the configured ANN variants
+CLASSICAL_FAMILIES = tuple(f for f in FAMILIES if f != "mlp")
 
 
 class Estimator:
@@ -24,49 +234,7 @@ class Estimator:
         self.model = None
 
     def fit(self, X: np.ndarray, y: np.ndarray, n_classes: int) -> "Estimator":
-        p = self.params
-        if self.family == "dt":
-            tp = TreeParams(
-                max_depth=p.get("max_depth"),
-                min_samples_split=p.get("min_samples_split", 2),
-                min_samples_leaf=p.get("min_samples_leaf", 1),
-            )
-            self.model = dt_fit(X, y, tp, n_classes=n_classes)
-        elif self.family == "rf":
-            fp = ForestParams(
-                n_estimators=p.get("n_estimators", 100),
-                max_features=p.get("max_features", "sqrt"),
-                bootstrap=p.get("bootstrap", True),
-                tree=TreeParams(
-                    max_depth=p.get("max_depth"),
-                    min_samples_split=p.get("min_samples_split", 2),
-                    min_samples_leaf=p.get("min_samples_leaf", 1),
-                ),
-                seed=p.get("seed", 0),
-            )
-            self.model = rf_fit(X, y, fp, n_classes=n_classes)
-        elif self.family == "svm":
-            sp = SvmParams(
-                kernel=p.get("kernel", "rbf"),
-                C=p.get("C", 1.0),
-                gamma=p.get("gamma", "scale"),
-                tol=p.get("tol", 1e-3),
-                max_passes=p.get("max_passes", 200),
-            )
-            self.model = svm_fit_multiclass(X, y, sp, n_classes=n_classes)
-        elif self.family == "mlp":
-            spec = p.get("spec")
-            if spec is None:
-                spec = variant_spec(
-                    p.get("variant", "baseline"), X.shape[1], n_classes,
-                    epochs=p.get("epochs", 50), seed=p.get("seed", 0),
-                )
-            ds = Dataset(tuple(f"f{i}" for i in range(X.shape[1])), X,
-                         np.asarray(y, dtype=np.int64),
-                         tuple(str(i) for i in range(n_classes)))
-            self.model = mlp_train(mlp_build(spec), ds)
-        else:
-            raise ConfigError(f"unknown model family {self.family!r}")
+        self.model = FAMILIES[self.family].fit(X, y, self.params, n_classes)
         return self
 
     @property
@@ -92,22 +260,7 @@ def make_factory(family: str):
 
 def default_grid(family: str, scale: str = "default") -> GridSpec:
     """Tuning grids spanning kernel/regularization, depth/leaf, and count/subset axes."""
-    if scale == "small":
-        grids = {
-            "svm": (("kernel", ("rbf",)), ("C", (1.0, 10.0))),
-            "dt": (("max_depth", (16, None)), ("min_samples_leaf", (1, 5))),
-            "rf": (("n_estimators", (25, 50)), ("max_features", ("sqrt", "all"))),
-            "mlp": (("variant", ("baseline",)),),
-        }
-    else:
-        grids = {
-            "svm": (("kernel", ("linear", "rbf")), ("C", (0.1, 1.0, 10.0)),
-                    ("gamma", ("scale", 0.1, 1.0))),
-            "dt": (("max_depth", (8, 16, None)), ("min_samples_leaf", (1, 5, 20))),
-            "rf": (("n_estimators", (50, 100, 200)),
-                   ("max_features", ("sqrt", "log2", "all"))),
-            "mlp": (("variant", ("baseline", "deeper", "wider", "l2", "rmsprop")),),
-        }
-    if family not in grids:
+    if family not in FAMILIES:
         raise ConfigError(f"no default grid for family {family!r}")
-    return GridSpec(family, grids[family])
+    entry = FAMILIES[family]
+    return GridSpec(family, entry.small_grid if scale == "small" else entry.default_grid)

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import Dataset
 from .errors import BadSpec, DimensionMismatch, NonFiniteLoss, ShapeMismatch, UnknownVariant
 from .rng import derive_rng
 from .classifiers.base import predict_from_proba, softmax
@@ -311,11 +310,11 @@ class _RmsProp:
             value -= o.lr * grad / (np.sqrt(v) + o.eps)
 
 
-def mlp_train(model: MlpModel, train: Dataset, val: Dataset | None = None) -> MlpModel:
-    """Mini-batch training; history records (epoch, loss, train_acc, val_acc)."""
+def mlp_train(model: MlpModel, X: np.ndarray, y: np.ndarray) -> MlpModel:
+    """Mini-batch training; history records (epoch, loss, train_acc)."""
     spec = model.spec
-    X = np.asarray(train.features, dtype=np.float64)
-    y = np.asarray(train.labels, dtype=np.int64)
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
     if X.shape[1] != spec.input_dim:
         raise ShapeMismatch(f"train features have {X.shape[1]} columns, spec wants {spec.input_dim}")
     if y.max() >= spec.n_classes:
@@ -336,21 +335,16 @@ def mlp_train(model: MlpModel, train: Dataset, val: Dataset | None = None) -> Ml
                 for layer, name, value, grad in model.trainable_params()
             }
             opt.step(params)
-        row = {
+        model.history.append({
             "epoch": epoch,
             "loss": float(np.mean(losses)),
             "train_acc": float((model.predict(X) == y).mean()),
-        }
-        if val is not None:
-            row["val_acc"] = float((model.predict(val.features) == val.labels).mean())
-        model.history.append(row)
+        })
     return model
 
 
 def history_csv(model: MlpModel) -> str:
+    # the val_acc column stays, empty, so the file keeps its layout
     lines = ["epoch,loss,train_acc,val_acc"]
-    for row in model.history:
-        val = row.get("val_acc", "")
-        lines.append(f"{row['epoch']},{row['loss']!r},{row['train_acc']!r},{val!r}" if val != ""
-                     else f"{row['epoch']},{row['loss']!r},{row['train_acc']!r},")
+    lines += [f"{r['epoch']},{r['loss']!r},{r['train_acc']!r}," for r in model.history]
     return "\n".join(lines) + "\n"

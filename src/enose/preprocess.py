@@ -1,34 +1,16 @@
-"""Label encoding, z-score scaling, drift diagnostics, and feature-set versions."""
+"""Z-score scaling, ambient-column dropping, and drift diagnostics."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset
-from .errors import EmptyMatrix, MissingColumn, UnfittedReducer
+from .errors import EmptyMatrix, MissingColumn
 
 DROPPED_AMBIENT = ("temperature", "pressure")
 VERSIONS = ("V1", "V2", "V3", "V4")
-
-
-@dataclass(frozen=True)
-class LabelEncoder:
-    """Bijection between class names (sorted ascending) and indices."""
-
-    classes: tuple[str, ...]
-
-    def encode(self, name: str) -> int:
-        return self.classes.index(name)
-
-    def decode(self, index: int) -> str:
-        return self.classes[index]
-
-
-def encode_labels(class_names) -> LabelEncoder:
-    return LabelEncoder(tuple(sorted(set(class_names))))
 
 
 @dataclass(frozen=True)
@@ -89,42 +71,9 @@ def correlation_report_csv(ranking: list[tuple[str, float]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class VersionSpec:
-    """One of the four feature-set configurations.
-
-    V1 keeps all columns, V2 drops the ambient-drift columns, V3/V4 project
-    the V2 columns through a fitted PCA/LDA model (fit on training data only,
-    after standardization).
-    """
-
-    version: str
-    reducer: object | None = None
-    dropped_columns: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.version not in VERSIONS:
-            raise ValueError(f"unknown version {self.version!r}")
-
-
 def drop_columns(ds: Dataset, names: tuple[str, ...]) -> Dataset:
     missing = [n for n in names if n not in ds.feature_names]
     if missing:
         raise MissingColumn(f"columns not present: {missing}")
     keep = [j for j, n in enumerate(ds.feature_names) if n not in names]
     return ds.with_features(tuple(ds.feature_names[j] for j in keep), ds.features[:, keep])
-
-
-def apply_version(ds: Dataset, spec: VersionSpec) -> Dataset:
-    """Project a dataset into the feature space of the given version."""
-    if spec.version == "V1":
-        return ds
-    reduced = drop_columns(ds, spec.dropped_columns or DROPPED_AMBIENT)
-    if spec.version == "V2":
-        return reduced
-    if spec.reducer is None:
-        raise UnfittedReducer(f"{spec.version} requires a fitted reducer")
-    scores = spec.reducer.transform(reduced.features)
-    prefix = "pc" if spec.version == "V3" else "ld"
-    names = tuple(f"{prefix}{i + 1}" for i in range(scores.shape[1]))
-    return reduced.with_features(names, scores)

@@ -60,10 +60,6 @@ def pca_fit(X: np.ndarray, m: int) -> PcaModel:
     return PcaModel(means, components, eigenvalues)
 
 
-def pca_transform(model: PcaModel, X: np.ndarray) -> np.ndarray:
-    return model.transform(X)
-
-
 @dataclass(frozen=True)
 class LdaModel:
     """Fisher discriminant directions of (S_w + ridge I)^-1 S_b."""

@@ -164,6 +164,15 @@ def test_invalid_config_value_names_the_key(tmp_path, capsys):
     assert "folds" in err
 
 
+def test_unknown_family_is_validation_error(tmp_path, capsys):
+    # "mlp" is not a classical family: the MLP runs as the ann_variants
+    cfg = write_config(tmp_path, CONFIG_SMALL.replace("families = dt,rf", "families = dt,foo,mlp"))
+    code, out, err = run_cli(capsys, "--config", cfg, "--out", str(tmp_path / "o"), "run")
+    assert code == 1
+    assert "['foo', 'mlp']" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_manifest_key_is_validation_error(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[data]\nsource = manifest\n")
@@ -227,12 +236,31 @@ def _edit(change):
     return apply
 
 
+def _pipeline(version, reducer=None, scaler=True):
+    """An edit giving the saved forest a pipeline for its 3 features."""
+    pipe = {"version": version}
+    if scaler:
+        pipe["scaler"] = {"means": [0.0] * 3, "stds": [1.0] * 3, "degenerate": [False] * 3}
+    if reducer is not None:
+        pipe["reducer"] = {"kind": reducer, "means": [0.0] * 3,
+                           "components": np.eye(3).tolist(), "eigenvalues": [1.0] * 3}
+    return _edit(lambda doc: doc.update(pipeline=pipe))
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_truncate, "not valid JSON"),
     (_edit(lambda doc: doc["model"].pop("trees")), "missing key 'trees'"),
     (_edit(lambda doc: doc.update(format_version=99)), "format_version 99"),
     (_edit(lambda doc: doc["model"].update(kind="forest")), "unknown model kind 'forest'"),
-], ids=["truncated", "missing-key", "format-version", "unknown-kind"])
+    (_edit(lambda doc: doc["model"]["trees"][0].update(kind="svm")), "must be of kind 'dt'"),
+    (_pipeline("V1", scaler=False), "missing key 'scaler'"),
+    (_pipeline("V9"), "pipeline version 'V9'"),
+    (_pipeline("V3"), "V3 pipeline needs reducer kind 'pca', found None"),
+    (_pipeline("V1", reducer="pca"), "V1 pipeline needs reducer kind None, found 'pca'"),
+    (_pipeline("V3", reducer="ica"), "found 'ica'"),
+], ids=["truncated", "missing-key", "format-version", "unknown-kind", "forest-member-kind",
+        "no-scaler", "unknown-version", "v3-no-reducer", "v1-with-reducer",
+        "unknown-reducer-kind"])
 def test_evaluate_corrupt_model_is_runtime_error(tmp_path, capsys, corrupt, message):
     path = _saved_forest(tmp_path)
     corrupt(path)

@@ -188,7 +188,7 @@ def test_training_reaches_full_accuracy_on_separable_toy():
     assert ((d1 < d0).astype(int) == ds.labels).all()
 
     spec = variant_spec("baseline", 2, 2, epochs=200, seed=1)
-    model = mlp_train(mlp_build(spec), ds)
+    model = mlp_train(mlp_build(spec), ds.features, ds.labels)
     assert (model.predict(ds.features) == ds.labels).mean() == 1.0
     assert all(np.isfinite(row["loss"]) for row in model.history)
 
@@ -196,8 +196,8 @@ def test_training_reaches_full_accuracy_on_separable_toy():
 def test_training_deterministic_given_seed():
     ds = _toy_two_class(seed=2)
     spec = variant_spec("baseline", 2, 2, epochs=5, seed=9)
-    a = mlp_train(mlp_build(spec), ds)
-    b = mlp_train(mlp_build(spec), ds)
+    a = mlp_train(mlp_build(spec), ds.features, ds.labels)
+    b = mlp_train(mlp_build(spec), ds.features, ds.labels)
     X = np.random.default_rng(3).normal(size=(10, 2))
     assert np.array_equal(a.predict_proba(X), b.predict_proba(X))
     assert a.history == b.history
@@ -207,11 +207,11 @@ def test_train_shape_mismatch():
     ds = _toy_two_class()
     spec = variant_spec("baseline", 5, 2)
     with pytest.raises(ShapeMismatch):
-        mlp_train(mlp_build(spec), ds)
+        mlp_train(mlp_build(spec), ds.features, ds.labels)
 
 
 def test_rmsprop_trains():
     ds = _toy_two_class(seed=4)
     spec = variant_spec("rmsprop", 2, 2, epochs=60, seed=2)
-    model = mlp_train(mlp_build(spec), ds)
+    model = mlp_train(mlp_build(spec), ds.features, ds.labels)
     assert (model.predict(ds.features) == ds.labels).mean() > 0.95

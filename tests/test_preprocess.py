@@ -4,16 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from enose.errors import EmptyMatrix, MissingColumn, UnfittedReducer
-from enose.preprocess import (
-    VersionSpec,
-    apply_version,
-    encode_labels,
-    feature_target_correlation,
-    fit_scaler,
-    pearson_r,
-)
-from enose.reduce import lda_fit, pca_fit
+from enose.dataset import encode_class_names
+from enose.errors import EmptyMatrix, MissingColumn
+from enose.evaluate import FeaturePipeline
+from enose.preprocess import feature_target_correlation, fit_scaler, pearson_r
 from tests.conftest import make_dataset
 
 PANTRY_CLASSES = [
@@ -23,22 +17,21 @@ PANTRY_CLASSES = [
 
 
 def test_encode_pantry_classes_alphabetical():
-    enc = encode_labels(PANTRY_CLASSES)
-    assert enc.encode("apple_juice") == 0
-    assert enc.encode("cardamom") == 1
-    assert enc.encode("cinnamon") == 2
-    assert enc.encode("expired_apple_juice") == 3
-    assert enc.encode("onion") == 9
-    assert enc.decode(enc.encode("ginger")) == "ginger"
+    classes = encode_class_names(PANTRY_CLASSES)
+    assert classes.index("apple_juice") == 0
+    assert classes.index("cardamom") == 1
+    assert classes.index("cinnamon") == 2
+    assert classes.index("expired_apple_juice") == 3
+    assert classes.index("onion") == 9
+    assert classes[classes.index("ginger")] == "ginger"
 
 
 def test_encode_lexicographic():
-    enc = encode_labels(["onion", "garlic"])
-    assert enc.classes == ("garlic", "onion")
+    assert encode_class_names(["onion", "garlic"]) == ("garlic", "onion")
 
 
 def test_encode_dedup():
-    assert encode_labels(["a", "a", "b"]).classes == ("a", "b")
+    assert encode_class_names(["a", "a", "b"]) == ("a", "b")
 
 
 def test_scaler_column_values():
@@ -119,16 +112,23 @@ def _nine_col_ds(n=30, seed=0):
     return make_dataset(X, y, n_classes=3, names=names)
 
 
+# feature versions V1-V4, applied by FeaturePipeline (fit and transform on one set)
+
+
+def _apply_version(version, ds):
+    return FeaturePipeline(version).fit(ds).transform(ds)
+
+
 def test_apply_version_v1_identity():
     ds = _nine_col_ds()
-    out = apply_version(ds, VersionSpec("V1"))
+    out = _apply_version("V1", ds)
     assert out.feature_names == ds.feature_names
-    assert np.array_equal(out.features, ds.features)
+    assert np.array_equal(out.features, fit_scaler(ds.features).transform(ds.features))
 
 
 def test_apply_version_v2_drops_ambient():
     ds = _nine_col_ds()
-    out = apply_version(ds, VersionSpec("V2", dropped_columns=("temperature", "pressure")))
+    out = _apply_version("V2", ds)
     assert out.d == 7
     assert "temperature" not in out.feature_names
     assert "pressure" not in out.feature_names
@@ -137,29 +137,18 @@ def test_apply_version_v2_drops_ambient():
 
 
 def test_apply_version_v3_pca_scores():
-    ds = _nine_col_ds(60)
-    v2 = apply_version(ds, VersionSpec("V2", dropped_columns=("temperature", "pressure")))
-    pca = pca_fit(v2.features, 7)
-    out = apply_version(ds, VersionSpec("V3", reducer=pca, dropped_columns=("temperature", "pressure")))
+    out = _apply_version("V3", _nine_col_ds(60))
     assert out.d == 7
-    assert out.feature_names[0] == "pc1"
+    assert out.feature_names == tuple(f"pc{i}" for i in range(1, 8))
 
 
 def test_apply_version_v4_rank_bound():
     ds = _nine_col_ds(90, seed=5)
-    v2 = apply_version(ds, VersionSpec("V2", dropped_columns=("temperature", "pressure")))
-    lda = lda_fit(v2.features, ds.labels, 2)
-    out = apply_version(ds, VersionSpec("V4", reducer=lda, dropped_columns=("temperature", "pressure")))
-    assert out.d <= 2
+    out = _apply_version("V4", ds)
+    assert 1 <= out.d <= ds.n_classes - 1
 
 
 def test_apply_version_missing_column():
     ds = make_dataset(np.zeros((4, 2)), [0, 0, 1, 1], names=("a", "b"))
     with pytest.raises(MissingColumn):
-        apply_version(ds, VersionSpec("V2", dropped_columns=("temperature", "pressure")))
-
-
-def test_apply_version_unfitted_reducer():
-    ds = _nine_col_ds()
-    with pytest.raises(UnfittedReducer):
-        apply_version(ds, VersionSpec("V3", dropped_columns=("temperature", "pressure")))
+        _apply_version("V2", ds)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from enose.errors import BadComponentCount, DegenerateInput, DimensionMismatch, SingleClass
-from enose.reduce import lda_fit, pca_fit, pca_transform
+from enose.reduce import lda_fit, pca_fit
 
 
 def _line_points(n=50, seed=0):
@@ -42,7 +42,7 @@ def test_pca_degenerate_input():
 def test_pca_transform_of_mean_is_zero():
     X = np.random.default_rng(3).normal(size=(30, 4))
     model = pca_fit(X, 4)
-    score = pca_transform(model, X.mean(axis=0)[None, :])
+    score = model.transform(X.mean(axis=0)[None, :])
     assert np.abs(score).max() < 1e-12
 
 

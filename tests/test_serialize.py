@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from enose.classifiers.forest import ForestParams, rf_fit
-from enose.classifiers.svm import SvmParams, svm_fit_multiclass
 from enose.classifiers.tree import TreeParams, dt_fit
 from enose.ensemble import VotingEnsemble
 from enose.errors import ConfigError
 from enose.evaluate import FeaturePipeline
-from enose.neural import mlp_build, mlp_train, variant_spec
+from enose.models import FAMILIES
 from enose.serialize import load_model, model_from_dict, model_to_dict, save_model
-from tests.conftest import make_dataset
 
 
 def _blobs(n_per=20, C=3, d=4, seed=0):
@@ -32,49 +30,44 @@ def query():
     return np.random.default_rng(9).normal(size=(15, 4)) * 3.0
 
 
-def test_dt_round_trip(tmp_path, query):
-    X, y = _blobs()
-    model = dt_fit(X, y, TreeParams(max_depth=8), n_classes=3)
-    back = _round_trip(model, tmp_path, "dt")
-    assert np.array_equal(model.predict_proba(query), back.predict_proba(query))
+def _rf_params_kept(model, back, query):
+    assert model.params.tree == TreeParams(max_depth=2, min_samples_leaf=3)
+    assert back.params == model.params
+    assert all(t.params == model.params.tree for t in back.trees)
 
 
-def test_rf_round_trip(tmp_path, query):
-    X, y = _blobs(seed=1)
-    model = rf_fit(X, y, ForestParams(n_estimators=5, seed=2), n_classes=3)
-    back = _round_trip(model, tmp_path, "rf")
-    assert np.array_equal(model.predict_proba(query), back.predict_proba(query))
-
-
-def test_rf_round_trip_keeps_tree_params(tmp_path, query):
-    X, y = _blobs(seed=1)
-    params = ForestParams(n_estimators=4, max_features="all", bootstrap=False,
-                          tree=TreeParams(max_depth=2, min_samples_leaf=3), seed=2)
-    model = rf_fit(X, y, params, n_classes=3)
-    back = _round_trip(model, tmp_path, "rf_params")
-    assert back.params == params
-    assert all(t.params == params.tree for t in back.trees)
-    assert np.array_equal(model.predict_proba(query), back.predict_proba(query))
-
-
-def test_svm_round_trip(tmp_path, query):
-    X, y = _blobs(seed=2)
-    model = svm_fit_multiclass(X, y, SvmParams(kernel="rbf", C=1.0, gamma="scale"))
-    back = _round_trip(model, tmp_path, "svm")
+def _svm_machines_kept(model, back, query):
     for m, b in zip(model.machines, back.machines, strict=True):
         assert b.params == m.params  # gamma stays "scale", not the resolved float
         assert (b.gamma, b.n_passes, b.converged, b.b) == (m.gamma, m.n_passes, m.converged, m.b)
         assert b.n_passes > 0
     assert np.array_equal(model.decision_values(query), back.decision_values(query))
-    assert np.array_equal(model.predict_proba(query), back.predict_proba(query))
 
 
-def test_mlp_round_trip(tmp_path, query):
-    X, y = _blobs(seed=3)
-    ds = make_dataset(X, y)
-    model = mlp_train(mlp_build(variant_spec("baseline", 4, 3, epochs=3, seed=1)), ds)
-    back = _round_trip(model, tmp_path, "mlp")
+# id -> (family, params, data seed, extra check); a family without a case here
+# is covered with its default params
+CASES = {
+    "dt": ("dt", {"max_depth": 8}, 0, None),
+    "rf": ("rf", {"n_estimators": 5, "seed": 2}, 1, None),
+    "rf-tree-params": ("rf", {"n_estimators": 4, "max_features": "all", "bootstrap": False,
+                              "max_depth": 2, "min_samples_leaf": 3, "seed": 2}, 1, _rf_params_kept),
+    "svm": ("svm", {"kernel": "rbf", "C": 1.0, "gamma": "scale"}, 2, _svm_machines_kept),
+    "mlp": ("mlp", {"variant": "baseline", "epochs": 3, "seed": 1}, 3, None),
+}
+CASES.update({f: (f, {}, 0, None) for f in FAMILIES if f not in CASES})
+
+
+@pytest.mark.parametrize("family, params, seed, check", CASES.values(), ids=CASES.keys())
+def test_family_round_trip(tmp_path, query, family, params, seed, check):
+    """Save, load and save again: the same bytes and bit-identical probabilities."""
+    X, y = _blobs(seed=seed)
+    model = FAMILIES[family].fit(X, y, params, 3)
+    back = _round_trip(model, tmp_path, "first")
+    save_model(str(tmp_path / "second.model.json"), back)
+    assert (tmp_path / "first.model.json").read_bytes() == (tmp_path / "second.model.json").read_bytes()
     assert np.array_equal(model.predict_proba(query), back.predict_proba(query))
+    if check is not None:
+        check(model, back, query)
 
 
 def test_ensemble_round_trip(tmp_path, query):

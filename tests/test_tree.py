@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from enose.classifiers.tree import TreeParams, best_split, dt_fit, dt_predict_proba, gini_impurity
+from enose.classifiers.tree import TreeParams, best_split, dt_fit, gini_impurity
 from enose.errors import DimensionMismatch, EmptyNode, ShapeMismatch
 
 # naive reimplementation used as the exhaustive-split oracle
@@ -86,7 +86,7 @@ def test_dt_leaf_probabilities():
     X = np.array([[0.0], [0.0], [0.0], [1.0]])
     y = np.array([0, 0, 1, 1])
     model = dt_fit(X, y, TreeParams(max_depth=1))
-    proba = dt_predict_proba(model, np.array([[0.0]]))
+    proba = model.predict_proba(np.array([[0.0]]))
     assert proba[0] == pytest.approx([2 / 3, 1 / 3])
 
 
