@@ -151,13 +151,6 @@ class DecisionTree:
     def predict(self, X: np.ndarray) -> np.ndarray:
         return predict_from_proba(self.predict_proba(X))
 
-    def depth(self) -> int:
-        def walk(node, d):
-            if node.is_leaf:
-                return d
-            return max(walk(node.left, d + 1), walk(node.right, d + 1))
-        return walk(self.root, 0)
-
 
 def _weighted_table(y: np.ndarray, w: np.ndarray, n_classes: int) -> np.ndarray:
     """``n x (C+1)``: row r holds ``w[r]`` in column ``y[r]`` and in the last column."""

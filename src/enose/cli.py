@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -20,9 +21,11 @@ from .evaluate import (
     GridResult,
     cross_validate,
     evaluate_model,
+    grid_search,
     learning_curve,
 )
-from .models import default_grid, make_factory
+from .models import FAMILIES, default_grid
+from .neural import history_csv
 from .preprocess import correlation_report_csv, feature_target_correlation
 from .rng import derive_seed
 from .serialize import load_model, save_model
@@ -114,111 +117,112 @@ def _curve_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+@contextmanager
+def _stage(name: str):
+    """One named stage of ``cmd_run``: a toolkit or OS error in it becomes a StageError."""
+    try:
+        yield
+    except (ENoseError, OSError) as exc:
+        raise StageError(name, exc) from exc
+
+
 def cmd_run(cfg: PipelineConfig) -> int:
     out = cfg.out_dir
-    stage = "ingest"
-    try:
+    with _stage("ingest"):
         data = _load_data(cfg)
+    classes = list(data.classes)
 
-        stage = "inspect"
+    with _stage("inspect"):
         ranking = feature_target_correlation(data)
         _write(os.path.join(out, "correlation.csv"), correlation_report_csv(ranking))
 
-        stage = "split"
+    with _stage("split"):
         train, test = stratified_split(data, cfg.test_fraction, derive_seed(cfg.seed, "split"))
         plan = stratified_kfold(train.labels, cfg.folds, derive_seed(cfg.seed, "cv"))
 
-        stage = "pipeline"
+    with _stage("pipeline"):
         pipe = FeaturePipeline(cfg.version).fit(train)
         train_t = pipe.transform(train)
         test_t = pipe.transform(test)
 
-        summary: list[dict] = []
-        fitted: dict[str, object] = {}
-        tuned_classical: list[str] = []
+    summary: list[dict] = []
+    fitted: dict[str, object] = {}
+    tuned_classical: list[str] = []
 
-        def register(name, model, cv_mean=None, cv_std=None):
-            stage_reports(name, model)
-            train_acc = float((model.predict(train_t.features) == train_t.labels).mean())
-            test_acc = float((model.predict(test_t.features) == test_t.labels).mean())
-            summary.append({
-                "model": name,
-                "cv_mean": cv_mean,
-                "cv_std": cv_std,
-                "train_acc": train_acc,
-                "test_acc": test_acc,
-            })
-            fitted[name] = model
+    def fit_train(family: str, params: dict):
+        return FAMILIES[family].fit(train_t.features, train_t.labels, params, data.n_classes)
 
-        def stage_reports(name, model):
-            report = evaluate_model(model, test_t.features, test_t.labels, list(data.classes))
-            if "json" in cfg.formats:
-                _write(os.path.join(out, "reports", f"{name}.report.json"),
-                       _json_text(report.to_dict()))
+    def register(name, model, cv_mean=None, cv_std=None):
+        report = evaluate_model(model, test_t.features, test_t.labels, classes)
+        if "json" in cfg.formats:
+            _write(os.path.join(out, "reports", f"{name}.report.json"),
+                   _json_text(report.to_dict()))
+        if "csv" in cfg.formats:
+            _write(os.path.join(out, "roc", f"{name}.roc.csv"), _roc_csv(report.auc))
+        if "svg" in cfg.formats:
+            _write(os.path.join(out, "svg", f"{name}.confusion.svg"),
+                   confusion_svg(report.confusion, classes))
+            _write(os.path.join(out, "svg", f"{name}.roc.svg"),
+                   line_chart_svg(report.auc["curves"], "false positive rate",
+                                  "true positive rate"))
+        summary.append({
+            "model": name,
+            "cv_mean": cv_mean,
+            "cv_std": cv_std,
+            "train_acc": float((model.predict(train_t.features) == train_t.labels).mean()),
+            "test_acc": report.accuracy,
+        })
+        fitted[name] = model
+
+    for family in cfg.families:
+        family_fit = FAMILIES[family].fit
+        with _stage(f"baseline:{family}"):
+            params = {"seed": derive_seed(cfg.seed, family, "baseline")}
+            cv = cross_validate(family_fit, params, train, plan, cfg.version)
+            register(f"{family}_baseline", fit_train(family, params), cv.mean, cv.std)
+
+        if cfg.grid == "none":
+            continue
+        with _stage(f"grid:{family}"):
+            result = grid_search(default_grid(family, cfg.grid), train, plan,
+                                 family_fit, cfg.version, workers=cfg.workers)
             if "csv" in cfg.formats:
-                _write(os.path.join(out, "roc", f"{name}.roc.csv"), _roc_csv(report.auc))
+                _write(os.path.join(out, "grids", f"{family}.grid.csv"), _grid_csv(result))
+            best = {"seed": derive_seed(cfg.seed, family, "tuned"), **result.best.params}
+            register(f"{family}_tuned", fit_train(family, best),
+                     result.best.mean, result.best.std)
+            tuned_classical.append(f"{family}_tuned")
+
+        if not cfg.learning_curves:
+            continue
+        with _stage(f"learning_curve:{family}"):
+            rows = learning_curve(family_fit, best, train, cfg.learning_curve_sizes,
+                                  plan, cfg.version)
+            if "csv" in cfg.formats:
+                _write(os.path.join(out, "curves", f"{family}.learning_curve.csv"),
+                       _curve_csv(rows))
             if "svg" in cfg.formats:
-                _write(os.path.join(out, "svg", f"{name}.confusion.svg"),
-                       confusion_svg(report.confusion, list(data.classes)))
-                curves = {n: c for n, c in report.auc["curves"].items()}
-                _write(os.path.join(out, "svg", f"{name}.roc.svg"),
-                       line_chart_svg(curves, "false positive rate", "true positive rate"))
+                xs = np.array([r["size"] for r in rows])
+                _write(os.path.join(out, "svg", f"{family}.learning_curve.svg"),
+                       line_chart_svg({
+                           "train": (xs, np.array([r["train_acc"] for r in rows])),
+                           "validation": (xs, np.array([r["val_acc"] for r in rows])),
+                       }, "training-set fraction", "accuracy"))
 
-        for family in cfg.families:
-            stage = f"baseline:{family}"
-            factory = make_factory(family)
-            base_params = {"seed": derive_seed(cfg.seed, family, "baseline")} if family == "rf" else {}
-            cv = cross_validate(factory, base_params, train, plan, cfg.version)
-            model = factory(base_params).fit(train_t.features, train_t.labels, data.n_classes)
-            register(f"{family}_baseline", model, cv.mean, cv.std)
-
-            if cfg.grid != "none":
-                stage = f"grid:{family}"
-                from .evaluate import grid_search
-                result = grid_search(default_grid(family, cfg.grid), train, plan,
-                                     factory, cfg.version, workers=cfg.workers)
-                if "csv" in cfg.formats:
-                    _write(os.path.join(out, "grids", f"{family}.grid.csv"), _grid_csv(result))
-                best = dict(result.best.params)
-                if family == "rf":
-                    best.setdefault("seed", derive_seed(cfg.seed, family, "tuned"))
-                model = factory(best).fit(train_t.features, train_t.labels, data.n_classes)
-                register(f"{family}_tuned", model, result.best.mean, result.best.std)
-                tuned_classical.append(f"{family}_tuned")
-
-                if cfg.learning_curves:
-                    stage = f"learning_curve:{family}"
-                    rows = learning_curve(factory, best, train, cfg.learning_curve_sizes,
-                                          plan, cfg.version)
-                    if "csv" in cfg.formats:
-                        _write(os.path.join(out, "curves", f"{family}.learning_curve.csv"),
-                               _curve_csv(rows))
-                    if "svg" in cfg.formats:
-                        xs = np.array([r["size"] for r in rows])
-                        _write(os.path.join(out, "svg", f"{family}.learning_curve.svg"),
-                               line_chart_svg({
-                                   "train": (xs, np.array([r["train_acc"] for r in rows])),
-                                   "validation": (xs, np.array([r["val_acc"] for r in rows])),
-                               }, "training-set fraction", "accuracy"))
-
-        for variant in cfg.ann_variants:
-            stage = f"ann:{variant}"
-            factory = make_factory("mlp")
-            params = {"variant": variant, "epochs": cfg.ann_epochs,
-                      "seed": derive_seed(cfg.seed, "ann", variant)}
-            model = factory(params).fit(train_t.features, train_t.labels, data.n_classes)
+    for variant in cfg.ann_variants:
+        with _stage(f"ann:{variant}"):
+            model = fit_train("mlp", {"variant": variant, "epochs": cfg.ann_epochs,
+                                      "seed": derive_seed(cfg.seed, "ann", variant)})
             register(f"ann_{variant}", model)
             if "csv" in cfg.formats:
-                from .neural import history_csv
                 _write(os.path.join(out, "curves", f"ann_{variant}.history.csv"),
-                       history_csv(model.model))
+                       history_csv(model))
 
-        if cfg.ensemble and len(tuned_classical) >= 2:
-            stage = "ensemble"
-            ens = VotingEnsemble([getattr(fitted[n], "model", fitted[n]) for n in tuned_classical])
-            register("ensemble", ens)
+    if cfg.ensemble and len(tuned_classical) >= 2:
+        with _stage("ensemble"):
+            register("ensemble", VotingEnsemble([fitted[n] for n in tuned_classical]))
 
-        stage = "summary"
+    with _stage("summary"):
         best_row = max(summary, key=lambda r: r["test_acc"])
         for row in summary:
             row["best"] = row is best_row
@@ -233,21 +237,15 @@ def cmd_run(cfg: PipelineConfig) -> int:
         if "json" in cfg.formats:
             _write(os.path.join(out, "summary.json"), _json_text(summary))
 
-        stage = "models"
+    with _stage("models"):
         os.makedirs(os.path.join(out, "models"), exist_ok=True)
         for name, model in fitted.items():
-            inner = getattr(model, "model", model)
-            save_model(os.path.join(out, "models", f"{name}.model.json"),
-                       inner, pipe, list(data.classes))
+            save_model(os.path.join(out, "models", f"{name}.model.json"), model, pipe, classes)
 
-        for row in summary:
-            marker = " *" if row["best"] else ""
-            print(f"{row['model']}: test={row['test_acc']:.4f}{marker}")
-        return EXIT_OK
-    except ENoseError as exc:
-        raise StageError(stage, exc) from exc
-    except OSError as exc:
-        raise StageError(stage, exc) from exc
+    for row in summary:
+        marker = " *" if row["best"] else ""
+        print(f"{row['model']}: test={row['test_acc']:.4f}{marker}")
+    return EXIT_OK
 
 
 def cmd_evaluate(cfg: PipelineConfig, model_path: str) -> int:
@@ -291,21 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = apply_overrides(load_config(args.config), args).validate()
-        if args.command == "synth":
-            return cmd_synth(cfg)
-        if args.command == "ingest":
-            return cmd_ingest(cfg)
-        if args.command == "inspect":
-            return cmd_inspect(cfg)
-        if args.command == "run":
-            return cmd_run(cfg)
         if args.command == "evaluate":
             return cmd_evaluate(cfg, args.model)
-        parser.error(f"unknown command {args.command}")
+        commands = {"synth": cmd_synth, "ingest": cmd_ingest, "inspect": cmd_inspect,
+                    "run": cmd_run}
+        return commands[args.command](cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -313,13 +304,9 @@ def main(argv: list[str] | None = None) -> int:
         code = EXIT_VALIDATION if isinstance(exc.cause, ConfigError) else EXIT_RUNTIME
         print(f"error: {exc}", file=sys.stderr)
         return code
-    except ENoseError as exc:
+    except (ENoseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    return EXIT_OK
 
 
 if __name__ == "__main__":

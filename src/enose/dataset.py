@@ -5,6 +5,7 @@ from __future__ import annotations
 import glob as _glob
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,7 @@ from .errors import (
     ClassTooSmall,
     EmptyInput,
     EmptyRun,
+    ENoseError,
     InvalidFraction,
     MalformedCell,
     RaggedRow,
@@ -79,11 +81,6 @@ class FoldPlan:
     """k disjoint (train_indices, val_indices) pairs covering all samples."""
 
     folds: tuple[tuple[np.ndarray, np.ndarray], ...]
-    seed: int
-
-    @property
-    def k(self) -> int:
-        return len(self.folds)
 
 
 def _round_half_up(x: float) -> int:
@@ -209,7 +206,7 @@ def stratified_kfold(labels: np.ndarray, k: int, seed: int) -> FoldPlan:
         mask = np.ones(n, dtype=bool)
         mask[val] = False
         folds.append((all_idx[mask], val))
-    return FoldPlan(tuple(folds), seed)
+    return FoldPlan(tuple(folds))
 
 
 # --- file-level ingestion ----------------------------------------------------
@@ -222,28 +219,50 @@ def label_from_filename(path: str) -> str | None:
     return None
 
 
+def _read_text(path: str) -> str:
+    """The file's UTF-8 text; a file that cannot be read is an ingestion error naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise EmptyInput(f"{path}: cannot read ({exc.strerror or exc})") from exc
+    except ValueError as exc:  # not UTF-8 (UnicodeDecodeError), or a NUL byte in the path
+        raise SchemaMismatch(f"{path}: not readable as UTF-8 text ({exc})") from exc
+
+
+@contextmanager
+def _naming(path: str):
+    """A toolkit error raised inside gets ``path`` prefixed to its message."""
+    try:
+        yield
+    except ENoseError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def load_run_file(path: str, label: str | None = None) -> RunTable:
     if label is None:
         label = label_from_filename(path)
-    with open(path, encoding="utf-8") as fh:
-        return parse_run_csv(fh.read(), label)
+    text = _read_text(path)
+    with _naming(path):
+        return parse_run_csv(text, label)
 
 
 def load_manifest(path: str) -> Dataset:
     """Load runs listed in a manifest of ``<path>,<class_name>`` lines."""
     base = os.path.dirname(os.path.abspath(path))
     tables = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            run_path, _, cls = line.partition(",")
-            run_path = run_path.strip()
-            if not os.path.isabs(run_path):
-                run_path = os.path.join(base, run_path)
-            tables.append(load_run_file(run_path, cls.strip() or None))
-    return merge_runs(tables)
+    for line in _read_text(path).split("\n"):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        run_path, _, cls = line.partition(",")
+        run_path = run_path.strip()
+        if not os.path.isabs(run_path):
+            run_path = os.path.join(base, run_path)
+        tables.append(load_run_file(run_path, cls.strip() or None))
+    with _naming(path):
+        return merge_runs(tables)
 
 
 def load_glob(pattern: str) -> Dataset:

@@ -69,10 +69,11 @@ class CvResult:
         return float(np.std(self.accuracies)) if self.accuracies else float("nan")
 
 
-def cross_validate(model_factory, params: dict, ds: Dataset, plan: FoldPlan,
+def cross_validate(fit, params: dict, ds: Dataset, plan: FoldPlan,
                    version: str = "V1") -> CvResult:
     """Per-fold: refit pipeline and model on train indices, score validation.
 
+    ``fit(X, y, params, n_classes)``, a ``Family.fit``, returns the fold's model.
     A fold that fails with a toolkit error or a numerical failure is recorded
     and the others still run; any other exception is a bug and propagates.
     """
@@ -80,22 +81,20 @@ def cross_validate(model_factory, params: dict, ds: Dataset, plan: FoldPlan,
     failures: list[str] = []
     for fold_id, (train_idx, val_idx) in enumerate(plan.folds):
         try:
-            model, _, val = _fit_fold(model_factory, params, ds, train_idx, val_idx, version)
+            model, _, val = _fit_fold(fit, params, ds, train_idx, val_idx, version)
             accs.append(_accuracy(model, val))
         except (ENoseError, FloatingPointError, np.linalg.LinAlgError) as exc:
             failures.append(f"fold {fold_id}: {exc}")
     return CvResult(accs, failures)
 
 
-def _fit_fold(model_factory, params, ds, train_idx, val_idx, version):
+def _fit_fold(fit, params, ds, train_idx, val_idx, version):
     """Pipeline and model fit on the train rows; returns (model, train, val) transformed."""
     train = ds.subset(train_idx)
     pipe = FeaturePipeline(version).fit(train)
     t = pipe.transform(train)
     v = pipe.transform(ds.subset(val_idx))
-    model = model_factory(params)
-    model.fit(t.features, t.labels, ds.n_classes)
-    return model, t, v
+    return fit(t.features, t.labels, params, ds.n_classes), t, v
 
 
 def _accuracy(model, part: Dataset) -> float:
@@ -104,7 +103,6 @@ def _accuracy(model, part: Dataset) -> float:
 
 @dataclass(frozen=True)
 class GridSpec:
-    family: str
     axes: tuple[tuple[str, tuple], ...]  # ordered (name, values); row-major product
 
     def cells(self) -> list[dict]:
@@ -125,7 +123,6 @@ class GridCell:
 
 @dataclass
 class GridResult:
-    family: str
     cells: list[GridCell]
     best_index: int
 
@@ -134,7 +131,7 @@ class GridResult:
         return self.cells[self.best_index]
 
 
-def grid_search(spec: GridSpec, ds: Dataset, plan: FoldPlan, model_factory,
+def grid_search(spec: GridSpec, ds: Dataset, plan: FoldPlan, fit,
                 version: str = "V1", workers: int = 1) -> GridResult:
     """Evaluate every cell via cross_validate; failed cells score -inf.
 
@@ -144,7 +141,7 @@ def grid_search(spec: GridSpec, ds: Dataset, plan: FoldPlan, model_factory,
     cell_params = spec.cells()
 
     def run(params: dict) -> CvResult:
-        return cross_validate(model_factory, params, ds, plan, version)
+        return cross_validate(fit, params, ds, plan, version)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -161,7 +158,7 @@ def grid_search(spec: GridSpec, ds: Dataset, plan: FoldPlan, model_factory,
     for i, c in enumerate(cells):
         if c.mean > cells[best].mean:  # strict: earliest cell wins ties
             best = i
-    return GridResult(spec.family, cells, best)
+    return GridResult(cells, best)
 
 
 # --- metrics ------------------------------------------------------------------
@@ -335,7 +332,7 @@ def stratified_head(indices: np.ndarray, labels: np.ndarray, count: int) -> np.n
     return np.sort(np.concatenate(parts))
 
 
-def learning_curve(model_factory, params: dict, ds: Dataset, sizes, plan: FoldPlan,
+def learning_curve(fit, params: dict, ds: Dataset, sizes, plan: FoldPlan,
                    version: str = "V1") -> list[dict]:
     """Mean train/validation accuracy at each training-set size fraction."""
     sizes = list(sizes)
@@ -349,7 +346,7 @@ def learning_curve(model_factory, params: dict, ds: Dataset, sizes, plan: FoldPl
         val_accs = []
         for train_idx, val_idx in plan.folds:
             sub = stratified_head(train_idx, ds.labels, math.ceil(s * train_idx.shape[0]))
-            model, t, v = _fit_fold(model_factory, params, ds, sub, val_idx, version)
+            model, t, v = _fit_fold(fit, params, ds, sub, val_idx, version)
             train_accs.append(_accuracy(model, t))
             val_accs.append(_accuracy(model, v))
         rows.append({

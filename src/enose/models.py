@@ -189,7 +189,7 @@ class Family:
     """One model family.  Grids are ordered ``(name, values)`` axes."""
 
     model: type
-    fit: Callable  # (X, y, params dict, n_classes) -> fitted model
+    fit: Callable  # (X, y, params dict, n_classes) -> fitted model; ignores keys it lacks
     to_dict: Callable  # fitted model -> JSON-ready dict, without its "kind"
     from_dict: Callable  # that dict -> fitted model; KeyError on a missing key
     small_grid: tuple
@@ -225,42 +225,9 @@ FAMILIES = {
 CLASSICAL_FAMILIES = tuple(f for f in FAMILIES if f != "mlp")
 
 
-class Estimator:
-    """Adapter giving every family the same fit(X, y, n_classes) surface."""
-
-    def __init__(self, family: str, params: dict):
-        self.family = family
-        self.params = dict(params)
-        self.model = None
-
-    def fit(self, X: np.ndarray, y: np.ndarray, n_classes: int) -> "Estimator":
-        self.model = FAMILIES[self.family].fit(X, y, self.params, n_classes)
-        return self
-
-    @property
-    def n_classes(self) -> int:
-        return self.model.n_classes
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return self.model.predict_proba(X)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.model.predict(X)
-
-
-def make_factory(family: str):
-    if family not in FAMILIES:
-        raise ConfigError(f"unknown model family {family!r}")
-
-    def factory(params: dict) -> Estimator:
-        return Estimator(family, params)
-
-    return factory
-
-
 def default_grid(family: str, scale: str = "default") -> GridSpec:
     """Tuning grids spanning kernel/regularization, depth/leaf, and count/subset axes."""
     if family not in FAMILIES:
         raise ConfigError(f"no default grid for family {family!r}")
     entry = FAMILIES[family]
-    return GridSpec(family, entry.small_grid if scale == "small" else entry.default_grid)
+    return GridSpec(entry.small_grid if scale == "small" else entry.default_grid)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import EmptyMatrix, MissingColumn
+from .errors import DegenerateInput, DimensionMismatch, EmptyMatrix, MissingColumn
 
 DROPPED_AMBIENT = ("temperature", "pressure")
 VERSIONS = ("V1", "V2", "V3", "V4")
@@ -27,15 +27,24 @@ class Scaler:
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
+        if X.shape[1] != self.means.shape[0]:
+            raise DimensionMismatch(f"expected {self.means.shape[0]} columns, got {X.shape[1]}")
         return (X - self.means) / self.stds
 
 
 def fit_scaler(X: np.ndarray) -> Scaler:
+    """Column means and population stds; DegenerateInput if one overflows float64."""
     X = np.asarray(X, dtype=np.float64)
     if X.size == 0:
         raise EmptyMatrix("cannot fit scaler on an empty matrix")
-    means = X.mean(axis=0)
-    stds = X.std(axis=0)  # population (divide by n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = X.mean(axis=0)
+        stds = X.std(axis=0)  # population (divide by n)
+    bad = np.flatnonzero(~(np.isfinite(means) & np.isfinite(stds)))
+    if bad.size:
+        j = int(bad[0])
+        raise DegenerateInput(f"feature column {j} overflows float64: "
+                              f"mean {means[j]}, std {stds[j]}")
     degenerate = stds == 0.0
     stds = np.where(degenerate, 1.0, stds)
     return Scaler(means, stds, degenerate)

@@ -59,7 +59,7 @@ def pipeline_to_dict(pipe: FeaturePipeline) -> dict:
 
 
 def pipeline_from_dict(doc: dict) -> FeaturePipeline:
-    """A fitted pipeline; ConfigError if it lacks a part its version needs or has one too many."""
+    """A fitted pipeline; ConfigError if a part is missing, extra or of another width."""
     version = doc["version"]
     if version not in VERSIONS:
         raise ConfigError(f"pipeline version {version!r} is not one of {VERSIONS}")
@@ -68,6 +68,9 @@ def pipeline_from_dict(doc: dict) -> FeaturePipeline:
     pipe.scaler = Scaler(
         np.asarray(s["means"]), np.asarray(s["stds"]), np.asarray(s["degenerate"], dtype=bool),
     )
+    width = len(pipe.scaler.means)
+    if not width == len(pipe.scaler.stds) == len(pipe.scaler.degenerate):
+        raise ConfigError("scaler means, stds and degenerate differ in length")
     kind, cls = REDUCERS.get(version, (None, None))
     r = doc.get("reducer")
     found = None if r is None else r["kind"]
@@ -76,6 +79,9 @@ def pipeline_from_dict(doc: dict) -> FeaturePipeline:
     if r is not None:
         pipe.reducer = cls(**{f.name: np.asarray(r[f.name]) if isinstance(r[f.name], list)
                               else r[f.name] for f in fields(cls)})
+        if len(pipe.reducer.means) != width:
+            raise ConfigError(f"reducer width {len(pipe.reducer.means)} is not the scaler "
+                              f"width {width}")
     return pipe
 
 

@@ -26,7 +26,7 @@ from enose.evaluate import (
     prf_report,
     roc_auc,
 )
-from enose.models import default_grid, make_factory
+from enose.models import FAMILIES, default_grid
 from enose.neural import FROZEN, TRAIN, MlpSpec, mlp_build, variant_spec
 from enose.preprocess import feature_target_correlation
 from enose.reduce import lda_fit, pca_fit
@@ -296,17 +296,17 @@ def test_criterion_8_end_to_end():
     baselines = {}
     for family, params in (("dt", {}), ("rf", {"seed": rf_seed}),
                            ("mlp", {"epochs": 30, "seed": derive_seed(seed, "ann")})):
-        est = make_factory(family)(params).fit(train_t.features, train_t.labels, data.n_classes)
-        baselines[family] = (est, test_acc(est))
+        model = FAMILIES[family].fit(train_t.features, train_t.labels, params, data.n_classes)
+        baselines[family] = (model, test_acc(model))
 
     # the grid contains the untuned default (100 trees, sqrt) plus strictly
     # larger/denser forests, so tuning can only move sideways or up; the
     # refit reuses the baseline stream so a tie reproduces the baseline model
-    grid = GridSpec("rf", (("n_estimators", (100, 200)), ("max_features", ("sqrt", "all")),
-                           ("seed", (rf_seed,))))
-    result = grid_search(grid, train, plan, make_factory("rf"), "V2", workers=2)
+    grid = GridSpec((("n_estimators", (100, 200)), ("max_features", ("sqrt", "all")),
+                     ("seed", (rf_seed,))))
+    result = grid_search(grid, train, plan, FAMILIES["rf"].fit, "V2", workers=2)
     best = dict(result.best.params)
-    tuned_rf = make_factory("rf")(best).fit(train_t.features, train_t.labels, data.n_classes)
+    tuned_rf = FAMILIES["rf"].fit(train_t.features, train_t.labels, best, data.n_classes)
     rf_acc = test_acc(tuned_rf)
 
     failures = []
@@ -316,13 +316,13 @@ def test_criterion_8_end_to_end():
     if lagging:
         failures.append(f"tuned RF {rf_acc:.4f} below baselines {lagging}")
 
-    members = [tuned_rf.model, baselines["dt"][0].model, baselines["mlp"][0].model]
+    members = [tuned_rf, baselines["dt"][0], baselines["mlp"][0]]
     ens_acc = test_acc(VotingEnsemble(members))
     if abs(ens_acc - rf_acc) > 0.02:
         failures.append(f"ensemble {ens_acc:.4f} not within 0.02 of tuned RF {rf_acc:.4f}")
 
     pipe1 = FeaturePipeline("V1").fit(train)
-    est1 = make_factory("rf")(best).fit(pipe1.transform(train).features, train.labels, data.n_classes)
+    est1 = FAMILIES["rf"].fit(pipe1.transform(train).features, train.labels, best, data.n_classes)
     v1_acc = float((est1.predict(pipe1.transform(test).features) == test.labels).mean())
     if abs(v1_acc - rf_acc) > 0.02:
         failures.append(f"V1/V2 gap {abs(v1_acc - rf_acc):.4f} > 0.02")

@@ -236,13 +236,17 @@ def _edit(change):
     return apply
 
 
-def _pipeline(version, reducer=None, scaler=True):
-    """An edit giving the saved forest a pipeline for its 3 features."""
+def _pipeline(version, reducer=None, scaler=True, scaler_means=3, reducer_means=3):
+    """An edit giving the saved forest a pipeline for its 3 features.
+
+    ``scaler_means`` and ``reducer_means`` are the lengths of the two ``means`` arrays.
+    """
     pipe = {"version": version}
     if scaler:
-        pipe["scaler"] = {"means": [0.0] * 3, "stds": [1.0] * 3, "degenerate": [False] * 3}
+        pipe["scaler"] = {"means": [0.0] * scaler_means, "stds": [1.0] * 3,
+                          "degenerate": [False] * 3}
     if reducer is not None:
-        pipe["reducer"] = {"kind": reducer, "means": [0.0] * 3,
+        pipe["reducer"] = {"kind": reducer, "means": [0.0] * reducer_means,
                            "components": np.eye(3).tolist(), "eigenvalues": [1.0] * 3}
     return _edit(lambda doc: doc.update(pipeline=pipe))
 
@@ -258,12 +262,62 @@ def _pipeline(version, reducer=None, scaler=True):
     (_pipeline("V3"), "V3 pipeline needs reducer kind 'pca', found None"),
     (_pipeline("V1", reducer="pca"), "V1 pipeline needs reducer kind None, found 'pca'"),
     (_pipeline("V3", reducer="ica"), "found 'ica'"),
+    (_pipeline("V2", scaler_means=2), "scaler means, stds and degenerate differ in length"),
+    (_pipeline("V3", reducer="pca", reducer_means=2), "reducer width 2 is not the scaler width 3"),
 ], ids=["truncated", "missing-key", "format-version", "unknown-kind", "forest-member-kind",
         "no-scaler", "unknown-version", "v3-no-reducer", "v1-with-reducer",
-        "unknown-reducer-kind"])
+        "unknown-reducer-kind", "scaler-width", "reducer-width"])
 def test_evaluate_corrupt_model_is_runtime_error(tmp_path, capsys, corrupt, message):
     path = _saved_forest(tmp_path)
     corrupt(path)
     code, out, err = run_cli(capsys, "evaluate", str(path))
     assert code == 2
     assert str(path) in err and message in err
+
+
+# --- stage names ----------------------------------------------------------------
+
+
+def test_overflowing_column_fails_at_pipeline(tmp_path, capsys):
+    # finite values near 1e308 overflow the column mean; the run must not save Infinity
+    data_dir = tmp_path / "data"
+    run_cli(capsys, "--samples", "30", "--out", str(data_dir), "synth")
+    for run in data_dir.glob("*__run0.csv"):
+        header, *rows = run.read_text().splitlines()
+        rows = ["1e308," + row.split(",", 1)[1] for row in rows]  # the first column, co
+        run.write_text("\n".join([header, *rows]) + "\n")
+    text = CONFIG_SMALL.replace("source = synth", f"source = manifest\nmanifest = "
+                                f"{data_dir / 'manifest.csv'}")
+    text = text.replace("families = dt,rf", "families = dt")
+    out_dir = tmp_path / "o"
+    code, out, err = run_cli(capsys, "--config", write_config(tmp_path, text), "--out",
+                             str(out_dir), "run")
+    assert code == 2
+    assert "[pipeline]" in err and "feature column 0" in err
+    assert not (out_dir / "models").exists()
+
+
+def test_diverging_mlp_names_its_stage(tmp_path, capsys, monkeypatch):
+    from dataclasses import replace
+
+    from enose import models
+    from enose.neural import OptimizerSpec, variant_spec
+
+    monkeypatch.setattr(models, "variant_spec", lambda *a, **k: replace(
+        variant_spec(*a, **k), optimizer=OptimizerSpec(lr=1e300)))
+    text = CONFIG_SMALL.replace("families = dt,rf", "families = dt").replace(
+        "ann_variants =", "ann_variants = baseline\nann_epochs = 2")
+    code, out, err = run_cli(capsys, "--config", write_config(tmp_path, text), "--out",
+                             str(tmp_path / "o"), "run")
+    assert code == 2
+    assert "[ann:baseline]" in err and "non-finite loss" in err
+
+
+def test_models_path_taken_by_a_file_names_its_stage(tmp_path, capsys):
+    out_dir = tmp_path / "o"
+    out_dir.mkdir()
+    (out_dir / "models").write_text("not a directory\n")
+    code, out, err = run_cli(capsys, "--config", write_config(tmp_path), "--out", str(out_dir),
+                             "run")
+    assert code == 2
+    assert "[models]" in err

@@ -7,6 +7,7 @@ from enose.dataset import (
     RunTable,
     load_glob,
     load_manifest,
+    load_run_file,
     merge_runs,
     parse_run_csv,
     stratified_kfold,
@@ -17,6 +18,7 @@ from enose.errors import (
     ClassTooSmall,
     EmptyInput,
     EmptyRun,
+    ENoseError,
     InvalidFraction,
     MalformedCell,
     RaggedRow,
@@ -212,3 +214,29 @@ def test_manifest_and_glob_roundtrip(tmp_path, tiny_drifted):
 def test_glob_no_match(tmp_path):
     with pytest.raises(EmptyInput):
         load_glob(str(tmp_path / "nothing*.csv"))
+
+
+# arbitrary bytes, and byte strings built from the tokens a run file or manifest holds
+_TOKENS = [b"a", b"b", b"target", b"onion", b"1", b"-2.5", b"1e308", b"nan", b",", b"\n", b"\r\n",
+           b"#", b" ", b"\xff", b"\x00", b"\xc3", b"/", b"ok__run0.csv", b"bad__run0.csv"]
+_BYTES = st.one_of(st.binary(max_size=200),
+                   st.lists(st.sampled_from(_TOKENS), max_size=40).map(b"".join))
+
+
+@given(_BYTES)
+@settings(max_examples=150, deadline=None)
+def test_arbitrary_run_file_and_manifest_raise_only_toolkit_errors(tmp_path_factory, raw):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "ok__run0.csv").write_text("a,b\n1,2\n3,4\n")
+    bad = d / "bad__run0.csv"
+    bad.write_bytes(raw)
+    try:
+        load_run_file(str(bad))
+    except ENoseError as exc:
+        assert str(bad) in str(exc)
+    manifest = d / "manifest.csv"
+    manifest.write_bytes(raw)
+    try:
+        load_manifest(str(manifest))
+    except ENoseError:
+        pass

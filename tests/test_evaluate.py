@@ -14,7 +14,7 @@ from enose.evaluate import (
     prf_report,
     roc_auc,
 )
-from enose.models import make_factory
+from enose.models import FAMILIES
 from tests.conftest import make_dataset
 
 
@@ -35,6 +35,11 @@ class ConstantModel:
         return out
 
 
+def fit_with(cls):
+    """A ``Family.fit``-shaped function that builds and fits a ``cls``."""
+    return lambda X, y, params, n_classes: cls(params).fit(X, y, n_classes)
+
+
 def _balanced_ds(n_per=10, C=10, seed=0):
     rng = np.random.default_rng(seed)
     y = np.repeat(np.arange(C), n_per)
@@ -45,7 +50,7 @@ def _balanced_ds(n_per=10, C=10, seed=0):
 def test_constant_model_cv_accuracy():
     ds = _balanced_ds()
     plan = stratified_kfold(ds.labels, 5, 0)
-    cv = cross_validate(lambda p: ConstantModel(p), {}, ds, plan)
+    cv = cross_validate(fit_with(ConstantModel), {}, ds, plan)
     assert cv.accuracies == pytest.approx([0.1] * 5)
 
 
@@ -64,7 +69,7 @@ def test_cv_never_fits_on_validation_rows():
             seen.append(np.asarray(X)[:, 0].copy())
             return super().fit(X, y, n_classes)
 
-    cross_validate(lambda p: Spy(p), {}, ds, plan, version="V1")
+    cross_validate(fit_with(Spy), {}, ds, plan, version="V1")
     assert len(seen) == 4
     for (train_idx, val_idx), scaled in zip(plan.folds, seen):
         assert scaled.shape[0] == train_idx.shape[0]
@@ -80,9 +85,9 @@ def test_cv_matches_independent_reimplementation():
     # add class signal
     ds.features[:, 0] += ds.labels * 2.0
     plan = stratified_kfold(ds.labels, 3, 2)
-    factory = make_factory("rf")
+    fit = FAMILIES["rf"].fit
     params = {"n_estimators": 10, "seed": 5}
-    cv = cross_validate(factory, params, ds, plan)
+    cv = cross_validate(fit, params, ds, plan)
 
     # independent reimplementation of the CV loop (own scaling, own scoring)
     ref = []
@@ -91,7 +96,7 @@ def test_cv_matches_independent_reimplementation():
         Xv, yv = ds.features[val_idx], ds.labels[val_idx]
         mu, sd = Xtr.mean(axis=0), Xtr.std(axis=0)
         sd[sd == 0] = 1.0
-        model = factory(params).fit((Xtr - mu) / sd, ytr, ds.n_classes)
+        model = fit((Xtr - mu) / sd, ytr, params, ds.n_classes)
         ref.append(float((model.predict((Xv - mu) / sd) == yv).mean()))
     assert abs(cv.mean - float(np.mean(ref))) <= 0.02
 
@@ -99,8 +104,8 @@ def test_cv_matches_independent_reimplementation():
 def test_grid_singleton():
     ds = _balanced_ds(n_per=6, C=3, seed=1)
     plan = stratified_kfold(ds.labels, 2, 0)
-    spec = GridSpec("dt", (("max_depth", (2,)),))
-    result = grid_search(spec, ds, plan, make_factory("dt"))
+    spec = GridSpec((("max_depth", (2,)),))
+    result = grid_search(spec, ds, plan, FAMILIES["dt"].fit)
     assert result.best_index == 0
     assert result.best.mean == pytest.approx(np.mean(result.best.accuracies))
 
@@ -113,8 +118,8 @@ def test_grid_prefers_deeper_tree_on_xor():
     y = np.tile(np.array([0, 1, 1, 0]), reps)
     ds = make_dataset(X, y, n_classes=2)
     plan = stratified_kfold(ds.labels, 4, 3)
-    spec = GridSpec("dt", (("max_depth", (1, 6)),))
-    result = grid_search(spec, ds, plan, make_factory("dt"))
+    spec = GridSpec((("max_depth", (1, 6)),))
+    result = grid_search(spec, ds, plan, FAMILIES["dt"].fit)
     assert result.best.params["max_depth"] == 6
     assert result.cells[0].mean <= 0.75 + 1e-9
     assert result.best.mean > 0.85
@@ -124,14 +129,14 @@ def test_grid_tie_earliest_wins():
     ds = _balanced_ds(n_per=6, C=2, seed=2)
     plan = stratified_kfold(ds.labels, 2, 0)
     # two cells that produce the same constant model → exactly equal means
-    spec = GridSpec("const", (("x", (1, 2)),))
-    result = grid_search(spec, ds, plan, lambda p: ConstantModel(p))
+    spec = GridSpec((("x", (1, 2)),))
+    result = grid_search(spec, ds, plan, fit_with(ConstantModel))
     assert result.cells[0].mean == result.cells[1].mean
     assert result.best_index == 0
 
 
 def test_grid_row_major_enumeration():
-    spec = GridSpec("dt", (("a", (1, 2)), ("b", ("x", "y"))))
+    spec = GridSpec((("a", (1, 2)), ("b", ("x", "y"))))
     cells = spec.cells()
     assert cells == [
         {"a": 1, "b": "x"}, {"a": 1, "b": "y"},
@@ -141,7 +146,7 @@ def test_grid_row_major_enumeration():
 
 def test_grid_empty():
     with pytest.raises(EmptyGrid):
-        GridSpec("dt", ()).cells()
+        GridSpec(()).cells()
 
 
 def test_grid_failed_cell_scores_neg_inf():
@@ -154,13 +159,13 @@ def test_grid_failed_cell_scores_neg_inf():
                 raise ConfigError("bad hyperparameters")
             return super().fit(X, y, n_classes)
 
-    def factory(params):
+    def fit(X, y, params, n_classes):
         m = Exploding(params)
         m.boom = params["boom"]
-        return m
+        return m.fit(X, y, n_classes)
 
-    spec = GridSpec("const", (("boom", (True, False)),))
-    result = grid_search(spec, ds, plan, factory)
+    spec = GridSpec((("boom", (True, False)),))
+    result = grid_search(spec, ds, plan, fit)
     assert result.cells[0].mean == float("-inf")
     assert result.best_index == 1
 
@@ -173,18 +178,18 @@ def test_grid_propagates_programmer_errors():
         def fit(self, X, y, n_classes):
             return self.no_such_attribute
 
-    spec = GridSpec("const", (("x", (1, 2)),))
+    spec = GridSpec((("x", (1, 2)),))
     with pytest.raises(AttributeError):
-        grid_search(spec, ds, plan, lambda p: Buggy(p))
+        grid_search(spec, ds, plan, fit_with(Buggy))
     with pytest.raises(AttributeError):
-        grid_search(spec, ds, plan, lambda p: Buggy(p), workers=2)
+        grid_search(spec, ds, plan, fit_with(Buggy), workers=2)
 
 
 def test_grid_negative_gamma_cell_is_fold_failure():
     ds = _balanced_ds(n_per=6, C=2, seed=4)
     plan = stratified_kfold(ds.labels, 2, 0)
-    spec = GridSpec("svm", (("gamma", (-1.0, 1.0)),))
-    result = grid_search(spec, ds, plan, make_factory("svm"))
+    spec = GridSpec((("gamma", (-1.0, 1.0)),))
+    result = grid_search(spec, ds, plan, FAMILIES["svm"].fit)
     bad, good = result.cells
     assert bad.mean == float("-inf") and bad.accuracies == []
     assert len(bad.failures) == 2 and all("gamma must be positive" in f for f in bad.failures)
@@ -196,9 +201,9 @@ def test_grid_workers_deterministic():
     ds = _balanced_ds(n_per=8, C=3, seed=5)
     ds.features[:, 0] += ds.labels
     plan = stratified_kfold(ds.labels, 2, 1)
-    spec = GridSpec("dt", (("max_depth", (1, 2, 3)),))
-    a = grid_search(spec, ds, plan, make_factory("dt"), workers=1)
-    b = grid_search(spec, ds, plan, make_factory("dt"), workers=3)
+    spec = GridSpec((("max_depth", (1, 2, 3)),))
+    a = grid_search(spec, ds, plan, FAMILIES["dt"].fit, workers=1)
+    b = grid_search(spec, ds, plan, FAMILIES["dt"].fit, workers=3)
     assert [c.mean for c in a.cells] == [c.mean for c in b.cells]
     assert a.best_index == b.best_index
 
@@ -301,10 +306,10 @@ def test_learning_curve_full_size_matches_cv():
     ds = _balanced_ds(n_per=12, C=3, seed=8)
     ds.features[:, 0] += 3.0 * ds.labels
     plan = stratified_kfold(ds.labels, 3, 4)
-    factory = make_factory("dt")
+    fit = FAMILIES["dt"].fit
     params = {"max_depth": 3}
-    rows = learning_curve(factory, params, ds, [0.5, 1.0], plan)
-    cv = cross_validate(factory, params, ds, plan)
+    rows = learning_curve(fit, params, ds, [0.5, 1.0], plan)
+    cv = cross_validate(fit, params, ds, plan)
     assert rows[-1]["val_acc"] == pytest.approx(cv.mean)
     assert len(rows) == 2
     assert all({"size", "train_acc", "val_acc"} <= set(r) for r in rows)
@@ -313,13 +318,13 @@ def test_learning_curve_full_size_matches_cv():
 def test_learning_curve_bad_sizes():
     ds = _balanced_ds(n_per=6, C=2, seed=9)
     plan = stratified_kfold(ds.labels, 2, 0)
-    factory = make_factory("dt")
+    fit = FAMILIES["dt"].fit
     with pytest.raises(BadSizes):
-        learning_curve(factory, {}, ds, [0.5, 0.2], plan)
+        learning_curve(fit, {}, ds, [0.5, 0.2], plan)
     with pytest.raises(BadSizes):
-        learning_curve(factory, {}, ds, [0.0, 0.5], plan)
+        learning_curve(fit, {}, ds, [0.0, 0.5], plan)
     with pytest.raises(BadSizes):
-        learning_curve(factory, {}, ds, [], plan)
+        learning_curve(fit, {}, ds, [], plan)
 
 
 def test_pipeline_v3_v4_shapes(tiny_split):
