@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -38,6 +39,15 @@ def resolve_max_features(spec: str | float, d: int) -> int:
     if not (0.0 < f <= 1.0):
         raise ConfigError(f"max_features fraction {f} outside (0, 1]")
     return max(1, math.ceil(f * d))
+
+
+def draw_features(rng: np.random.Generator, d: int, k: int) -> np.ndarray:
+    """k distinct features out of d, uniformly: the k smallest of d uniform draws.
+
+    The fastest of the draws timed at d=7, k=3 (``Generator.choice`` without
+    replacement and ``permutation(d)[:k]`` were slower).
+    """
+    return rng.random(d).argsort()[:k]
 
 
 class RandomForest:
@@ -80,11 +90,7 @@ def rf_fit(X: np.ndarray, y: np.ndarray, params: ForestParams, n_classes: int | 
         weights = None
         if params.bootstrap:
             weights = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(np.float64)
-        if k >= d:
-            sampler = np.arange
-        else:
-            def sampler(n_features, _rng=rng, _k=k):
-                return _rng.choice(n_features, size=_k, replace=False)
+        sampler = np.arange if k >= d else partial(draw_features, rng, k=k)
         trees.append(dt_fit(X, y, params.tree, n_classes=n_classes, feature_sampler=sampler,
                             presorted=order, weights=weights))
     return RandomForest(params, trees, n_classes)

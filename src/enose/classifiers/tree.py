@@ -57,47 +57,57 @@ def _search(
     """Best split of the node whose rows ``order`` lists, sorted by every feature.
 
     ``table[r]`` is row r's one-hot class times its weight, followed by the
-    weight itself; ``counts`` are the node's weighted class counts and ``n``
-    their sum.  All k candidate features are searched at once over one
-    ``k x m x (C+1)`` cumulative sum.  The Gini arithmetic per position is
-    the single-feature expression applied elementwise, and the first maximum
-    of each feature feeds the same tie-break loop.  Returns (feature,
-    threshold, decrease, rows going left, left counts).
+    weight itself; ``counts`` (the vector T) are the node's weighted class
+    counts and ``n`` their sum.  All k candidate features are searched at once
+    over one ``k x m x (C+1)`` cumulative sum L.  The Gini decrease of a split
+    is ``(|L|^2/n_l + |R|^2/n_r - |T|^2/n) / n`` with
+    ``|R|^2 = |T|^2 - 2 L.T + |L|^2``; the squared norms and ``L.T`` are sums
+    of integer products, exact in float64, so only the divisions round.
+    Decreases within 1e-15 count as equal, within a feature and across
+    features, so an exact tie goes to the lower feature, then the lower
+    threshold.  Returns (feature, threshold, decrease, rows going left,
+    left counts).
     """
-    parent_gini = gini_impurity(counts)
     m = order.shape[1]
     if m < 2:
         return None
     feats = np.sort(feature_indices)
-    rows = order[feats]                                  # k x m, each row sorted by its feature
+    rows = order.take(feats, axis=0)                     # k x m, each row sorted by its feature
     sv = X[rows, feats[:, None]]
-    cum = table[rows]
+    cum = table.take(rows, axis=0)
     np.cumsum(cum, axis=1, out=cum)                      # class counts and size with value <= sv
-    left_counts = cum[:, :-1, :-1]                       # split after position i
-    nl = cum[:, :-1, -1]
+    left = cum[:, :-1]                                   # split after position i
+    nl = left[..., -1]
     nr = n - nl
+    t2 = float(counts @ counts)
+    # |(L, n_l)|^2 - n_l^2 = |L|^2, and |R|^2 = |T|^2 - 2 L.T + |L|^2
+    ll = np.einsum("kmc,kmc->km", left, left)
+    ll -= nl * nl
+    rr = left[..., :-1] @ (-2.0 * counts)
+    rr += ll
+    rr += t2
+    ll /= nl
+    rr /= nr
+    ll += rr                                             # n (1 - weighted child Gini)
     ok = sv[:, :-1] < sv[:, 1:]
     if min_samples_leaf > 1:
         ok &= (nl >= min_samples_leaf) & (nr >= min_samples_leaf)
-    # 1 - sum((counts / size) ** 2) on each side, in one scratch array
-    p = np.divide(left_counts, nl[..., None])
-    gl = 1.0 - np.square(p, out=p).sum(axis=2)
-    np.subtract(counts, left_counts, out=p)
-    np.divide(p, nr[..., None], out=p)
-    gr = 1.0 - np.square(p, out=p).sum(axis=2)
-    decrease = parent_gini - (nl * gl + nr * gr) / n
-    decrease[~ok] = -np.inf
-    first = np.argmax(decrease, axis=1).tolist()         # first max = lowest threshold
+    score = np.where(ok, ll, -np.inf)
+    top = score.max(axis=1).tolist()
     best = None
-    for j, dec in enumerate(decrease.max(axis=1).tolist()):
-        if dec > 1e-15 and (best is None or dec > best[2] + 1e-15):
-            best = (j, first[j], dec)
+    for j, s in enumerate(top):
+        dec = (s - t2 / n) / n
+        if dec > 1e-15 and (best is None or dec > best[1] + 1e-15):
+            best = (j, dec)
     if best is None:
         return None
-    j, i, dec = best
-    threshold = float(0.5 * (sv[j, i] + sv[j, i + 1]))
-    n_left = int(np.searchsorted(sv[j], threshold, side="right"))
-    return int(feats[j]), threshold, dec, n_left, cum[j, n_left - 1, :-1].copy()
+    j, dec = best
+    i = int(np.argmax(score[j] >= top[j] - 1e-15 * n))  # first position within 1e-15 of the best
+    lo, hi = float(sv[j, i]), float(sv[j, i + 1])
+    threshold = 0.5 * (lo + hi)
+    if not lo <= threshold < hi:  # the midpoint rounded onto hi, or overflowed
+        threshold = lo
+    return int(feats[j]), threshold, dec, i + 1, cum[j, i, :-1].copy()
 
 
 def best_split(
@@ -109,7 +119,8 @@ def best_split(
 ) -> tuple[int, float, float] | None:
     """Best (feature, threshold, gini_decrease) over the candidate features.
 
-    Thresholds are midpoints between consecutive distinct sorted values.
+    Thresholds are midpoints between consecutive distinct sorted values, or
+    the lower value where the midpoint rounds onto the upper one.
     Ties break by (lower feature index, lower threshold).  Returns None when
     no split with positive decrease satisfies the leaf-size constraint.
     """

@@ -15,7 +15,7 @@ from . import synth as synth_mod
 from .config import PipelineConfig, apply_overrides, load_config
 from .dataset import stratified_kfold, stratified_split
 from .ensemble import VotingEnsemble
-from .errors import ConfigError, ENoseError
+from .errors import ConfigError, DimensionMismatch, ENoseError
 from .evaluate import (
     FeaturePipeline,
     GridResult,
@@ -184,8 +184,13 @@ def cmd_run(cfg: PipelineConfig) -> int:
         if cfg.grid == "none":
             continue
         with _stage(f"grid:{family}"):
+            grid_seed = derive_seed(cfg.seed, family, "grid")
+
+            def grid_fit(X, y, cell, n_classes):  # a "seed" axis in the grid wins
+                return family_fit(X, y, {"seed": grid_seed, **cell}, n_classes)
+
             result = grid_search(default_grid(family, cfg.grid), train, plan,
-                                 family_fit, cfg.version, workers=cfg.workers)
+                                 grid_fit, cfg.version, workers=cfg.workers)
             if "csv" in cfg.formats:
                 _write(os.path.join(out, "grids", f"{family}.grid.csv"), _grid_csv(result))
             best = {"seed": derive_seed(cfg.seed, family, "tuned"), **result.best.params}
@@ -255,8 +260,11 @@ def cmd_evaluate(cfg: PipelineConfig, model_path: str) -> int:
         raise ConfigError(
             f"model classes {classes} do not match data classes {list(data.classes)}"
         )
-    work = pipe.transform(data) if pipe is not None else data
-    report = evaluate_model(model, work.features, work.labels, list(data.classes))
+    try:
+        work = pipe.transform(data) if pipe is not None else data
+        report = evaluate_model(model, work.features, work.labels, list(data.classes))
+    except DimensionMismatch as exc:
+        raise DimensionMismatch(f"{model_path}: {exc}") from exc
     path = os.path.join(cfg.out_dir, "evaluate.report.json")
     _write(path, _json_text(report.to_dict()))
     print(f"accuracy: {report.accuracy:.4f}")

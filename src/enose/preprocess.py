@@ -51,12 +51,17 @@ def fit_scaler(X: np.ndarray) -> Scaler:
 
 
 def pearson_r(x: np.ndarray, y: np.ndarray) -> float:
-    """Pearson correlation; 0.0 when either side has zero variance."""
+    """Pearson correlation; 0.0 when either side is constant, NaN when a centred sum overflows."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    xc = x - x.mean()
-    yc = y - y.mean()
-    denom = np.sqrt((xc * xc).sum() * (yc * yc).sum())
+    if x.min() == x.max() or y.min() == y.max():
+        return 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        xc = x - x.mean()
+        yc = y - y.mean()
+        denom = np.sqrt((xc * xc).sum() * (yc * yc).sum())
+    if not np.isfinite(denom):
+        return float("nan")
     if denom == 0.0:
         return 0.0
     return float((xc * yc).sum() / denom)
@@ -66,11 +71,16 @@ def feature_target_correlation(ds: Dataset) -> list[tuple[str, float]]:
     """Per-feature Pearson r against the encoded label, sorted descending.
 
     Ties in r break by ascending feature name, so the ranking is stable.
+    DegenerateInput names a column whose sums overflow float64.
     """
     if ds.n < 2:
         raise EmptyMatrix("correlation needs at least 2 samples")
     y = ds.labels.astype(np.float64)
     rows = [(name, pearson_r(ds.features[:, j], y)) for j, name in enumerate(ds.feature_names)]
+    for name, r in rows:
+        if np.isnan(r):
+            raise DegenerateInput(f"feature column {name!r} overflows float64 in its "
+                                  "correlation with the label")
     return sorted(rows, key=lambda t: (-t[1], t[0]))
 
 

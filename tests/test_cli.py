@@ -127,6 +127,35 @@ def test_run_deterministic_across_workers(tmp_path, capsys):
     assert not mismatches
 
 
+def test_rf_grid_cells_draw_from_the_master_seed(tmp_path, capsys, monkeypatch):
+    from enose import models
+    from enose.rng import derive_seed
+
+    seeds = []
+    real_rf_fit = models.rf_fit
+
+    def spy(X, y, params, n_classes=None):
+        seeds.append(params.seed)
+        return real_rf_fit(X, y, params, n_classes)
+
+    monkeypatch.setattr(models, "rf_fit", spy)
+    text = CONFIG_SMALL.replace("families = dt,rf", "families = rf").replace("grid = none",
+                                                                             "grid = small")
+    cfg = write_config(tmp_path, text)
+    grids = {}
+    for seed, workers in (("11", "1"), ("11", "2"), ("12", "1")):
+        out_dir = tmp_path / f"{seed}-{workers}"
+        assert run_cli(capsys, "--config", cfg, "--seed", seed, "--workers", workers,
+                       "--out", str(out_dir), "run")[0] == 0
+        grids[seed, workers] = (out_dir / "grids" / "rf.grid.csv").read_text()
+    assert grids["11", "1"] == grids["11", "2"]
+    assert grids["11", "1"] != grids["12", "1"]
+    # each run fits 4 cells x 2 folds, all from the run's derived grid stream
+    assert seeds.count(derive_seed(11, "rf", "grid")) == 16
+    assert seeds.count(derive_seed(12, "rf", "grid")) == 8
+    assert 0 not in seeds
+
+
 def test_evaluate_round_trip(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out_dir = tmp_path / "out"
@@ -264,9 +293,13 @@ def _pipeline(version, reducer=None, scaler=True, scaler_means=3, reducer_means=
     (_pipeline("V3", reducer="ica"), "found 'ica'"),
     (_pipeline("V2", scaler_means=2), "scaler means, stds and degenerate differ in length"),
     (_pipeline("V3", reducer="pca", reducer_means=2), "reducer width 2 is not the scaler width 3"),
+    # widths that agree inside the file but not with the 9-column data scored
+    (lambda path: None, "expected 3 features, got 9"),
+    (_pipeline("V2"), "expected 3 columns, got 7"),
 ], ids=["truncated", "missing-key", "format-version", "unknown-kind", "forest-member-kind",
         "no-scaler", "unknown-version", "v3-no-reducer", "v1-with-reducer",
-        "unknown-reducer-kind", "scaler-width", "reducer-width"])
+        "unknown-reducer-kind", "scaler-width", "reducer-width", "model-data-width",
+        "pipeline-data-width"])
 def test_evaluate_corrupt_model_is_runtime_error(tmp_path, capsys, corrupt, message):
     path = _saved_forest(tmp_path)
     corrupt(path)
@@ -295,6 +328,31 @@ def test_overflowing_column_fails_at_pipeline(tmp_path, capsys):
     assert code == 2
     assert "[pipeline]" in err and "feature column 0" in err
     assert not (out_dir / "models").exists()
+
+
+def _overflowing_co_session(tmp_path, capsys):
+    """A manifest config whose ``co`` column alternates 1e308 and 9e307; its sums overflow."""
+    data_dir = tmp_path / "data"
+    run_cli(capsys, "--samples", "30", "--out", str(data_dir), "synth")
+    for run in data_dir.glob("*__run0.csv"):
+        header, *rows = run.read_text().splitlines()
+        rows = [f"{(1e308, 9e307)[i % 2]!r}," + row.split(",", 1)[1] for i, row in enumerate(rows)]
+        run.write_text("\n".join([header, *rows]) + "\n")
+    text = CONFIG_SMALL.replace("source = synth", f"source = manifest\nmanifest = "
+                                f"{data_dir / 'manifest.csv'}")
+    return write_config(tmp_path, text)
+
+
+def test_overflowing_correlation_fails_at_inspect(tmp_path, capsys):
+    cfg = _overflowing_co_session(tmp_path, capsys)
+    code, out, err = run_cli(capsys, "--config", cfg, "--out", str(tmp_path / "i"), "inspect")
+    assert code == 2
+    assert "feature column 'co' overflows" in err and "nan" not in out
+    assert not (tmp_path / "i" / "correlation.csv").exists()
+    code, out, err = run_cli(capsys, "--config", cfg, "--out", str(tmp_path / "o"), "run")
+    assert code == 2
+    assert "[inspect]" in err and "feature column 'co'" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_diverging_mlp_names_its_stage(tmp_path, capsys, monkeypatch):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from enose.classifiers.forest import ForestParams, RandomForest, resolve_max_features, rf_fit
+from enose.classifiers.forest import (
+    ForestParams, RandomForest, draw_features, resolve_max_features, rf_fit,
+)
 from enose.classifiers.tree import DecisionTree, TreeNode, TreeParams, dt_fit
 from enose.errors import ConfigError, ShapeMismatch
 from enose.rng import derive_rng
@@ -119,7 +121,7 @@ def _replica_tree(X, y, params, n_classes, t):
     sampler = None
     if k < d:
         def sampler(n_features):
-            return rng.choice(n_features, size=k, replace=False)
+            return draw_features(rng, n_features, k)
     return dt_fit(X, y, params.tree, n_classes=n_classes, feature_sampler=sampler)
 
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -145,6 +147,18 @@ def test_dt_row_stochastic_output():
     assert (proba >= 0).all() and (proba <= 1).all()
 
 
+@pytest.mark.parametrize("lo, hi", [
+    (1.0000000000000002, 1.0000000000000004),  # adjacent doubles: the midpoint rounds onto hi
+    (1e308, 1.5e308),                          # the midpoint overflows to inf
+    (-1.5e308, -1e308),                        # and to -inf
+])
+def test_threshold_separates_its_two_values(lo, hi):
+    X = np.array([[lo], [hi]])
+    model = dt_fit(X, np.array([0, 1]), n_classes=2)
+    assert lo <= model.root.threshold < hi
+    assert model.predict(X).tolist() == [0, 1]
+
+
 def test_best_split_matches_oracle_small():
     rng = np.random.default_rng(4)
     for min_leaf in (1, 2, 3):
@@ -163,3 +177,106 @@ def test_best_split_matches_oracle_small():
                 assert mine is not None
                 assert mine[0] == ref[0]
                 assert mine[1] == ref[1]  # both are 0.5 * (lo + hi) of the same values
+
+
+# exact-arithmetic oracle: the lowest (feature, threshold) among the exact maximisers
+
+
+def fraction_best_split(X, y, w, n_classes, min_leaf=1):
+    """Best split by Fractions over the rows of positive integer weight ``w``."""
+    rows = [i for i in range(len(y)) if w[i] > 0]
+    n = sum(int(w[i]) for i in rows)
+
+    def weighted_gini(part):
+        size = sum(int(w[i]) for i in part)
+        counts = [0] * n_classes
+        for i in part:
+            counts[y[i]] += int(w[i])
+        return size, 1 - sum(Fraction(c, size) ** 2 for c in counts)
+
+    _, parent = weighted_gini(rows)
+    best = None
+    for f in range(X.shape[1]):
+        values = sorted({X[i, f] for i in rows})
+        for lo, hi in zip(values, values[1:]):
+            threshold = 0.5 * (lo + hi)
+            nl, gl = weighted_gini([i for i in rows if X[i, f] <= threshold])
+            nr, gr = weighted_gini([i for i in rows if X[i, f] > threshold])
+            if nl < min_leaf or nr < min_leaf:
+                continue
+            dec = parent - (nl * gl + nr * gr) / n
+            if dec > 0 and (best is None or dec > best[2]):
+                best = (f, threshold, dec)
+    return best
+
+
+def _assert_exact_splits(X, y, n_classes, w=None, min_leaf=1):
+    """Every node of a grown tree splits at the exact lowest maximiser of its rows."""
+    w = np.ones(len(y), dtype=np.int64) if w is None else w
+    model = dt_fit(X, y, TreeParams(min_samples_leaf=min_leaf), n_classes=n_classes,
+                   weights=w.astype(np.float64))
+    stack = [(model.root, np.ones(len(y), dtype=bool))]
+    while stack:
+        node, mask = stack.pop()
+        ref = fraction_best_split(X, y, np.where(mask, w, 0), n_classes, min_leaf)
+        if node.is_leaf:
+            assert ref is None
+            continue
+        assert ref is not None and (node.feature, node.threshold) == ref[:2]
+        go_left = X[:, node.feature] <= node.threshold
+        stack += [(node.left, mask & go_left), (node.right, mask & ~go_left)]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 30),
+    d=st.integers(1, 4),
+    n_classes=st.integers(2, 4),
+    max_weight=st.sampled_from([1, 3]),
+    min_leaf=st.sampled_from([1, 2]),
+)
+@settings(max_examples=60, deadline=None)
+def test_splits_are_exact_lowest_maximisers(seed, n, d, n_classes, max_weight, min_leaf):
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(n, d)), 1)
+    y = rng.integers(0, n_classes, size=n)
+    w = rng.integers(0 if max_weight > 1 else 1, max_weight + 1, size=n)
+    if w.sum() == 0:
+        w[0] = 1
+    _assert_exact_splits(X, y, n_classes, w, min_leaf)
+
+
+def test_exact_tie_four_ordered_classes_takes_lowest_threshold():
+    # 4 classes of 48 rows ordered along feature 1: all three splits decrease Gini by 1/4
+    rng = np.random.default_rng(0)
+    x = np.sort(rng.normal(size=192))
+    X = np.column_stack([rng.normal(size=192), x])
+    y = np.repeat(np.arange(4), 48)
+    f, threshold, dec = best_split(X, y, 4, np.arange(2))
+    assert (f, threshold) == (1, 0.5 * (x[47] + x[48]))
+    assert dec == pytest.approx(0.25)
+    _assert_exact_splits(X, y, 4)
+
+
+@pytest.mark.parametrize("y, w", [
+    ([0, 2, 3, 0, 2, 2, 3, 3, 1, 0], [2, 3, 2, 3, 2, 1, 1, 1, 2, 1]),
+    ([0, 0, 0, 1, 1, 1, 1, 2, 2, 3, 3], [1, 3, 1, 3, 2, 2, 3, 1, 3, 1, 3]),
+])
+def test_exact_tie_that_rounding_breaks_takes_lowest_threshold(y, w):
+    # weighted rows along one feature whose two best splits tie exactly, while
+    # the rounded proxy scores the higher threshold larger in its last bit
+    y, w = np.array(y), np.array(w)
+    _assert_exact_splits(np.arange(len(y), dtype=np.float64)[:, None], y, 4, w)
+
+
+@given(seed=st.integers(0, 2**32 - 1), half=st.integers(2, 12), n_classes=st.integers(2, 4))
+@settings(max_examples=40, deadline=None)
+def test_mirrored_exact_ties_take_lowest_feature_and_threshold(seed, half, n_classes):
+    # labels that read the same forwards and backwards along feature 0 tie every
+    # split with its mirror; feature 1 repeats feature 0 and feature 2 reverses it
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, n_classes, size=half)
+    y = np.concatenate([y, y[::-1]])
+    x = np.sort(rng.choice(1000, size=2 * half, replace=False)) / 10.0
+    X = np.column_stack([x, x, -x])
+    _assert_exact_splits(X, y, n_classes)
