@@ -40,7 +40,6 @@ def build_ini(args: argparse.Namespace) -> str:
         "\n"
         "[output]\n"
         "formats = json,csv,svg\n"
-        f"workers = {args.workers}\n"
     )
 
 
@@ -56,7 +55,6 @@ def main() -> int:
     parser.add_argument("--ann-epochs", type=int, default=30)
     parser.add_argument("--learning-curves", action="store_true")
     parser.add_argument("--no-drift", action="store_true")
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out", default="out/experiment")
     args = parser.parse_args()
 

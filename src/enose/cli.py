@@ -190,7 +190,7 @@ def cmd_run(cfg: PipelineConfig) -> int:
                 return family_fit(X, y, {"seed": grid_seed, **cell}, n_classes)
 
             result = grid_search(default_grid(family, cfg.grid), train, plan,
-                                 grid_fit, cfg.version, workers=cfg.workers)
+                                 grid_fit, cfg.version)
             if "csv" in cfg.formats:
                 _write(os.path.join(out, "grids", f"{family}.grid.csv"), _grid_csv(result))
             best = {"seed": derive_seed(cfg.seed, family, "tuned"), **result.best.params}
@@ -285,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--format", action="append", choices=("json", "csv", "svg"),
                         help="report format (repeatable)")
-    parser.add_argument("--workers", type=int, help="worker pool size for grid cells")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("synth", help="generate synthetic run files + manifest")
     sub.add_parser("ingest", help="load and summarize a dataset")

