@@ -5,7 +5,8 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, replace
 
-from .errors import ConfigError
+from .errors import BadSizes, ConfigError
+from .evaluate import check_curve_sizes
 from .models import CLASSICAL_FAMILIES
 from .preprocess import VERSIONS
 
@@ -59,6 +60,10 @@ class PipelineConfig:
         if self.learning_curves and self.grid == "none":
             raise ConfigError("learning_curves = yes needs a grid: learning curves use the "
                               "tuned parameters, and grid = none tunes nothing")
+        try:
+            check_curve_sizes(self.learning_curve_sizes)
+        except BadSizes as exc:
+            raise ConfigError(f"learning_curve_sizes: {exc}") from exc
         if self.ann_epochs < 1:
             raise ConfigError(f"ann_epochs must be >= 1, got {self.ann_epochs}")
         bad = [f for f in self.formats if f not in FORMATS]

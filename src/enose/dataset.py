@@ -7,6 +7,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -87,45 +88,73 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def _first_bad_cell(tokens: list[str]) -> int | None:
+    """Index of the first token that ``float`` rejects or reads as non-finite."""
+    for i, token in enumerate(tokens):
+        try:
+            if not math.isfinite(float(token)):
+                return i
+        except ValueError:
+            return i
+
+
 def parse_run_csv(text: str, label: str | None = None) -> RunTable:
     """Parse one run's CSV content into a RunTable.
 
     The first line is a comma-separated header; subsequent lines are numeric.
     An optional ``target`` column carries the class name in-file; it must be
-    constant and, if ``label`` is also given, must agree with it.
+    constant and, if ``label`` is also given, must agree with it.  Cells are
+    read by Python's ``float``.  A bad file fails at its earliest bad row;
+    within a row a wrong cell count beats a target mismatch, which beats the
+    leftmost bad cell.
     """
-    lines = [ln for ln in text.replace("\r\n", "\n").split("\n") if ln.strip() != ""]
+    lines = list(filter(str.strip, text.replace("\r\n", "\n").split("\n")))
     if not lines:
         raise EmptyRun("no header line")
     header = [h.strip() for h in lines[0].split(",")]
-    if len(lines) == 1:
+    body = lines[1:]
+    if not body:
         raise EmptyRun("header only, no data rows")
 
+    width = len(header)
     label_col = header.index(LABEL_COLUMN) if LABEL_COLUMN in header else None
-    feature_cols = [i for i in range(len(header)) if i != label_col]
+    feature_cols = [i for i in range(width) if i != label_col]
 
-    n = len(lines) - 1
-    rows = np.empty((n, len(feature_cols)), dtype=np.float64)
+    # the rows before the first ragged one are split and converted in bulk;
+    # a failing row or cell is located only once the bulk pass shows one
+    commas = np.fromiter(map(str.count, body, repeat(",")), dtype=np.int64, count=len(body))
+    ragged = np.flatnonzero(commas != width - 1)
+    n = int(ragged[0]) if ragged.size else len(body)
+    tokens = list(map(str.strip, ",".join(body[:n]).split(","))) if n else []
+
     file_label: str | None = None
-    for r, line in enumerate(lines[1:], start=1):
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != len(header):
-            raise RaggedRow(row=r, expected=len(header), got=len(cells))
-        if label_col is not None:
-            cell = cells[label_col]
-            if file_label is None:
-                file_label = cell
-            elif cell != file_label:
-                raise SchemaMismatch(f"target column is not constant: {file_label!r} vs {cell!r} at row {r}")
-        for j, ci in enumerate(feature_cols):
-            token = cells[ci]
-            try:
-                value = float(token)
-            except ValueError:
-                raise MalformedCell(row=r, col=ci + 1, token=token) from None
-            if not math.isfinite(value):
-                raise MalformedCell(row=r, col=ci + 1, token=token)
-            rows[r - 1, j] = value
+    mismatch_row = None
+    if label_col is not None:
+        targets = tokens[label_col::width]
+        if targets:
+            file_label = targets[0]
+            if targets.count(file_label) != n:
+                mismatch_row = next(r for r, t in enumerate(targets, start=1) if t != file_label)
+        del tokens[label_col::width]
+
+    try:
+        rows = np.array(list(map(float, tokens)), dtype=np.float64)
+        nonfinite = np.flatnonzero(~np.isfinite(rows))
+        bad = int(nonfinite[0]) if nonfinite.size else None
+    except ValueError:
+        bad = _first_bad_cell(tokens)
+    bad_row = None if bad is None else bad // len(feature_cols) + 1
+
+    if mismatch_row is not None and (bad_row is None or mismatch_row <= bad_row):
+        cell = targets[mismatch_row - 1]
+        raise SchemaMismatch(f"target column is not constant: {file_label!r} vs {cell!r} "
+                             f"at row {mismatch_row}")
+    if bad_row is not None:
+        col = feature_cols[bad % len(feature_cols)] + 1
+        raise MalformedCell(row=bad_row, col=col, token=tokens[bad])
+    if n < len(body):
+        raise RaggedRow(row=n + 1, expected=width, got=int(commas[n]) + 1)
+    rows = rows.reshape(n, len(feature_cols))
 
     if file_label is not None and label is not None and file_label != label:
         raise SchemaMismatch(f"in-file target {file_label!r} disagrees with supplied label {label!r}")

@@ -316,14 +316,20 @@ def stratified_head(indices: np.ndarray, labels: np.ndarray, count: int) -> np.n
     return np.sort(np.concatenate(parts))
 
 
-def learning_curve(fit, params: dict, ds: Dataset, sizes, plan: FoldPlan,
-                   version: str = "V1") -> list[dict]:
-    """Mean train/validation accuracy at each training-set size fraction."""
+def check_curve_sizes(sizes) -> list[float]:
+    """The learning-curve size fractions: non-empty, each in (0, 1], strictly ascending."""
     sizes = list(sizes)
     if not sizes or any(not (0.0 < s <= 1.0) for s in sizes):
         raise BadSizes(f"sizes must lie in (0, 1], got {sizes}")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise BadSizes(f"sizes must be strictly ascending, got {sizes}")
+    return sizes
+
+
+def learning_curve(fit, params: dict, ds: Dataset, sizes, plan: FoldPlan,
+                   version: str = "V1") -> list[dict]:
+    """Mean train/validation accuracy at each training-set size fraction."""
+    sizes = check_curve_sizes(sizes)
     rows = []
     for s in sizes:
         train_accs = []

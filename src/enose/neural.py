@@ -93,10 +93,10 @@ class Dense:
         self._x = x
         return x @ self.W + self.b
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad: bool = True):
         self.dW = self._x.T @ dout
         self.db = dout.sum(axis=0)
-        return dout @ self.W.T
+        return dout @ self.W.T if input_grad else None
 
     def params(self):
         return [("W", self.W, self.dW), ("b", self.b, self.db)]
@@ -249,8 +249,10 @@ class MlpModel:
         dlogits[np.arange(n), y] -= 1.0
         dlogits /= n
         grad = dlogits
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[2:]):
             grad = layer.backward(grad)
+        # layers[1] is the first Dense; nothing below it has parameters
+        self.layers[1].backward(grad, input_grad=False)
         if reg > 0:
             for l in self.layers:
                 if isinstance(l, Dense):
@@ -321,25 +323,28 @@ def mlp_train(model: MlpModel, X: np.ndarray, y: np.ndarray) -> MlpModel:
         raise ShapeMismatch("label index out of range for spec.n_classes")
     opt = _Adam(spec.optimizer) if spec.optimizer.kind == "adam" else _RmsProp(spec.optimizer)
     n = X.shape[0]
-    for epoch in range(spec.epochs):
-        order = derive_rng(spec.seed, "shuffle", epoch).permutation(n)
-        losses = []
-        for start in range(0, n, spec.batch_size):
-            idx = order[start:start + spec.batch_size]
-            loss = model.loss_and_grads(X[idx], y[idx], TRAIN)
-            if not np.isfinite(loss):
-                raise NonFiniteLoss(epoch=epoch, batch=start // spec.batch_size, loss=loss)
-            losses.append(loss)
-            params = {
-                (id(layer), name): (value, grad)
-                for layer, name, value, grad in model.trainable_params()
-            }
-            opt.step(params)
-        model.history.append({
-            "epoch": epoch,
-            "loss": float(np.mean(losses)),
-            "train_acc": float((model.predict(X) == y).mean()),
-        })
+    # a diverging run overflows before its loss turns non-finite; NonFiniteLoss
+    # reports it, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(spec.epochs):
+            order = derive_rng(spec.seed, "shuffle", epoch).permutation(n)
+            losses = []
+            for start in range(0, n, spec.batch_size):
+                idx = order[start:start + spec.batch_size]
+                loss = model.loss_and_grads(X[idx], y[idx], TRAIN)
+                if not np.isfinite(loss):
+                    raise NonFiniteLoss(epoch=epoch, batch=start // spec.batch_size, loss=loss)
+                losses.append(loss)
+                params = {
+                    (id(layer), name): (value, grad)
+                    for layer, name, value, grad in model.trainable_params()
+                }
+                opt.step(params)
+            model.history.append({
+                "epoch": epoch,
+                "loss": float(np.mean(losses)),
+                "train_acc": float((model.predict(X) == y).mean()),
+            })
     return model
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BadComponentCount, DegenerateInput, DimensionMismatch, SingleClass
 
@@ -104,6 +103,8 @@ def lda_fit(X: np.ndarray, y: np.ndarray, m: int, ridge: float | None = None) ->
         ridge = 1e-6 * np.trace(Sw) / d
         if ridge <= 0.0:
             ridge = 1e-6
+    import scipy.linalg  # here, not at the top: only V4 pipelines pay its import time
+
     evals, evecs = scipy.linalg.eigh(Sb, Sw + ridge * np.eye(d))
     order = np.argsort(evals)[::-1][:m]
     directions = evecs[:, order].T

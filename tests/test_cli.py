@@ -218,6 +218,16 @@ def test_learning_curves_without_grid_is_validation_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("sizes", ["1.5", "0.5, 0.25", "0.5, 0.5", "0, 1", "nan", ","])
+def test_bad_learning_curve_sizes_are_validation_errors(tmp_path, capsys, sizes):
+    cfg = write_config(tmp_path, CONFIG_SMALL.replace("families = dt,rf", "families = dt").replace(
+        "grid = none", f"grid = small\nlearning_curves = yes\nlearning_curve_sizes = {sizes}"))
+    code, out, err = run_cli(capsys, "--config", cfg, "--out", str(tmp_path / "o"), "run")
+    assert code == 1, err
+    assert "learning_curve_sizes" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_nonpositive_ann_epochs_is_validation_error(tmp_path, capsys):
     cfg = write_config(tmp_path, CONFIG_SMALL.replace(
         "ann_variants =", "ann_variants = baseline\nann_epochs = -3"))
@@ -402,7 +412,7 @@ def test_overflowing_correlation_fails_at_inspect(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_diverging_mlp_names_its_stage(tmp_path, capsys, monkeypatch):
+def test_diverging_mlp_names_its_stage(tmp_path, capsys, monkeypatch, recwarn):
     from dataclasses import replace
 
     from enose import models
@@ -416,6 +426,7 @@ def test_diverging_mlp_names_its_stage(tmp_path, capsys, monkeypatch):
                              str(tmp_path / "o"), "run")
     assert code == 2
     assert "[ann:baseline]" in err and "non-finite loss" in err
+    assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_models_path_taken_by_a_file_names_its_stage(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,112 @@ from enose.errors import (
     SchemaMismatch,
     TooFewPerClass,
 )
+
+def row_loop_parse(text, label=None):
+    """The original cell-by-cell parser: the oracle for ``parse_run_csv``."""
+    lines = [ln for ln in text.replace("\r\n", "\n").split("\n") if ln.strip() != ""]
+    if not lines:
+        raise EmptyRun("no header line")
+    header = [h.strip() for h in lines[0].split(",")]
+    if len(lines) == 1:
+        raise EmptyRun("header only, no data rows")
+
+    label_col = header.index("target") if "target" in header else None
+    feature_cols = [i for i in range(len(header)) if i != label_col]
+
+    n = len(lines) - 1
+    rows = np.empty((n, len(feature_cols)), dtype=np.float64)
+    file_label = None
+    for r, line in enumerate(lines[1:], start=1):
+        cells = [c.strip() for c in line.split(",")]
+        if len(cells) != len(header):
+            raise RaggedRow(row=r, expected=len(header), got=len(cells))
+        if label_col is not None:
+            cell = cells[label_col]
+            if file_label is None:
+                file_label = cell
+            elif cell != file_label:
+                raise SchemaMismatch(f"target column is not constant: {file_label!r} vs {cell!r} at row {r}")
+        for j, ci in enumerate(feature_cols):
+            token = cells[ci]
+            try:
+                value = float(token)
+            except ValueError:
+                raise MalformedCell(row=r, col=ci + 1, token=token) from None
+            if not math.isfinite(value):
+                raise MalformedCell(row=r, col=ci + 1, token=token)
+            rows[r - 1, j] = value
+
+    if file_label is not None and label is not None and file_label != label:
+        raise SchemaMismatch(f"in-file target {file_label!r} disagrees with supplied label {label!r}")
+    final_label = label if label is not None else file_label
+    if final_label is None:
+        raise EmptyInput("no label supplied and no target column present")
+    return RunTable(tuple(header[i] for i in feature_cols), rows, final_label)
+
+
+def _outcome(parse, text, label):
+    try:
+        rt = parse(text, label)
+    except ENoseError as exc:
+        return type(exc), str(exc)
+    return rt.rows.shape, rt.rows.tobytes(), rt.feature_names, rt.label
+
+
+_PADS = ["", " ", "\t", "\x0b", "\x1c", "\u00a0", "\u2003"]
+_CELLS = ["1", "-2.5", "0", "-0", "3e2", "1.", ".5", "1_0", "nan", "inf", "-inf", "1e999",
+          "", "x", "onion", "1 2", "\r"]
+
+
+@st.composite
+def run_texts(draw):
+    """Run-CSV text with padding, CRLF, blank lines, ragged rows and bad tokens."""
+    width = draw(st.integers(1, 4))
+    names = [f"c{i}" for i in range(width)]
+    if draw(st.booleans()):
+        names.insert(draw(st.integers(0, width)), "target")
+        width += 1
+    pad = st.sampled_from(_PADS)
+    lines = [",".join(draw(pad) + name + draw(pad) for name in names)]
+    for _ in range(draw(st.integers(0, 6))):
+        n_cells = width + draw(st.sampled_from([0, 0, 0, 0, 0, 0, -1, 1]))
+        cells = draw(st.lists(st.one_of(st.sampled_from(_CELLS), st.sampled_from(["onion", "garlic"]),
+                                        st.floats(allow_nan=False, allow_infinity=False).map(repr)),
+                              min_size=max(n_cells, 0), max_size=max(n_cells, 0)))
+        if "target" in names and len(cells) == width and draw(st.integers(0, 3)):
+            cells[names.index("target")] = "onion"
+        lines.append(",".join(draw(pad) + c + draw(pad) for c in cells))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t \t"])))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+@given(run_texts(), st.sampled_from([None, "onion", "garlic"]))
+@settings(max_examples=400, deadline=None)
+def test_parse_matches_the_row_loop_oracle(text, label):
+    assert _outcome(parse_run_csv, text, label) == _outcome(row_loop_parse, text, label)
+
+
+def test_parse_error_order_within_and_across_rows():
+    # ragged beats target beats cell within a row; the earliest row wins
+    cases = [
+        ("target,a\nonion,x\ngarlic,1,2\n", MalformedCell),
+        ("target,a\nonion,1\ngarlic,x,2\n", RaggedRow),
+        ("target,a\nonion,1\ngarlic,x\n", SchemaMismatch),
+        ("a,b\n1,inf\nx,1\n", MalformedCell),
+        ("a,b\n1,1_0\n1,x,3\n", RaggedRow),
+    ]
+    for text, kind in cases:
+        with pytest.raises(kind):
+            parse_run_csv(text)
+        assert _outcome(parse_run_csv, text, "onion") == _outcome(row_loop_parse, text, "onion")
+    with pytest.raises(MalformedCell) as exc:
+        parse_run_csv("a,b,c\n1,x,inf\n", "onion")
+    assert (exc.value.row, exc.value.col, exc.value.token) == (1, 2, "x")
+    with pytest.raises(MalformedCell) as exc:
+        parse_run_csv("a,b,c\n1,1e999,x\n", "onion")
+    assert (exc.value.row, exc.value.col, exc.value.token) == (1, 2, "1e999")
+
 
 HEADER = "co,no2,voc,ethanol,co2,tvoc,temperature,humidity,pressure"
 

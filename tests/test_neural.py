@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from enose.errors import BadSpec, ShapeMismatch, UnknownVariant
+from enose.errors import BadSpec, NonFiniteLoss, ShapeMismatch, UnknownVariant
 from enose.neural import (
     EVAL,
     FROZEN,
@@ -215,3 +215,11 @@ def test_rmsprop_trains():
     spec = variant_spec("rmsprop", 2, 2, epochs=60, seed=2)
     model = mlp_train(mlp_build(spec), ds.features, ds.labels)
     assert (model.predict(ds.features) == ds.labels).mean() > 0.95
+
+
+def test_diverging_training_stops_without_runtime_warnings(recwarn):
+    ds = _toy_two_class()
+    spec = variant_spec("baseline", 2, 2, epochs=2, optimizer=OptimizerSpec(lr=1e300))
+    with pytest.raises(NonFiniteLoss):
+        mlp_train(mlp_build(spec), ds.features, ds.labels)
+    assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
