@@ -16,6 +16,7 @@ import argparse
 import sys
 
 from enose.cli import main as cli_main
+from enose.preprocess import VERSIONS
 
 
 def build_ini(args: argparse.Namespace) -> str:
@@ -47,7 +48,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--samples", type=int, default=200, help="samples per class")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--version", default="V2", choices=("V1", "V2", "V3", "V4"))
+    parser.add_argument("--version", default="V2", choices=VERSIONS)
     parser.add_argument("--folds", type=int, default=5)
     parser.add_argument("--families", default="dt,rf", help="comma list from dt,rf,svm")
     parser.add_argument("--grid", default="small", choices=("default", "small", "none"))

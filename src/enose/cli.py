@@ -23,10 +23,11 @@ from .evaluate import (
     evaluate_model,
     grid_search,
     learning_curve,
+    prepare_folds,
 )
 from .models import FAMILIES, default_grid
 from .neural import history_csv
-from .preprocess import correlation_report_csv, feature_target_correlation
+from .preprocess import VERSIONS, correlation_report_csv, feature_target_correlation
 from .rng import derive_seed
 from .serialize import load_model, save_model
 from .svgplot import confusion_svg, line_chart_svg
@@ -144,6 +145,7 @@ def cmd_run(cfg: PipelineConfig) -> int:
         pipe = FeaturePipeline(cfg.version).fit(train)
         train_t = pipe.transform(train)
         test_t = pipe.transform(test)
+        folds = prepare_folds(train, plan.folds, cfg.version)
 
     summary: list[dict] = []
     fitted: dict[str, object] = {}
@@ -178,7 +180,7 @@ def cmd_run(cfg: PipelineConfig) -> int:
         family_fit = FAMILIES[family].fit
         with _stage(f"baseline:{family}"):
             params = {"seed": derive_seed(cfg.seed, family, "baseline")}
-            cv = cross_validate(family_fit, params, train, plan, cfg.version)
+            cv = cross_validate(family_fit, params, folds)
             register(f"{family}_baseline", fit_train(family, params), cv.mean, cv.std)
 
         if cfg.grid == "none":
@@ -189,8 +191,7 @@ def cmd_run(cfg: PipelineConfig) -> int:
             def grid_fit(X, y, cell, n_classes):  # a "seed" axis in the grid wins
                 return family_fit(X, y, {"seed": grid_seed, **cell}, n_classes)
 
-            result = grid_search(default_grid(family, cfg.grid), train, plan,
-                                 grid_fit, cfg.version)
+            result = grid_search(default_grid(family, cfg.grid), folds, grid_fit)
             if "csv" in cfg.formats:
                 _write(os.path.join(out, "grids", f"{family}.grid.csv"), _grid_csv(result))
             best = {"seed": derive_seed(cfg.seed, family, "tuned"), **result.best.params}
@@ -279,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="INI-style config file")
     parser.add_argument("--seed", type=int, help="master seed override")
-    parser.add_argument("--version", choices=("V1", "V2", "V3", "V4"),
+    parser.add_argument("--version", choices=VERSIONS,
                         help="feature-set version override")
     parser.add_argument("--samples", type=int, help="synthetic samples per class")
     parser.add_argument("--out", help="output directory")

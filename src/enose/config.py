@@ -8,6 +8,7 @@ from dataclasses import dataclass, replace
 from .errors import BadSizes, ConfigError
 from .evaluate import check_curve_sizes
 from .models import CLASSICAL_FAMILIES
+from .neural import VARIANT_NAMES
 from .preprocess import VERSIONS
 
 FORMATS = ("json", "csv", "svg")
@@ -39,6 +40,8 @@ class PipelineConfig:
     formats: tuple[str, ...] = ("json", "csv")
 
     def validate(self) -> "PipelineConfig":
+        if self.samples < 1:
+            raise ConfigError(f"samples must be >= 1, got {self.samples}")
         if self.source not in ("synth", "manifest", "glob"):
             raise ConfigError(f"data source must be synth|manifest|glob, got {self.source!r}")
         if self.source == "manifest" and not self.manifest:
@@ -55,6 +58,15 @@ class PipelineConfig:
         if unknown:
             raise ConfigError(f"unknown model families {unknown}; expected a subset of "
                               f"{CLASSICAL_FAMILIES}")
+        unknown = [v for v in self.ann_variants if v not in VARIANT_NAMES]
+        if unknown:
+            raise ConfigError(f"unknown ann_variants {unknown}; expected a subset of "
+                              f"{VARIANT_NAMES}")
+        for key in ("families", "ann_variants"):
+            entries = getattr(self, key)
+            repeated = sorted({e for e in entries if entries.count(e) > 1})
+            if repeated:
+                raise ConfigError(f"{key} lists {repeated} more than once")
         if self.grid not in ("default", "small", "none"):
             raise ConfigError(f"grid must be default|small|none, got {self.grid!r}")
         if self.learning_curves and self.grid == "none":

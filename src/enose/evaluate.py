@@ -5,16 +5,42 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .dataset import Dataset, FoldPlan
 from .errors import BadSizes, EmptyGrid, EmptyMatrix, ENoseError, LabelOutOfRange
 from .preprocess import DROPPED_AMBIENT, drop_columns, fit_scaler
-from .reduce import lda_fit, pca_fit
+from .reduce import LdaModel, PcaModel, lda_fit, pca_fit
 
 
 # --- per-fold feature pipeline ------------------------------------------------
+
+
+def _fit_pca(Z: np.ndarray, ds: Dataset):
+    return pca_fit(Z, Z.shape[1])
+
+
+def _fit_lda(Z: np.ndarray, ds: Dataset):
+    return lda_fit(Z, ds.labels, min(ds.n_classes - 1, Z.shape[1]))
+
+
+@dataclass(frozen=True)
+class Reduction:
+    """The projection a feature version applies after scaling, and how it is saved."""
+
+    kind: str  # the saved reducer's "kind"
+    model: type
+    fit: Callable  # (scaled training features, training Dataset) -> fitted model
+    prefix: str  # score columns are named prefix1, prefix2, ...
+
+
+# the reduction of each feature version that has one; V1 and V2 stop after scaling
+REDUCTIONS = {
+    "V3": Reduction("pca", PcaModel, _fit_pca, "pc"),
+    "V4": Reduction("lda", LdaModel, _fit_lda, "ld"),
+}
 
 
 class FeaturePipeline:
@@ -28,27 +54,37 @@ class FeaturePipeline:
         self.scaler = None
         self.reducer = None
 
+    def _project(self, ds: Dataset) -> Dataset:
+        return ds if self.version == "V1" else drop_columns(ds, DROPPED_AMBIENT)
+
     def fit(self, ds: Dataset) -> "FeaturePipeline":
-        work = ds if self.version == "V1" else drop_columns(ds, DROPPED_AMBIENT)
+        work = self._project(ds)
         self.scaler = fit_scaler(work.features)
-        if self.version in ("V3", "V4"):
+        if self.version in REDUCTIONS:
             Z = self.scaler.transform(work.features)
-            if self.version == "V3":
-                self.reducer = pca_fit(Z, Z.shape[1])
-            else:
-                m = min(ds.n_classes - 1, Z.shape[1])
-                self.reducer = lda_fit(Z, ds.labels, m)
+            self.reducer = REDUCTIONS[self.version].fit(Z, ds)
         return self
 
     def transform(self, ds: Dataset) -> Dataset:
-        work = ds if self.version == "V1" else drop_columns(ds, DROPPED_AMBIENT)
+        work = self._project(ds)
         Z = self.scaler.transform(work.features)
-        if self.reducer is not None:
-            scores = self.reducer.transform(Z)
-            prefix = "pc" if self.version == "V3" else "ld"
-            names = tuple(f"{prefix}{i + 1}" for i in range(scores.shape[1]))
-            return work.with_features(names, scores)
-        return work.with_features(work.feature_names, Z)
+        if self.reducer is None:
+            return work.with_features(work.feature_names, Z)
+        scores = self.reducer.transform(Z)
+        prefix = REDUCTIONS[self.version].prefix
+        return work.with_features(tuple(f"{prefix}{i + 1}" for i in range(scores.shape[1])),
+                                  scores)
+
+
+def prepare_folds(ds: Dataset, pairs, version: str = "V1") -> list[tuple[Dataset, Dataset]]:
+    """For each ``(train_idx, val_idx)`` pair, the (train, val) rows transformed by
+    one pipeline fit on the train rows: the only place a pipeline is fit on a fold."""
+    folds = []
+    for train_idx, val_idx in pairs:
+        train = ds.subset(train_idx)
+        pipe = FeaturePipeline(version).fit(train)
+        folds.append((pipe.transform(train), pipe.transform(ds.subset(val_idx))))
+    return folds
 
 
 # --- cross-validation and grid search -----------------------------------------
@@ -56,11 +92,14 @@ class FeaturePipeline:
 
 @dataclass
 class CvResult:
+    """One cross-validated parameter set: a grid cell, or a baseline's CV score."""
+
+    params: dict
     accuracies: list[float]
     failures: list[str]
 
     @property
-    def mean(self) -> float:
+    def mean(self) -> float:  # a cell with no scored fold ranks last
         return float(np.mean(self.accuracies)) if self.accuracies else float("-inf")
 
     @property
@@ -68,32 +107,23 @@ class CvResult:
         return float(np.std(self.accuracies)) if self.accuracies else float("nan")
 
 
-def cross_validate(fit, params: dict, ds: Dataset, plan: FoldPlan,
-                   version: str = "V1") -> CvResult:
-    """Per-fold: refit pipeline and model on train indices, score validation.
+def cross_validate(fit, params: dict, folds) -> CvResult:
+    """Fit a model on each prepared fold's train part and score its validation part.
 
-    ``fit(X, y, params, n_classes)``, a ``Family.fit``, returns the fold's model.
-    A fold that fails with a toolkit error or a numerical failure is recorded
-    and the others still run; any other exception is a bug and propagates.
+    ``folds`` is ``prepare_folds`` output; ``fit(X, y, params, n_classes)``, a
+    ``Family.fit``, returns the fold's model.  A fold that fails with a toolkit
+    error or a numerical failure is recorded and the others still run; any
+    other exception is a bug and propagates.
     """
     accs: list[float] = []
     failures: list[str] = []
-    for fold_id, (train_idx, val_idx) in enumerate(plan.folds):
+    for fold_id, (train, val) in enumerate(folds):
         try:
-            model, _, val = _fit_fold(fit, params, ds, train_idx, val_idx, version)
+            model = fit(train.features, train.labels, params, train.n_classes)
             accs.append(_accuracy(model, val))
         except (ENoseError, FloatingPointError, np.linalg.LinAlgError) as exc:
             failures.append(f"fold {fold_id}: {exc}")
-    return CvResult(accs, failures)
-
-
-def _fit_fold(fit, params, ds, train_idx, val_idx, version):
-    """Pipeline and model fit on the train rows; returns (model, train, val) transformed."""
-    train = ds.subset(train_idx)
-    pipe = FeaturePipeline(version).fit(train)
-    t = pipe.transform(train)
-    v = pipe.transform(ds.subset(val_idx))
-    return fit(t.features, t.labels, params, ds.n_classes), t, v
+    return CvResult(params, accs, failures)
 
 
 def _accuracy(model, part: Dataset) -> float:
@@ -112,37 +142,23 @@ class GridSpec:
 
 
 @dataclass
-class GridCell:
-    params: dict
-    accuracies: list[float]
-    mean: float
-    std: float
-    failures: list[str]
-
-
-@dataclass
 class GridResult:
-    cells: list[GridCell]
-    best_index: int
+    cells: list[CvResult]
 
     @property
-    def best(self) -> GridCell:
+    def best_index(self) -> int:
+        """The first cell with the maximal mean, so the earliest cell wins ties."""
+        means = [c.mean for c in self.cells]
+        return means.index(max(means))
+
+    @property
+    def best(self) -> CvResult:
         return self.cells[self.best_index]
 
 
-def grid_search(spec: GridSpec, ds: Dataset, plan: FoldPlan, fit,
-                version: str = "V1") -> GridResult:
-    """Evaluate every cell via cross_validate; failed cells score -inf."""
-    cells = []
-    for params in spec.cells():
-        r = cross_validate(fit, params, ds, plan, version)
-        cells.append(GridCell(params, r.accuracies,
-                              r.mean if r.accuracies else float("-inf"), r.std, r.failures))
-    best = 0
-    for i, c in enumerate(cells):
-        if c.mean > cells[best].mean:  # strict: earliest cell wins ties
-            best = i
-    return GridResult(cells, best)
+def grid_search(spec: GridSpec, folds, fit) -> GridResult:
+    """Cross-validate every cell on the prepared folds; failed cells score -inf."""
+    return GridResult([cross_validate(fit, params, folds) for params in spec.cells()])
 
 
 # --- metrics ------------------------------------------------------------------
@@ -332,11 +348,12 @@ def learning_curve(fit, params: dict, ds: Dataset, sizes, plan: FoldPlan,
     sizes = check_curve_sizes(sizes)
     rows = []
     for s in sizes:
+        pairs = [(stratified_head(train_idx, ds.labels, math.ceil(s * train_idx.shape[0])),
+                  val_idx) for train_idx, val_idx in plan.folds]
         train_accs = []
         val_accs = []
-        for train_idx, val_idx in plan.folds:
-            sub = stratified_head(train_idx, ds.labels, math.ceil(s * train_idx.shape[0]))
-            model, t, v = _fit_fold(fit, params, ds, sub, val_idx, version)
+        for t, v in prepare_folds(ds, pairs, version):
+            model = fit(t.features, t.labels, params, t.n_classes)
             train_accs.append(_accuracy(model, t))
             val_accs.append(_accuracy(model, v))
         rows.append({

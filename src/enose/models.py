@@ -186,14 +186,15 @@ def _mlp_from_dict(doc: dict) -> MlpModel:
 
 @dataclass(frozen=True)
 class Family:
-    """One model family.  Grids are ordered ``(name, values)`` axes."""
+    """One model family.  Grids are ordered ``(name, values)`` axes; a family
+    that is never grid-searched has none."""
 
     model: type
     fit: Callable  # (X, y, params dict, n_classes) -> fitted model; ignores keys it lacks
     to_dict: Callable  # fitted model -> JSON-ready dict, without its "kind"
     from_dict: Callable  # that dict -> fitted model; KeyError on a missing key
-    small_grid: tuple
-    default_grid: tuple
+    small_grid: tuple = ()
+    default_grid: tuple = ()
 
 
 FAMILIES = {
@@ -214,11 +215,7 @@ FAMILIES = {
         default_grid=(("kernel", ("linear", "rbf")), ("C", (0.1, 1.0, 10.0)),
                       ("gamma", ("scale", 0.1, 1.0))),
     ),
-    "mlp": Family(
-        MlpModel, _fit_mlp, _mlp_to_dict, _mlp_from_dict,
-        small_grid=(("variant", ("baseline",)),),
-        default_grid=(("variant", ("baseline", "deeper", "wider", "l2", "rmsprop")),),
-    ),
+    "mlp": Family(MlpModel, _fit_mlp, _mlp_to_dict, _mlp_from_dict),
 }
 
 # families a run tunes by grid search; the MLP runs as the configured ANN variants

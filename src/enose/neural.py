@@ -19,6 +19,10 @@ TRAIN = "train"    # batch stats, noise, dropout active
 EVAL = "eval"      # running stats, no stochastic layers
 FROZEN = "frozen"  # like eval but gradients flow; used for gradient checks
 
+# batch norm: running-statistics decay and the variance floor
+BN_MOMENTUM = 0.9
+BN_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class OptimizerSpec:
@@ -109,13 +113,11 @@ class Dense:
 class BatchNorm:
     """Per-feature normalization; 2 trainable + 2 running parameters each."""
 
-    def __init__(self, width: int, momentum: float = 0.9, eps: float = 1e-8):
+    def __init__(self, width: int):
         self.gamma = np.ones(width)
         self.beta = np.zeros(width)
         self.running_mean = np.zeros(width)
         self.running_var = np.ones(width)
-        self.momentum = momentum
-        self.eps = eps
         self.dgamma = np.zeros(width)
         self.dbeta = np.zeros(width)
         self._cache = None
@@ -125,12 +127,12 @@ class BatchNorm:
         if mode == TRAIN:
             mean = x.mean(axis=0)
             var = x.var(axis=0)
-            self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
-            self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
+            self.running_mean = BN_MOMENTUM * self.running_mean + (1 - BN_MOMENTUM) * mean
+            self.running_var = BN_MOMENTUM * self.running_var + (1 - BN_MOMENTUM) * var
         else:
             mean = self.running_mean
             var = self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x - mean) * inv_std
         self._cache = (xhat, inv_std, mode)
         self.last_normalized = xhat
@@ -142,7 +144,6 @@ class BatchNorm:
         self.dbeta = dout.sum(axis=0)
         dxhat = dout * self.gamma
         if mode == TRAIN:
-            n = dout.shape[0]
             return inv_std * (dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0))
         return dxhat * inv_std  # frozen stats: plain affine map
 

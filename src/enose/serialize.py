@@ -9,10 +9,9 @@ import numpy as np
 
 from .ensemble import VotingEnsemble
 from .errors import ConfigError, CorruptModel
-from .evaluate import FeaturePipeline
+from .evaluate import REDUCTIONS, FeaturePipeline
 from .models import FAMILIES
 from .preprocess import VERSIONS, Scaler
-from .reduce import LdaModel, PcaModel
 
 FORMAT = "enose-model"
 FORMAT_VERSION = 1
@@ -36,10 +35,6 @@ def model_from_dict(doc: dict):
     return FAMILIES[kind].from_dict(doc)
 
 
-# the reducer kind and class of each version that has one
-REDUCERS = {"V3": ("pca", PcaModel), "V4": ("lda", LdaModel)}
-
-
 def pipeline_to_dict(pipe: FeaturePipeline) -> dict:
     s = pipe.scaler
     out: dict = {
@@ -52,9 +47,8 @@ def pipeline_to_dict(pipe: FeaturePipeline) -> dict:
     }
     r = pipe.reducer
     if r is not None:
-        kind = REDUCERS[pipe.version][0]
-        out["reducer"] = {"kind": kind, **{f.name: np.asarray(getattr(r, f.name)).tolist()
-                                           for f in fields(r)}}
+        out["reducer"] = {"kind": REDUCTIONS[pipe.version].kind,
+                          **{f.name: np.asarray(getattr(r, f.name)).tolist() for f in fields(r)}}
     return out
 
 
@@ -71,12 +65,14 @@ def pipeline_from_dict(doc: dict) -> FeaturePipeline:
     width = len(pipe.scaler.means)
     if not width == len(pipe.scaler.stds) == len(pipe.scaler.degenerate):
         raise ConfigError("scaler means, stds and degenerate differ in length")
-    kind, cls = REDUCERS.get(version, (None, None))
+    reduction = REDUCTIONS.get(version)
+    kind = None if reduction is None else reduction.kind
     r = doc.get("reducer")
     found = None if r is None else r["kind"]
     if found != kind:
         raise ConfigError(f"a {version} pipeline needs reducer kind {kind!r}, found {found!r}")
     if r is not None:
+        cls = reduction.model
         pipe.reducer = cls(**{f.name: np.asarray(r[f.name]) if isinstance(r[f.name], list)
                               else r[f.name] for f in fields(cls)})
         if len(pipe.reducer.means) != width:

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+CELL = 32  # confusion-matrix cell side, px
+WIDTH, HEIGHT = 480, 360  # line-chart size, px
+
 
 def _svg(width: int, height: int, body: list[str]) -> str:
     head = (
@@ -13,45 +16,44 @@ def _svg(width: int, height: int, body: list[str]) -> str:
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
-def confusion_svg(confusion: np.ndarray, class_names: list[str], cell: int = 32) -> str:
+def confusion_svg(confusion: np.ndarray, class_names: list[str]) -> str:
     cm = np.asarray(confusion, dtype=np.float64)
     C = cm.shape[0]
     margin = 120
-    size = margin + C * cell + 10
+    size = margin + C * CELL + 10
     vmax = cm.max() if cm.max() > 0 else 1.0
     body = []
     for i in range(C):
         for j in range(C):
             shade = int(255 - 200 * (cm[i, j] / vmax))
-            x = margin + j * cell
-            y = margin + i * cell
+            x = margin + j * CELL
+            y = margin + i * CELL
             body.append(
-                f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
+                f'<rect x="{x}" y="{y}" width="{CELL}" height="{CELL}" '
                 f'fill="rgb({shade},{shade},255)" stroke="black" stroke-width="0.5"/>'
             )
             body.append(
-                f'<text x="{x + cell // 2}" y="{y + cell // 2 + 4}" font-size="9" '
+                f'<text x="{x + CELL // 2}" y="{y + CELL // 2 + 4}" font-size="9" '
                 f'text-anchor="middle">{int(cm[i, j])}</text>'
             )
     for k, name in enumerate(class_names):
         body.append(
-            f'<text x="{margin - 4}" y="{margin + k * cell + cell // 2 + 4}" '
+            f'<text x="{margin - 4}" y="{margin + k * CELL + CELL // 2 + 4}" '
             f'font-size="9" text-anchor="end">{name}</text>'
         )
         body.append(
-            f'<text x="{margin + k * cell + cell // 2}" y="{margin - 6}" font-size="9" '
-            f'text-anchor="middle" transform="rotate(-45 {margin + k * cell + cell // 2} {margin - 6})">{name}</text>'
+            f'<text x="{margin + k * CELL + CELL // 2}" y="{margin - 6}" font-size="9" '
+            f'text-anchor="middle" transform="rotate(-45 {margin + k * CELL + CELL // 2} {margin - 6})">{name}</text>'
         )
     return _svg(size, size, body)
 
 
 def line_chart_svg(series: dict[str, tuple[np.ndarray, np.ndarray]],
-                   x_label: str, y_label: str,
-                   width: int = 480, height: int = 360) -> str:
+                   x_label: str, y_label: str) -> str:
     """Polyline chart; x and y are mapped onto [0,1] x [0,1] data ranges."""
     margin = 50
-    pw = width - 2 * margin
-    ph = height - 2 * margin
+    pw = WIDTH - 2 * margin
+    ph = HEIGHT - 2 * margin
     xs = np.concatenate([np.asarray(s[0], dtype=np.float64) for s in series.values()])
     ys = np.concatenate([np.asarray(s[1], dtype=np.float64) for s in series.values()])
     x0, x1 = float(xs.min()), float(xs.max())
@@ -64,9 +66,9 @@ def line_chart_svg(series: dict[str, tuple[np.ndarray, np.ndarray]],
                "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf"]
     body = [
         f'<rect x="{margin}" y="{margin}" width="{pw}" height="{ph}" fill="none" stroke="black"/>',
-        f'<text x="{width // 2}" y="{height - 8}" font-size="11" text-anchor="middle">{x_label}</text>',
-        f'<text x="14" y="{height // 2}" font-size="11" text-anchor="middle" '
-        f'transform="rotate(-90 14 {height // 2})">{y_label}</text>',
+        f'<text x="{WIDTH // 2}" y="{HEIGHT - 8}" font-size="11" text-anchor="middle">{x_label}</text>',
+        f'<text x="14" y="{HEIGHT // 2}" font-size="11" text-anchor="middle" '
+        f'transform="rotate(-90 14 {HEIGHT // 2})">{y_label}</text>',
     ]
     for i, (name, (sx, sy)) in enumerate(series.items()):
         color = palette[i % len(palette)]
@@ -80,4 +82,4 @@ def line_chart_svg(series: dict[str, tuple[np.ndarray, np.ndarray]],
             f'<text x="{margin + 6}" y="{margin + 14 + 13 * i}" font-size="10" '
             f'fill="{color}">{name}</text>'
         )
-    return _svg(width, height, body)
+    return _svg(WIDTH, HEIGHT, body)

@@ -143,18 +143,21 @@ def generate(spec: SynthSpec, seed_override: int | None = None) -> Dataset:
     return Dataset(spec.channels, X, labels, sorted_classes)
 
 
+RUN_ID = "run0"  # the run part of each written file name, <class>__run0.csv
+
+
 def _format_float(x: float) -> str:
     return repr(float(x))
 
 
-def write_run_files(ds: Dataset, out_dir: str, run_id: str = "run0") -> str:
+def write_run_files(ds: Dataset, out_dir: str) -> str:
     """Emit per-class CSV run files plus a manifest; returns the manifest path."""
     os.makedirs(out_dir, exist_ok=True)
     header = ",".join(ds.feature_names)
     manifest_lines = []
     for c, name in enumerate(ds.classes):
         rows = ds.features[ds.labels == c]
-        fname = f"{name}__{run_id}.csv"
+        fname = f"{name}__{RUN_ID}.csv"
         path = os.path.join(out_dir, fname)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(header + "\n")

@@ -23,6 +23,7 @@ from enose.evaluate import (
     cross_validate,
     f1_score,
     grid_search,
+    prepare_folds,
     prf_report,
     roc_auc,
 )
@@ -304,7 +305,7 @@ def test_criterion_8_end_to_end():
     # refit reuses the baseline stream so a tie reproduces the baseline model
     grid = GridSpec((("n_estimators", (100, 200)), ("max_features", ("sqrt", "all")),
                      ("seed", (rf_seed,))))
-    result = grid_search(grid, train, plan, FAMILIES["rf"].fit, "V2")
+    result = grid_search(grid, prepare_folds(train, plan.folds, "V2"), FAMILIES["rf"].fit)
     best = dict(result.best.params)
     tuned_rf = FAMILIES["rf"].fit(train_t.features, train_t.labels, best, data.n_classes)
     rf_acc = test_acc(tuned_rf)

@@ -151,6 +151,50 @@ def test_rf_grid_cells_draw_from_the_master_seed(tmp_path, capsys, monkeypatch):
     assert 0 not in seeds
 
 
+@pytest.mark.parametrize("models, folds", [("families = dt,rf\ngrid = small", 5),
+                                           ("families = svm\ngrid = none", 3)],
+                         ids=["dt-rf-small-grid", "svm-no-grid"])
+def test_run_fits_one_pipeline_per_fold_plus_one(tmp_path, capsys, monkeypatch, models, folds):
+    from enose.evaluate import FeaturePipeline
+
+    calls = []
+    real_fit = FeaturePipeline.fit
+
+    def spy(self, ds):
+        calls.append(ds.n)
+        return real_fit(self, ds)
+
+    monkeypatch.setattr(FeaturePipeline, "fit", spy)
+    text = CONFIG_SMALL.replace("folds = 2", f"folds = {folds}").replace(
+        "families = dt,rf\ngrid = none", models)
+    code, out, err = run_cli(capsys, "--config", write_config(tmp_path, text), "--out",
+                             str(tmp_path / "out"), "run")
+    assert code == 0, err
+    # the full training set once, then each CV fold's train rows once, whatever the grid
+    assert len(calls) == folds + 1
+
+
+def test_fold_pipeline_error_fails_the_pipeline_stage(tmp_path, capsys, monkeypatch):
+    from enose.errors import DegenerateInput
+    from enose.evaluate import FeaturePipeline
+
+    calls = []
+    real_fit = FeaturePipeline.fit
+
+    def fail_on_a_fold(self, ds):
+        calls.append(ds.n)
+        if len(calls) == 2:  # the first fold, after the full training set
+            raise DegenerateInput("feature column 0 overflows float64")
+        return real_fit(self, ds)
+
+    monkeypatch.setattr(FeaturePipeline, "fit", fail_on_a_fold)
+    code, out, err = run_cli(capsys, "--config", write_config(tmp_path), "--out",
+                             str(tmp_path / "out"), "run")
+    assert code == 2
+    assert "[pipeline]" in err and "overflows" in err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 def test_evaluate_round_trip(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out_dir = tmp_path / "out"
@@ -243,6 +287,27 @@ def test_unknown_family_is_validation_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "--config", cfg, "--out", str(tmp_path / "o"), "run")
     assert code == 1
     assert "['foo', 'mlp']" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("edit, key", [
+    (("ann_variants =", "ann_variants = baseline,huge"), "ann_variants"),
+    (("ann_variants =", "ann_variants = baseline,l2,baseline"), "ann_variants"),
+    (("families = dt,rf", "families = dt,dt"), "families"),
+])
+def test_bad_model_lists_are_validation_errors(tmp_path, capsys, edit, key):
+    cfg = write_config(tmp_path, CONFIG_SMALL.replace(*edit))
+    code, out, err = run_cli(capsys, "--config", cfg, "--out", str(tmp_path / "o"), "run")
+    assert code == 1, err
+    assert key in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "synth"])
+def test_zero_samples_flag_is_validation_error(tmp_path, capsys, command):
+    code, out, err = run_cli(capsys, "--samples", "0", "--out", str(tmp_path / "o"), command)
+    assert code == 1, err
+    assert "samples" in err
     assert not (tmp_path / "o").exists()
 
 

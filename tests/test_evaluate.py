@@ -11,6 +11,7 @@ from enose.evaluate import (
     cross_validate,
     grid_search,
     learning_curve,
+    prepare_folds,
     prf_report,
     roc_auc,
 )
@@ -50,7 +51,7 @@ def _balanced_ds(n_per=10, C=10, seed=0):
 def test_constant_model_cv_accuracy():
     ds = _balanced_ds()
     plan = stratified_kfold(ds.labels, 5, 0)
-    cv = cross_validate(fit_with(ConstantModel), {}, ds, plan)
+    cv = cross_validate(fit_with(ConstantModel), {}, prepare_folds(ds, plan.folds))
     assert cv.accuracies == pytest.approx([0.1] * 5)
 
 
@@ -69,7 +70,7 @@ def test_cv_never_fits_on_validation_rows():
             seen.append(np.asarray(X)[:, 0].copy())
             return super().fit(X, y, n_classes)
 
-    cross_validate(fit_with(Spy), {}, ds, plan, version="V1")
+    cross_validate(fit_with(Spy), {}, prepare_folds(ds, plan.folds, "V1"))
     assert len(seen) == 4
     for (train_idx, val_idx), scaled in zip(plan.folds, seen):
         assert scaled.shape[0] == train_idx.shape[0]
@@ -87,7 +88,7 @@ def test_cv_matches_independent_reimplementation():
     plan = stratified_kfold(ds.labels, 3, 2)
     fit = FAMILIES["rf"].fit
     params = {"n_estimators": 10, "seed": 5}
-    cv = cross_validate(fit, params, ds, plan)
+    cv = cross_validate(fit, params, prepare_folds(ds, plan.folds))
 
     # independent reimplementation of the CV loop (own scaling, own scoring)
     ref = []
@@ -101,11 +102,25 @@ def test_cv_matches_independent_reimplementation():
     assert abs(cv.mean - float(np.mean(ref))) <= 0.02
 
 
+def test_prepare_folds_fits_one_pipeline_on_each_train_part(tiny_split):
+    train, _ = tiny_split
+    plan = stratified_kfold(train.labels, 3, 0)
+    folds = prepare_folds(train, plan.folds, "V3")
+    assert len(folds) == 3
+    for (train_idx, val_idx), (t, v) in zip(plan.folds, folds):
+        pipe = FeaturePipeline("V3").fit(train.subset(train_idx))
+        for part, idx in ((t, train_idx), (v, val_idx)):
+            expect = pipe.transform(train.subset(idx))
+            assert part.feature_names == expect.feature_names
+            assert np.array_equal(part.features, expect.features)
+            assert np.array_equal(part.labels, train.labels[idx])
+
+
 def test_grid_singleton():
     ds = _balanced_ds(n_per=6, C=3, seed=1)
     plan = stratified_kfold(ds.labels, 2, 0)
     spec = GridSpec((("max_depth", (2,)),))
-    result = grid_search(spec, ds, plan, FAMILIES["dt"].fit)
+    result = grid_search(spec, prepare_folds(ds, plan.folds), FAMILIES["dt"].fit)
     assert result.best_index == 0
     assert result.best.mean == pytest.approx(np.mean(result.best.accuracies))
 
@@ -119,7 +134,7 @@ def test_grid_prefers_deeper_tree_on_xor():
     ds = make_dataset(X, y, n_classes=2)
     plan = stratified_kfold(ds.labels, 4, 3)
     spec = GridSpec((("max_depth", (1, 6)),))
-    result = grid_search(spec, ds, plan, FAMILIES["dt"].fit)
+    result = grid_search(spec, prepare_folds(ds, plan.folds), FAMILIES["dt"].fit)
     assert result.best.params["max_depth"] == 6
     assert result.cells[0].mean <= 0.75 + 1e-9
     assert result.best.mean > 0.85
@@ -130,7 +145,7 @@ def test_grid_tie_earliest_wins():
     plan = stratified_kfold(ds.labels, 2, 0)
     # two cells that produce the same constant model → exactly equal means
     spec = GridSpec((("x", (1, 2)),))
-    result = grid_search(spec, ds, plan, fit_with(ConstantModel))
+    result = grid_search(spec, prepare_folds(ds, plan.folds), fit_with(ConstantModel))
     assert result.cells[0].mean == result.cells[1].mean
     assert result.best_index == 0
 
@@ -165,7 +180,7 @@ def test_grid_failed_cell_scores_neg_inf():
         return m.fit(X, y, n_classes)
 
     spec = GridSpec((("boom", (True, False)),))
-    result = grid_search(spec, ds, plan, fit)
+    result = grid_search(spec, prepare_folds(ds, plan.folds), fit)
     assert result.cells[0].mean == float("-inf")
     assert result.best_index == 1
 
@@ -180,14 +195,14 @@ def test_grid_propagates_programmer_errors():
 
     spec = GridSpec((("x", (1, 2)),))
     with pytest.raises(AttributeError):
-        grid_search(spec, ds, plan, fit_with(Buggy))
+        grid_search(spec, prepare_folds(ds, plan.folds), fit_with(Buggy))
 
 
 def test_grid_negative_gamma_cell_is_fold_failure():
     ds = _balanced_ds(n_per=6, C=2, seed=4)
     plan = stratified_kfold(ds.labels, 2, 0)
     spec = GridSpec((("gamma", (-1.0, 1.0)),))
-    result = grid_search(spec, ds, plan, FAMILIES["svm"].fit)
+    result = grid_search(spec, prepare_folds(ds, plan.folds), FAMILIES["svm"].fit)
     bad, good = result.cells
     assert bad.mean == float("-inf") and bad.accuracies == []
     assert len(bad.failures) == 2 and all("gamma must be positive" in f for f in bad.failures)
@@ -296,7 +311,7 @@ def test_learning_curve_full_size_matches_cv():
     fit = FAMILIES["dt"].fit
     params = {"max_depth": 3}
     rows = learning_curve(fit, params, ds, [0.5, 1.0], plan)
-    cv = cross_validate(fit, params, ds, plan)
+    cv = cross_validate(fit, params, prepare_folds(ds, plan.folds))
     assert rows[-1]["val_acc"] == pytest.approx(cv.mean)
     assert len(rows) == 2
     assert all({"size", "train_acc", "val_acc"} <= set(r) for r in rows)
