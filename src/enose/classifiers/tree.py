@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DimensionMismatch, EmptyNode, ShapeMismatch
+from ..errors import DimensionMismatch, ShapeMismatch
 from .base import predict_from_proba
 
 
@@ -28,16 +28,6 @@ class TreeNode:
     @property
     def is_leaf(self) -> bool:
         return self.feature is None
-
-
-def gini_impurity(counts) -> float:
-    """1 - sum_k (n_k/n)^2 for per-class counts at a node."""
-    counts = np.asarray(counts, dtype=np.float64)
-    total = counts.sum()
-    if total <= 0:
-        raise EmptyNode("node has no samples")
-    p = counts / total
-    return float(1.0 - (p * p).sum())
 
 
 def presort(X: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import dataset as ds_mod
 from . import synth as synth_mod
-from .config import PipelineConfig, apply_overrides, load_config
+from .config import FORMATS, PipelineConfig, apply_overrides, load_config
 from .dataset import stratified_kfold, stratified_split
 from .ensemble import VotingEnsemble
 from .errors import ConfigError, DimensionMismatch, ENoseError
@@ -20,6 +20,7 @@ from .evaluate import (
     FeaturePipeline,
     GridResult,
     cross_validate,
+    curve_folds,
     evaluate_model,
     grid_search,
     learning_curve,
@@ -146,6 +147,8 @@ def cmd_run(cfg: PipelineConfig) -> int:
         train_t = pipe.transform(train)
         test_t = pipe.transform(test)
         folds = prepare_folds(train, plan.folds, cfg.version)
+        if cfg.learning_curves:
+            curve = curve_folds(train, cfg.learning_curve_sizes, plan.folds, folds, cfg.version)
 
     summary: list[dict] = []
     fitted: dict[str, object] = {}
@@ -202,8 +205,7 @@ def cmd_run(cfg: PipelineConfig) -> int:
         if not cfg.learning_curves:
             continue
         with _stage(f"learning_curve:{family}"):
-            rows = learning_curve(family_fit, best, train, cfg.learning_curve_sizes,
-                                  plan, cfg.version)
+            rows = learning_curve(family_fit, best, curve)
             if "csv" in cfg.formats:
                 _write(os.path.join(out, "curves", f"{family}.learning_curve.csv"),
                        _curve_csv(rows))
@@ -279,12 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Gas-sensor fusion classification toolkit",
     )
     parser.add_argument("--config", help="INI-style config file")
+    # each override flag's dest is the PipelineConfig field it sets
     parser.add_argument("--seed", type=int, help="master seed override")
     parser.add_argument("--version", choices=VERSIONS,
                         help="feature-set version override")
     parser.add_argument("--samples", type=int, help="synthetic samples per class")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--format", action="append", choices=("json", "csv", "svg"),
+    parser.add_argument("--out", dest="out_dir", help="output directory")
+    parser.add_argument("--format", dest="formats", action="append", choices=FORMATS,
                         help="report format (repeatable)")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("synth", help="generate synthetic run files + manifest")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import BadSizes, ConfigError
 from .evaluate import check_curve_sizes
@@ -88,67 +88,76 @@ def _split_list(raw: str) -> tuple[str, ...]:
     return tuple(x.strip() for x in raw.split(",") if x.strip())
 
 
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in _split_list(raw))
+
+
+BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES  # 1/yes/true/on and 0/no/false/off
+
+
+def _bool(raw: str) -> bool:
+    if raw.lower() not in BOOLEANS:
+        raise ValueError(f"expected one of {', '.join(BOOLEANS)}")
+    return BOOLEANS[raw.lower()]
+
+
+# the schema: KEYS[section][key] = (PipelineConfig field, converter of the raw value);
+# [output] workers is a stale key that old configs still carry, accepted and ignored
+KEYS = {
+    "data": {"source": ("source", str), "manifest": ("manifest", str), "glob": ("glob", str),
+             "samples": ("samples", int), "drift": ("drift", _bool)},
+    "pipeline": {"version": ("version", str), "test_fraction": ("test_fraction", float),
+                 "seed": ("seed", int), "folds": ("folds", int)},
+    "models": {"families": ("families", _split_list), "grid": ("grid", str),
+               "ann_variants": ("ann_variants", _split_list), "ann_epochs": ("ann_epochs", int),
+               "ensemble": ("ensemble", _bool), "learning_curves": ("learning_curves", _bool),
+               "learning_curve_sizes": ("learning_curve_sizes", _floats)},
+    "output": {"dir": ("out_dir", str), "formats": ("formats", _split_list),
+               "workers": (None, str)},
+}
+
+
 def load_config(path: str | None) -> PipelineConfig:
-    cfg = PipelineConfig()
+    """The config file's keys over the defaults; an unknown section or key is an error."""
     if path is None:
-        return cfg
+        return PipelineConfig()
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    parser = configparser.ConfigParser()
+    # values are literal (a "%" is no interpolation), and [DEFAULT] is a section like any
+    # other, so it is rejected as unknown; no header can name the section ""
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text, source=path)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
 
-    def get(section, key, conv, default):
-        if parser.has_option(section, key):
-            raw = parser.get(section, key)
+    values = {}
+    for section in parser.sections():
+        if section not in KEYS:
+            raise ConfigError(f"{path}: unknown section [{section}]; expected "
+                              f"{', '.join(f'[{s}]' for s in KEYS)}")
+        for key, raw in parser.items(section):
+            if key not in KEYS[section]:
+                raise ConfigError(f"{path}: unknown key {key!r} in [{section}]; expected "
+                                  f"one of {', '.join(KEYS[section])}")
+            field, conv = KEYS[section][key]
             try:
-                return conv(raw)
-            except (ValueError, ConfigError) as exc:
-                raise ConfigError(f"bad value for [{section}] {key}: {raw!r} ({exc})") from exc
-        return default
-
-    as_bool = lambda s: s.strip().lower() in ("1", "true", "yes", "on")
-    cfg = PipelineConfig(
-        source=get("data", "source", str.strip, cfg.source),
-        manifest=get("data", "manifest", str.strip, cfg.manifest),
-        glob=get("data", "glob", str.strip, cfg.glob),
-        samples=get("data", "samples", int, cfg.samples),
-        drift=get("data", "drift", as_bool, cfg.drift),
-        version=get("pipeline", "version", str.strip, cfg.version),
-        test_fraction=get("pipeline", "test_fraction", float, cfg.test_fraction),
-        seed=get("pipeline", "seed", int, cfg.seed),
-        folds=get("pipeline", "folds", int, cfg.folds),
-        families=get("models", "families", _split_list, cfg.families),
-        grid=get("models", "grid", str.strip, cfg.grid),
-        ann_variants=get("models", "ann_variants", _split_list, cfg.ann_variants),
-        ann_epochs=get("models", "ann_epochs", int, cfg.ann_epochs),
-        ensemble=get("models", "ensemble", as_bool, cfg.ensemble),
-        learning_curves=get("models", "learning_curves", as_bool, cfg.learning_curves),
-        learning_curve_sizes=get(
-            "models", "learning_curve_sizes",
-            lambda s: tuple(float(x) for x in _split_list(s)), cfg.learning_curve_sizes),
-        out_dir=get("output", "dir", str.strip, cfg.out_dir),
-        formats=get("output", "formats", _split_list, cfg.formats),
-    )
-    return cfg
+                value = conv(raw)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: bad value for [{section}] {key}: {raw!r} "
+                                  f"({exc})") from exc
+            if field is not None:
+                values[field] = value
+    return PipelineConfig(**values)
 
 
 def apply_overrides(cfg: PipelineConfig, args) -> PipelineConfig:
-    """CLI flags beat config-file keys."""
-    updates = {}
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "version", None) is not None:
-        updates["version"] = args.version
-    if getattr(args, "samples", None) is not None:
-        updates["samples"] = args.samples
-    if getattr(args, "out", None) is not None:
-        updates["out_dir"] = args.out
-    if getattr(args, "format", None):
-        updates["formats"] = tuple(args.format)
-    return replace(cfg, **updates) if updates else cfg
+    """CLI flags beat config-file keys; each flag's ``dest`` is the field it sets."""
+    updates = {f.name: getattr(args, f.name) for f in fields(cfg)
+               if getattr(args, f.name, None) is not None}
+    if "formats" in updates:  # --format is repeatable: argparse gives a list
+        updates["formats"] = tuple(updates["formats"])
+    return replace(cfg, **updates)

@@ -81,10 +81,6 @@ class SingleClass(ENoseError):
 
 # --- classifiers -------------------------------------------------------------
 
-class EmptyNode(ENoseError):
-    pass
-
-
 class ShapeMismatch(ENoseError):
     pass
 

@@ -9,7 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import Dataset, FoldPlan
+from .dataset import Dataset
 from .errors import BadSizes, EmptyGrid, EmptyMatrix, ENoseError, LabelOutOfRange
 from .preprocess import DROPPED_AMBIENT, drop_columns, fit_scaler
 from .reduce import LdaModel, PcaModel, lda_fit, pca_fit
@@ -342,17 +342,33 @@ def check_curve_sizes(sizes) -> list[float]:
     return sizes
 
 
-def learning_curve(fit, params: dict, ds: Dataset, sizes, plan: FoldPlan,
-                   version: str = "V1") -> list[dict]:
-    """Mean train/validation accuracy at each training-set size fraction."""
-    sizes = check_curve_sizes(sizes)
+def curve_folds(ds: Dataset, sizes, pairs, folds, version: str = "V1") -> list[tuple[float, list]]:
+    """``(size, prepared folds)`` for each training-set size fraction.
+
+    At each size a fold trains on the stratified head of its train rows.  ``folds``
+    is ``prepare_folds(ds, pairs, version)``; a head that is its fold's whole train
+    rows (every ``stratified_kfold`` fold at size 1.0) reuses that prepared fold, so
+    no pipeline is fit twice on the same rows.
+    """
+    curve = []
+    for s in check_curve_sizes(sizes):
+        size_folds = []
+        for (train_idx, val_idx), fold in zip(pairs, folds):
+            head = stratified_head(train_idx, ds.labels, math.ceil(s * train_idx.shape[0]))
+            if not np.array_equal(head, train_idx):
+                fold = prepare_folds(ds, [(head, val_idx)], version)[0]
+            size_folds.append(fold)
+        curve.append((s, size_folds))
+    return curve
+
+
+def learning_curve(fit, params: dict, curve) -> list[dict]:
+    """Mean train/validation accuracy at each size of ``curve_folds`` output."""
     rows = []
-    for s in sizes:
-        pairs = [(stratified_head(train_idx, ds.labels, math.ceil(s * train_idx.shape[0])),
-                  val_idx) for train_idx, val_idx in plan.folds]
+    for s, folds in curve:
         train_accs = []
         val_accs = []
-        for t, v in prepare_folds(ds, pairs, version):
+        for t, v in folds:
             model = fit(t.features, t.labels, params, t.n_classes)
             train_accs.append(_accuracy(model, t))
             val_accs.append(_accuracy(model, v))

@@ -20,7 +20,6 @@ from .errors import BadSpec
 from .rng import derive_rng
 
 GAS_CHANNELS = ("co", "no2", "voc", "ethanol", "co2", "tvoc")
-AMBIENT_CHANNELS = ("temperature", "humidity", "pressure")
 
 DEFAULT_CLASSES = (
     "apple_juice",
@@ -36,23 +35,20 @@ DEFAULT_CLASSES = (
 )
 
 
-@dataclass(frozen=True)
-class DriftSpec:
-    enabled: bool = True
-    temperature_ramp: tuple[float, float] = (27.0, 21.0)
-    pressure_ramp: tuple[float, float] = (1008.0, 1019.0)
-    jitter_sigma: float = 0.25
+# session ramps of the ambient channels, (start, end); without drift they stay at the start
+TEMPERATURE_RAMP = (27.0, 21.0)
+PRESSURE_RAMP = (1008.0, 1019.0)
+AMBIENT_JITTER = 0.25  # std of the temperature and pressure noise
+HUMIDITY_BASE = 45.0
+GAS_STD = 1.0  # every gas channel's std, the unit of the class means
 
 
 @dataclass(frozen=True)
 class SynthSpec:
     classes: tuple[str, ...]
-    channels: tuple[str, ...]
     gas_means: np.ndarray   # C x n_gas
-    gas_stds: np.ndarray    # C x n_gas
     samples_per_class: int
-    drift: DriftSpec
-    humidity_base: float
+    drift: bool
     seed: int
 
 
@@ -82,43 +78,25 @@ def _default_gas_means() -> np.ndarray:
 
 def default_spec(samples_per_class: int = 10_000, seed: int = 0,
                  drift_enabled: bool = True) -> SynthSpec:
-    means = _default_gas_means()
-    return SynthSpec(
-        classes=DEFAULT_CLASSES,
-        channels=CANONICAL_CHANNELS,
-        gas_means=means,
-        gas_stds=np.ones_like(means),
-        samples_per_class=samples_per_class,
-        drift=DriftSpec(enabled=drift_enabled),
-        humidity_base=45.0,
-        seed=seed,
-    )
+    return SynthSpec(DEFAULT_CLASSES, _default_gas_means(), samples_per_class, drift_enabled,
+                     seed)
 
 
-def generate(spec: SynthSpec, seed_override: int | None = None) -> Dataset:
+def generate(spec: SynthSpec) -> Dataset:
     """Deterministically draw a blocked-session dataset from the spec."""
     if spec.samples_per_class < 1:
         raise BadSpec("samples_per_class must be >= 1")
-    if (np.asarray(spec.gas_stds) <= 0).any():
-        raise BadSpec("gas channel standard deviations must be positive")
-    if spec.gas_means.shape != (len(spec.classes), len(GAS_CHANNELS)):
-        raise BadSpec(f"gas_means must be {len(spec.classes)} x {len(GAS_CHANNELS)}")
-    missing = [c for c in GAS_CHANNELS + AMBIENT_CHANNELS if c not in spec.channels]
-    if missing:
-        raise BadSpec(f"channels must include {missing}")
 
-    seed = spec.seed if seed_override is None else seed_override
     C = len(spec.classes)
     m = spec.samples_per_class
     n = C * m
-    col = {name: j for j, name in enumerate(spec.channels)}
-    X = np.zeros((n, len(spec.channels)))
+    col = {name: j for j, name in enumerate(CANONICAL_CHANNELS)}
+    X = np.zeros((n, len(CANONICAL_CHANNELS)))
 
-    drift = spec.drift
     session = np.linspace(0.0, 1.0, n)
-    t0, t1 = drift.temperature_ramp
-    p0, p1 = drift.pressure_ramp
-    if drift.enabled:
+    t0, t1 = TEMPERATURE_RAMP
+    p0, p1 = PRESSURE_RAMP
+    if spec.drift:
         temperature = t0 + (t1 - t0) * session
         pressure = p0 + (p1 - p0) * session
     else:
@@ -130,17 +108,17 @@ def generate(spec: SynthSpec, seed_override: int | None = None) -> Dataset:
     for block, name in enumerate(spec.classes):
         rows = slice(block * m, (block + 1) * m)
         labels[rows] = sorted_classes.index(name)
-        rng = derive_rng(seed, "gas", block)
-        gas = spec.gas_means[block] + spec.gas_stds[block] * rng.standard_normal((m, len(GAS_CHANNELS)))
+        rng = derive_rng(spec.seed, "gas", block)
+        gas = spec.gas_means[block] + GAS_STD * rng.standard_normal((m, len(GAS_CHANNELS)))
         for j, ch in enumerate(GAS_CHANNELS):
             X[rows, col[ch]] = gas[:, j]
 
-    ambient_rng = derive_rng(seed, "ambient")
-    X[:, col["temperature"]] = temperature + drift.jitter_sigma * ambient_rng.standard_normal(n)
-    X[:, col["pressure"]] = pressure + drift.jitter_sigma * ambient_rng.standard_normal(n)
-    X[:, col["humidity"]] = spec.humidity_base + 2.0 * ambient_rng.standard_normal(n)
+    ambient_rng = derive_rng(spec.seed, "ambient")
+    X[:, col["temperature"]] = temperature + AMBIENT_JITTER * ambient_rng.standard_normal(n)
+    X[:, col["pressure"]] = pressure + AMBIENT_JITTER * ambient_rng.standard_normal(n)
+    X[:, col["humidity"]] = HUMIDITY_BASE + 2.0 * ambient_rng.standard_normal(n)
 
-    return Dataset(spec.channels, X, labels, sorted_classes)
+    return Dataset(CANONICAL_CHANNELS, X, labels, sorted_classes)
 
 
 RUN_ID = "run0"  # the run part of each written file name, <class>__run0.csv

@@ -174,6 +174,29 @@ def test_run_fits_one_pipeline_per_fold_plus_one(tmp_path, capsys, monkeypatch, 
     assert len(calls) == folds + 1
 
 
+def test_learning_curves_fit_one_pipeline_per_distinct_training_set(tmp_path, capsys,
+                                                                     monkeypatch):
+    from enose.evaluate import FeaturePipeline
+
+    calls = []
+    real_fit = FeaturePipeline.fit
+
+    def spy(self, ds):
+        calls.append(ds.n)
+        return real_fit(self, ds)
+
+    monkeypatch.setattr(FeaturePipeline, "fit", spy)
+    text = CONFIG_SMALL.replace("version = V2", "version = V4").replace(
+        "folds = 2", "folds = 3").replace("families = dt,rf", "families = dt,rf,svm").replace(
+        "grid = none", "grid = small\nlearning_curves = yes")
+    code, out, err = run_cli(capsys, "--config", write_config(tmp_path, text), "--out",
+                             str(tmp_path / "out"), "run")
+    assert code == 0, err
+    # the full training set, the 3 CV folds (which size 1.0 reuses), and 3 folds at each
+    # of the sizes 0.25, 0.5 and 0.75, whatever the number of families
+    assert len(calls) == 1 + 3 + 3 * 3
+
+
 def test_fold_pipeline_error_fails_the_pipeline_stage(tmp_path, capsys, monkeypatch):
     from enose.errors import DegenerateInput
     from enose.evaluate import FeaturePipeline
@@ -243,6 +266,19 @@ def test_stale_workers_key_is_ignored(tmp_path):
     with_key = tmp_path / "with.ini"
     with_key.write_text(CONFIG_SMALL + "workers = 2\n")
     assert load_config(str(with_key)) == load_config(write_config(tmp_path))
+
+
+@pytest.mark.parametrize("edit, named", [
+    (("[models]", "[modles]"), "unknown section [modles]"),
+    (("families = dt,rf", "famlies = dt,rf"), "unknown key 'famlies' in [models]"),
+    (("ensemble = no", "ensemble = ture"), "bad value for [models] ensemble: 'ture'"),
+], ids=["section", "key", "boolean"])
+def test_misspelt_config_is_validation_error(tmp_path, capsys, edit, named):
+    cfg = write_config(tmp_path, CONFIG_SMALL.replace(*edit))
+    code, out, err = run_cli(capsys, "--config", cfg, "--out", str(tmp_path / "o"), "run")
+    assert code == 1, err
+    assert f"error: {cfg}: {named}" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_invalid_config_value_names_the_key(tmp_path, capsys):

@@ -9,6 +9,7 @@ from enose.evaluate import (
     binary_roc,
     confusion_matrix,
     cross_validate,
+    curve_folds,
     grid_search,
     learning_curve,
     prepare_folds,
@@ -310,8 +311,9 @@ def test_learning_curve_full_size_matches_cv():
     plan = stratified_kfold(ds.labels, 3, 4)
     fit = FAMILIES["dt"].fit
     params = {"max_depth": 3}
-    rows = learning_curve(fit, params, ds, [0.5, 1.0], plan)
-    cv = cross_validate(fit, params, prepare_folds(ds, plan.folds))
+    folds = prepare_folds(ds, plan.folds)
+    rows = learning_curve(fit, params, curve_folds(ds, [0.5, 1.0], plan.folds, folds))
+    cv = cross_validate(fit, params, folds)
     assert rows[-1]["val_acc"] == pytest.approx(cv.mean)
     assert len(rows) == 2
     assert all({"size", "train_acc", "val_acc"} <= set(r) for r in rows)
@@ -320,13 +322,13 @@ def test_learning_curve_full_size_matches_cv():
 def test_learning_curve_bad_sizes():
     ds = _balanced_ds(n_per=6, C=2, seed=9)
     plan = stratified_kfold(ds.labels, 2, 0)
-    fit = FAMILIES["dt"].fit
+    folds = prepare_folds(ds, plan.folds)
     with pytest.raises(BadSizes):
-        learning_curve(fit, {}, ds, [0.5, 0.2], plan)
+        curve_folds(ds, [0.5, 0.2], plan.folds, folds)
     with pytest.raises(BadSizes):
-        learning_curve(fit, {}, ds, [0.0, 0.5], plan)
+        curve_folds(ds, [0.0, 0.5], plan.folds, folds)
     with pytest.raises(BadSizes):
-        learning_curve(fit, {}, ds, [], plan)
+        curve_folds(ds, [], plan.folds, folds)
 
 
 def test_pipeline_v3_v4_shapes(tiny_split):
