@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,17 +35,37 @@ def resolve_gamma(gamma: float | str, X: np.ndarray) -> float:
     return g
 
 
+# Rows of the rbf buffer that take |a|^2 + |b|^2 at a time: that sum's temporary
+# is RBF_BLOCK_ROWS x m floats beside the n x m result (1.13x at n = m = 2,000).
+RBF_BLOCK_ROWS = 256
+
+
 def kernel_matrix(params: SvmParams, gamma: float, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """K(A, B), built in the one n x m buffer that ``A @ B.T`` allocates.
+
+    The rbf entries are exp(-gamma * max((|a|^2 + |b|^2) - 2 a.b, 0)) with
+    every operation rounded as in that expression: the GEMM is one call over
+    all rows, scaling by -2 is exact, and IEEE addition is commutative.
+    """
     if params.kernel == "linear":
         return A @ B.T
     if params.kernel == "rbf":
-        sq = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
-        return np.exp(-gamma * np.maximum(sq, 0.0))
+        K = A @ B.T
+        K *= -2.0
+        a2 = (A * A).sum(axis=1)[:, None]
+        b2 = (B * B).sum(axis=1)[None, :]
+        for lo in range(0, K.shape[0], RBF_BLOCK_ROWS):
+            hi = lo + RBF_BLOCK_ROWS
+            K[lo:hi] += a2[lo:hi] + b2
+        np.maximum(K, 0.0, out=K)
+        K *= -gamma
+        return np.exp(K, out=K)
     raise ConfigError(f"unknown kernel {params.kernel!r}")
 
 
 # The dense n x n float64 Gram matrix may take at most this much memory
-# (2 GiB: up to n = 16,384 training rows).
+# (2 GiB: up to n = 16,384 training rows).  Building it allocates that one
+# buffer plus an RBF_BLOCK_ROWS x n block, so the limit bounds the fit's peak.
 GRAM_LIMIT_BYTES = 2 << 30
 
 
@@ -97,52 +118,62 @@ class _Wss2:
     the indices whose a_i may move along +y_i, I_low those that may move
     along -y_i.  The iterate is optimal to within tol once
     m = max F[I_up] and M = min F[I_low] satisfy m - M < tol.
+
+    F is kept only as its two masked copies, Fu (-inf off I_up) and Fl (+inf
+    off I_low), and both take every update that F would.  With C > 0 each
+    index is in I_up or I_low, so F[k] is always in one of them: the working
+    i is in I_up and j in I_low.  The O(1) pair update runs on Python floats.
     """
 
     def __init__(self, K: np.ndarray, y: np.ndarray, C: float, tol: float):
         self.K = K
         self.Kd = np.diag(K).copy()
-        self.y = y = np.asarray(y, dtype=np.float64)
-        self.C = C
+        y = np.asarray(y, dtype=np.float64)
+        self._kd = self.Kd.tolist()
+        self._y = y.tolist()
+        self._alpha = [0.0] * y.shape[0]
+        self.C = float(C)
         self.tol = tol
-        self.alpha = np.zeros(y.shape[0])
-        self.F = y.copy()
-        self.up = y > 0     # a < C for y = +1, a > 0 for y = -1
-        self.low = y < 0    # a > 0 for y = +1, a < C for y = -1
+        self.Fu = np.where(y > 0, y, -np.inf)  # a < C for y = +1, a > 0 for y = -1
+        self.Fl = np.where(y < 0, y, np.inf)   # a > 0 for y = +1, a < C for y = -1
 
-    def _extremes(self) -> tuple[int, float, np.ndarray]:
-        Fu = np.where(self.up, self.F, -np.inf)
-        i = int(Fu.argmax())
-        return i, float(Fu[i]), np.where(self.low, self.F, np.inf)
+    @property
+    def alpha(self) -> np.ndarray:
+        return np.array(self._alpha)
 
     def select(self) -> tuple[int, int] | None:
         """The working pair (i, j), or None once m - M < tol."""
-        i, m, Fl = self._extremes()
+        Fu, Fl = self.Fu, self.Fl
+        i = int(Fu.argmax())
+        m = Fu.item(i)
         M = Fl.min()
         if m - M < self.tol or m <= M:
             return None
         b = m - Fl  # > 0 exactly where j in I_low can improve the pair
-        a = self.Kd[i] + self.Kd - 2.0 * self.K[i]
+        a = self._kd[i] + self.Kd - 2.0 * self.K[i]
         a = np.where(a > 0, a, TAU)
         j = int(np.where(b > 0, b * b / a, -1.0).argmax())
         return i, j
 
     def update(self, i: int, j: int) -> None:
         """Move a_i by +y_i t and a_j by -y_j t for the clipped Newton step t."""
-        K, y, alpha, C = self.K, self.y, self.alpha, self.C
-        a = self.Kd[i] + self.Kd[j] - 2.0 * K[i, j]
-        t = (self.F[i] - self.F[j]) / (a if a > 0 else TAU)
-        room_i = C - alpha[i] if y[i] > 0 else alpha[i]
-        room_j = alpha[j] if y[j] > 0 else C - alpha[j]
+        C, Ki, Kj = self.C, self.K[i], self.K[j]
+        yi, yj, ai0, aj0 = self._y[i], self._y[j], self._alpha[i], self._alpha[j]
+        a = self._kd[i] + self._kd[j] - 2.0 * Ki.item(j)
+        t = (self.Fu.item(i) - self.Fl.item(j)) / (a if a > 0 else TAU)
+        room_i = C - ai0 if yi > 0 else ai0
+        room_j = aj0 if yj > 0 else C - aj0
         t = min(t, room_i, room_j)
-        ai = (C if y[i] > 0 else 0.0) if t == room_i else alpha[i] + y[i] * t
-        aj = (0.0 if y[j] > 0 else C) if t == room_j else alpha[j] - y[j] * t
-        self.F -= y[i] * (ai - alpha[i]) * K[i] + y[j] * (aj - alpha[j]) * K[j]
-        alpha[i], alpha[j] = ai, aj
-        for k, ak in ((i, ai), (j, aj)):
-            pos = y[k] > 0
-            self.up[k] = ak < C if pos else ak > 0.0
-            self.low[k] = ak > 0.0 if pos else ak < C
+        ai = (C if yi > 0 else 0.0) if t == room_i else ai0 + yi * t
+        aj = (0.0 if yj > 0 else C) if t == room_j else aj0 - yj * t
+        dF = yi * (ai - ai0) * Ki + yj * (aj - aj0) * Kj
+        self.Fu -= dF
+        self.Fl -= dF
+        self._alpha[i], self._alpha[j] = ai, aj
+        for k, ak, Fk in ((i, ai, self.Fu.item(i)), (j, aj, self.Fl.item(j))):
+            pos = self._y[k] > 0
+            self.Fu[k] = Fk if (ak < C if pos else ak > 0.0) else -np.inf
+            self.Fl[k] = Fk if (ak > 0.0 if pos else ak < C) else np.inf
 
     def step(self) -> bool:
         """One working-set step; False (and no change) once optimal to tol."""
@@ -154,16 +185,25 @@ class _Wss2:
 
     def bias(self) -> float:
         """b = -rho: mean F over free vectors, else the midpoint of m and M."""
-        free = self.up & self.low
+        free = (self.Fu > -np.inf) & (self.Fl < np.inf)
         if free.any():
-            return float(self.F[free].mean())
-        _, m, Fl = self._extremes()
-        return 0.5 * (m + float(Fl.min()))
+            return float(self.Fu[free].mean())
+        return 0.5 * (float(self.Fu.max()) + float(self.Fl.min()))
 
 
 def _check_shapes(X: np.ndarray, y: np.ndarray) -> None:
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise ShapeMismatch(f"X {X.shape} incompatible with y {y.shape}")
+
+
+def _check_params(params: SvmParams) -> None:
+    """C = 0 gives a NaN bias, C < 0 or max_passes < 1 a fit that takes no step."""
+    for name in ("C", "tol"):
+        value = getattr(params, name)
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"SVM {name} must be finite and positive, got {value!r}")
+    if params.max_passes < 1:
+        raise ConfigError(f"SVM max_passes must be >= 1, got {params.max_passes!r}")
 
 
 def svm_fit_binary(
@@ -180,6 +220,7 @@ def svm_fit_binary(
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     _check_shapes(X, y)
+    _check_params(params)
     if np.unique(y).shape[0] < 2:
         raise DegenerateLabels("both -1 and +1 labels are required")
     n = X.shape[0]
@@ -195,9 +236,10 @@ def svm_fit_binary(
         steps += 1
     converged = solver.select() is None
 
-    mask = solver.alpha > 1e-12
+    alpha = solver.alpha
+    mask = alpha > 1e-12
     return BinarySvm(
-        params, gamma, X[mask], y[mask], solver.alpha[mask],
+        params, gamma, X[mask], y[mask], alpha[mask],
         solver.bias(), converged, -(-steps // n),
     )
 
@@ -230,6 +272,7 @@ def svm_fit_multiclass(
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     _check_shapes(X, y)
+    _check_params(params)
     if n_classes is None:
         n_classes = int(y.max()) + 1
     if n_classes < 2:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import configparser
+import re
 from dataclasses import dataclass, fields, replace
 
 from .errors import BadSizes, ConfigError
@@ -48,6 +49,10 @@ class PipelineConfig:
             raise ConfigError("source=manifest requires the 'manifest' key")
         if self.source == "glob" and not self.glob:
             raise ConfigError("source=glob requires the 'glob' key")
+        for key in ("manifest", "glob"):
+            if getattr(self, key) is not None and self.source != key:
+                raise ConfigError(f"the '{key}' key is read only with source={key}, "
+                                  f"got source={self.source}")
         if self.version not in VERSIONS:
             raise ConfigError(f"version must be one of {VERSIONS}, got {self.version!r}")
         if self.folds < 2:
@@ -117,6 +122,11 @@ KEYS = {
 }
 
 
+# whitespace then ";" or "#" inside a value: configparser would keep the comment as part
+# of the value, and in a path key nothing else would notice
+INLINE_COMMENT = re.compile(r"\s[;#]")
+
+
 def load_config(path: str | None) -> PipelineConfig:
     """The config file's keys over the defaults; an unknown section or key is an error."""
     if path is None:
@@ -144,6 +154,9 @@ def load_config(path: str | None) -> PipelineConfig:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]; expected "
                                   f"one of {', '.join(KEYS[section])}")
             field, conv = KEYS[section][key]
+            if INLINE_COMMENT.search(raw):
+                raise ConfigError(f"{path}: bad value for [{section}] {key}: {raw!r} (an "
+                                  f"inline comment; comments go on their own lines)")
             try:
                 value = conv(raw)
             except ValueError as exc:

@@ -281,6 +281,29 @@ def test_misspelt_config_is_validation_error(tmp_path, capsys, edit, named):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("comment", [" ; note", "\t# note"], ids=["semicolon", "hash"])
+def test_inline_comment_is_validation_error(tmp_path, capsys, comment):
+    out_dir = tmp_path / "o"
+    cfg = write_config(tmp_path, f"[output]\ndir = {out_dir}{comment}\n")
+    code, out, err = run_cli(capsys, "--config", cfg, "inspect")
+    assert code == 1, err
+    assert f"error: {cfg}: bad value for [output] dir:" in err and "inline comment" in err
+    assert not out_dir.exists() and not (tmp_path / f"o{comment}").exists()
+
+
+@pytest.mark.parametrize("source, key", [
+    ("synth", "manifest"), ("synth", "glob"), ("manifest", "glob"), ("glob", "manifest"),
+])
+def test_data_key_the_source_ignores_is_validation_error(tmp_path, capsys, source, key):
+    keys = {"manifest": "manifest = nothere.csv", "glob": "glob = nothere/*.csv"}
+    data = "\n".join([f"source = {source}"] + [keys[k] for k in sorted({source, key} & set(keys))])
+    cfg = write_config(tmp_path, CONFIG_SMALL.replace("source = synth", data))
+    code, out, err = run_cli(capsys, "--config", cfg, "--out", str(tmp_path / "o"), "run")
+    assert code == 1, err
+    assert f"'{key}' key is read only with source={key}" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_invalid_config_value_names_the_key(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[pipeline]\nfolds = 1\n")

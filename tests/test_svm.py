@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from enose.classifiers import svm
 from enose.classifiers.svm import (
+    TAU,
     SvmParams,
     _Wss2,
     dual_objective,
@@ -223,3 +226,188 @@ def test_unknown_kernel_is_config_error():
     X, y = _separable(n=10)
     with pytest.raises(ConfigError):
         svm_fit_binary(X, y, SvmParams(kernel="poly"))
+
+
+# --- parameter checks ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("fit", [svm_fit_binary, svm_fit_multiclass])
+@pytest.mark.parametrize("name, value", [
+    ("C", 0.0), ("C", -1.0), ("C", float("nan")), ("C", float("inf")),
+    ("tol", 0.0), ("tol", -1e-3), ("tol", float("nan")), ("tol", float("inf")),
+    ("max_passes", 0),
+])
+def test_bad_solver_params_are_config_errors_before_the_gram(monkeypatch, fit, name, value):
+    X, y = _separable(n=10)
+    labels = y if fit is svm_fit_binary else (y > 0).astype(int)
+    calls = []
+    monkeypatch.setattr(svm, "kernel_matrix", lambda *a: calls.append(a))
+    with pytest.raises(ConfigError, match=f"SVM {name} must be"):
+        fit(X, labels, SvmParams(kernel="rbf", **{name: value}))
+    assert calls == []
+
+
+# --- the kernel in one buffer -------------------------------------------------
+
+
+def _kernel_oracle(params, gamma, A, B):
+    """kernel_matrix as one expression, with an n x m temporary per operation."""
+    if params.kernel == "linear":
+        return A @ B.T
+    sq = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
+    return np.exp(-gamma * np.maximum(sq, 0.0))
+
+
+ROWS = svm.RBF_BLOCK_ROWS
+ROW_COUNTS = [1, 5, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS, 2 * ROWS + 37]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows_a=st.sampled_from(ROW_COUNTS),
+    rows_b=st.integers(1, 300),
+    d=st.integers(1, 9),
+    gram=st.booleans(),
+    kernel=st.sampled_from(["linear", "rbf"]),
+    gamma=st.floats(1e-3, 10.0),
+)
+def test_kernel_matrix_is_bitwise_the_one_expression(seed, rows_a, rows_b, d, gram, kernel, gamma):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(rows_a, d)) * rng.uniform(0.01, 100.0)
+    if gram:
+        B = A
+    else:
+        B = rng.normal(size=(rows_b, d)) * rng.uniform(0.01, 100.0)
+        B[: rows_b // 2] = A[rng.integers(0, rows_a, size=rows_b // 2)]  # distance ~0
+    params = SvmParams(kernel=kernel)
+    want = _kernel_oracle(params, gamma, A, B)
+    got = kernel_matrix(params, gamma, A, B)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kernel", ["linear", "rbf"])
+def test_gram_matrix_peak_memory_is_one_buffer(kernel):
+    X = np.random.default_rng(0).normal(size=(2000, 7))
+    tracemalloc.start()
+    try:
+        K = svm.gram_matrix(SvmParams(kernel=kernel), 0.1, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * K.nbytes, peak / K.nbytes
+
+
+# --- the solver against the plain-F form ---------------------------------------
+
+
+class _Wss2Oracle:
+    """WSS2 SMO that rebuilds both masked F vectors at every step."""
+
+    def __init__(self, K, y, C, tol):
+        self.K = K
+        self.Kd = np.diag(K).copy()
+        self.y = y = np.asarray(y, dtype=np.float64)
+        self.C = C
+        self.tol = tol
+        self.alpha = np.zeros(y.shape[0])
+        self.F = y.copy()
+        self.up = y > 0
+        self.low = y < 0
+
+    def _extremes(self):
+        Fu = np.where(self.up, self.F, -np.inf)
+        i = int(Fu.argmax())
+        return i, float(Fu[i]), np.where(self.low, self.F, np.inf)
+
+    def select(self):
+        i, m, Fl = self._extremes()
+        M = Fl.min()
+        if m - M < self.tol or m <= M:
+            return None
+        b = m - Fl
+        a = self.Kd[i] + self.Kd - 2.0 * self.K[i]
+        a = np.where(a > 0, a, TAU)
+        j = int(np.where(b > 0, b * b / a, -1.0).argmax())
+        return i, j
+
+    def update(self, i, j):
+        K, y, alpha, C = self.K, self.y, self.alpha, self.C
+        a = self.Kd[i] + self.Kd[j] - 2.0 * K[i, j]
+        t = (self.F[i] - self.F[j]) / (a if a > 0 else TAU)
+        room_i = C - alpha[i] if y[i] > 0 else alpha[i]
+        room_j = alpha[j] if y[j] > 0 else C - alpha[j]
+        t = min(t, room_i, room_j)
+        ai = (C if y[i] > 0 else 0.0) if t == room_i else alpha[i] + y[i] * t
+        aj = (0.0 if y[j] > 0 else C) if t == room_j else alpha[j] - y[j] * t
+        self.F -= y[i] * (ai - alpha[i]) * K[i] + y[j] * (aj - alpha[j]) * K[j]
+        alpha[i], alpha[j] = ai, aj
+        for k, ak in ((i, ai), (j, aj)):
+            pos = y[k] > 0
+            self.up[k] = ak < C if pos else ak > 0.0
+            self.low[k] = ak > 0.0 if pos else ak < C
+
+    def step(self):
+        pair = self.select()
+        if pair is None:
+            return False
+        self.update(*pair)
+        return True
+
+    def bias(self):
+        free = self.up & self.low
+        if free.any():
+            return float(self.F[free].mean())
+        _, m, Fl = self._extremes()
+        return 0.5 * (m + float(Fl.min()))
+
+
+def _lockstep(K, y, C, tol, cap):
+    """Step the oracle and _Wss2 together; every pair and iterate must match bitwise."""
+    ref, new = _Wss2Oracle(K, y, C, tol), _Wss2(K, y, C, tol)
+    steps = 0
+    while steps < cap:
+        pair = ref.select()
+        assert new.select() == pair
+        assert new.step() == ref.step() == (pair is not None)
+        if pair is None:
+            break
+        steps += 1
+        assert new.alpha.tobytes() == ref.alpha.tobytes()
+        assert new.Fu.tobytes() == np.where(ref.up, ref.F, -np.inf).tobytes()
+        assert new.Fl.tobytes() == np.where(ref.low, ref.F, np.inf).tobytes()
+    converged = ref.select() is None
+    assert (new.select() is None) == converged
+    assert np.float64(new.bias()).tobytes() == np.float64(ref.bias()).tobytes()
+    return steps, converged
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 30),
+    dups=st.integers(0, 6),
+    kernel=st.sampled_from(["linear", "rbf"]),
+    C=st.sampled_from([0.1, 1.0, 10.0]),
+)
+def test_solver_matches_the_plain_f_oracle_step_by_step(seed, n, dups, kernel, C):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 3))
+    X = np.vstack([X, X[rng.integers(0, n, size=dups)]])  # duplicate rows
+    y = np.where(rng.integers(0, 2, size=X.shape[0]) == 1, 1.0, -1.0)
+    y[:2] = [1.0, -1.0]
+    params = SvmParams(kernel=kernel, C=C)
+    K = kernel_matrix(params, svm.resolve_gamma("scale", X), X, X)
+    _lockstep(K, y, C, params.tol, params.max_passes * X.shape[0])
+
+
+def test_solver_matches_the_oracle_up_to_the_step_cap():
+    # rank-deficient linear problem with large C: WSS2 creeps along a flat
+    # direction of Q and stops at max_passes * n steps, short of tol
+    rng = np.random.default_rng(40)
+    X = rng.normal(size=(18, 3))
+    y = np.where(rng.integers(0, 2, size=18) == 1, 1.0, -1.0)
+    params = SvmParams(kernel="linear", C=10.0)
+    cap = params.max_passes * X.shape[0]
+    steps, converged = _lockstep(X @ X.T, y, params.C, params.tol, cap)
+    assert (steps, converged) == (cap, False)
