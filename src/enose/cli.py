@@ -17,16 +17,16 @@ from .dataset import stratified_kfold, stratified_split
 from .ensemble import VotingEnsemble
 from .errors import ConfigError, DimensionMismatch, ENoseError
 from .evaluate import (
+    CvResult,
     FeaturePipeline,
-    GridResult,
-    cross_validate,
     curve_folds,
     evaluate_model,
+    fit_candidates,
     grid_search,
     learning_curve,
     prepare_folds,
 )
-from .models import FAMILIES, default_grid
+from .models import FAMILIES, candidates, default_grid
 from .neural import history_csv
 from .preprocess import VERSIONS, correlation_report_csv, feature_target_correlation
 from .rng import derive_seed
@@ -95,11 +95,15 @@ def cmd_inspect(cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _grid_csv(result: GridResult) -> str:
-    names = sorted({k for c in result.cells for k in c.params})
+def _grid_csv(cells: list[CvResult], axes) -> str:
+    """One row per candidate (the baseline, unless it is also a grid cell, then the
+    cells) and one column per grid axis."""
+    if cells[0].params in [c.params for c in cells[1:]]:
+        cells = cells[1:]
+    names = sorted(name for name, _ in axes)
     lines = [",".join(names) + ",mean,std,failures"]
-    for cell in result.cells:
-        vals = [str(cell.params.get(n, "")) for n in names]
+    for cell in cells:
+        vals = [str(cell.params[n]) for n in names]
         lines.append(",".join(vals) + f",{cell.mean!r},{cell.std!r},{len(cell.failures)}")
     return "\n".join(lines) + "\n"
 
@@ -154,10 +158,7 @@ def cmd_run(cfg: PipelineConfig) -> int:
     fitted: dict[str, object] = {}
     tuned_classical: list[str] = []
 
-    def fit_train(family: str, params: dict):
-        return FAMILIES[family].fit(train_t.features, train_t.labels, params, data.n_classes)
-
-    def register(name, model, cv_mean=None, cv_std=None):
+    def register(name, model, cv: CvResult | None = None):
         report = evaluate_model(model, test_t.features, test_t.labels, classes)
         if "json" in cfg.formats:
             _write(os.path.join(out, "reports", f"{name}.report.json"),
@@ -172,40 +173,39 @@ def cmd_run(cfg: PipelineConfig) -> int:
                                   "true positive rate"))
         summary.append({
             "model": name,
-            "cv_mean": cv_mean,
-            "cv_std": cv_std,
+            "cv_mean": None if cv is None else cv.mean,
+            "cv_std": None if cv is None else cv.std,
+            "cv_failures": None if cv is None else cv.failures,
             "train_acc": float((model.predict(train_t.features) == train_t.labels).mean()),
             "test_acc": report.accuracy,
         })
         fitted[name] = model
 
     for family in cfg.families:
-        family_fit = FAMILIES[family].fit
+        entry = FAMILIES[family]
         with _stage(f"baseline:{family}"):
-            params = {"seed": derive_seed(cfg.seed, family, "baseline")}
-            cv = cross_validate(family_fit, params, folds)
-            register(f"{family}_baseline", fit_train(family, params), cv.mean, cv.std)
+            # one selection pass over the baseline and the grid cells; then one train
+            # fit per fitted identity of the baseline and the earliest best candidate
+            params = candidates(family, cfg.grid, derive_seed(cfg.seed, family, "baseline"))
+            result = grid_search(params, folds, entry.fit, entry.identity, entry.cut)
+            best = result.best_index
+            models = fit_candidates([params[0], params[best]], train_t, entry.fit,
+                                    entry.identity, entry.cut)
+            register(f"{family}_baseline", models[0], result.cells[0])
 
         if cfg.grid == "none":
             continue
         with _stage(f"grid:{family}"):
-            grid_seed = derive_seed(cfg.seed, family, "grid")
-
-            def grid_fit(X, y, cell, n_classes):  # a "seed" axis in the grid wins
-                return family_fit(X, y, {"seed": grid_seed, **cell}, n_classes)
-
-            result = grid_search(default_grid(family, cfg.grid), folds, grid_fit)
             if "csv" in cfg.formats:
-                _write(os.path.join(out, "grids", f"{family}.grid.csv"), _grid_csv(result))
-            best = {"seed": derive_seed(cfg.seed, family, "tuned"), **result.best.params}
-            register(f"{family}_tuned", fit_train(family, best),
-                     result.best.mean, result.best.std)
+                _write(os.path.join(out, "grids", f"{family}.grid.csv"),
+                       _grid_csv(result.cells, default_grid(family, cfg.grid).axes))
+            register(f"{family}_tuned", models[1], result.cells[best])
             tuned_classical.append(f"{family}_tuned")
 
         if not cfg.learning_curves:
             continue
         with _stage(f"learning_curve:{family}"):
-            rows = learning_curve(family_fit, best, curve)
+            rows = learning_curve(entry.fit, params[best], curve)
             if "csv" in cfg.formats:
                 _write(os.path.join(out, "curves", f"{family}.learning_curve.csv"),
                        _curve_csv(rows))
@@ -219,8 +219,10 @@ def cmd_run(cfg: PipelineConfig) -> int:
 
     for variant in cfg.ann_variants:
         with _stage(f"ann:{variant}"):
-            model = fit_train("mlp", {"variant": variant, "epochs": cfg.ann_epochs,
-                                      "seed": derive_seed(cfg.seed, "ann", variant)})
+            model = FAMILIES["mlp"].fit(train_t.features, train_t.labels,
+                                        {"variant": variant, "epochs": cfg.ann_epochs,
+                                         "seed": derive_seed(cfg.seed, "ann", variant)},
+                                        data.n_classes)
             register(f"ann_{variant}", model)
             if "csv" in cfg.formats:
                 _write(os.path.join(out, "curves", f"ann_{variant}.history.csv"),

@@ -92,7 +92,7 @@ def prepare_folds(ds: Dataset, pairs, version: str = "V1") -> list[tuple[Dataset
 
 @dataclass
 class CvResult:
-    """One cross-validated parameter set: a grid cell, or a baseline's CV score."""
+    """One cross-validated candidate: the baseline or a grid cell."""
 
     params: dict
     accuracies: list[float]
@@ -107,23 +107,36 @@ class CvResult:
         return float(np.std(self.accuracies)) if self.accuracies else float("nan")
 
 
-def cross_validate(fit, params: dict, folds) -> CvResult:
-    """Fit a model on each prepared fold's train part and score its validation part.
+def _whole(model, params: dict):
+    return model
 
-    ``folds`` is ``prepare_folds`` output; ``fit(X, y, params, n_classes)``, a
-    ``Family.fit``, returns the fold's model.  A fold that fails with a toolkit
-    error or a numerical failure is recorded and the others still run; any
-    other exception is a bug and propagates.
+
+def cross_validate(fit, group: list[CvResult], folds, cut=None) -> CvResult:
+    """Cross-validate candidates that share one model per fold, into their results.
+
+    ``group[0].params`` is fit on each prepared fold's train part (``folds`` is
+    ``prepare_folds`` output; ``fit(X, y, params, n_classes)`` is a ``Family.fit``)
+    and every member is scored on the validation part through ``cut(model, its
+    params)``, the model itself without ``cut``.  A fold whose fit or score fails
+    with a toolkit error or a numerical failure is recorded and the others still
+    run; any other exception is a bug and propagates.  Only one fold model is
+    alive at a time.  Returns ``group[0]``.
     """
-    accs: list[float] = []
-    failures: list[str] = []
+    cut = cut or _whole
     for fold_id, (train, val) in enumerate(folds):
         try:
-            model = fit(train.features, train.labels, params, train.n_classes)
-            accs.append(_accuracy(model, val))
+            model = fit(train.features, train.labels, group[0].params, train.n_classes)
         except (ENoseError, FloatingPointError, np.linalg.LinAlgError) as exc:
-            failures.append(f"fold {fold_id}: {exc}")
-    return CvResult(params, accs, failures)
+            for member in group:
+                member.failures.append(f"fold {fold_id}: {exc}")
+            continue
+        for member in group:
+            try:
+                member.accuracies.append(_accuracy(cut(model, member.params), val))
+            except (ENoseError, FloatingPointError, np.linalg.LinAlgError) as exc:
+                member.failures.append(f"fold {fold_id}: {exc}")
+        del model
+    return group[0]
 
 
 def _accuracy(model, part: Dataset) -> float:
@@ -143,11 +156,11 @@ class GridSpec:
 
 @dataclass
 class GridResult:
-    cells: list[CvResult]
+    cells: list[CvResult]  # one per candidate, in order
 
     @property
     def best_index(self) -> int:
-        """The first cell with the maximal mean, so the earliest cell wins ties."""
+        """The first candidate with the maximal mean, so the earliest wins ties."""
         means = [c.mean for c in self.cells]
         return means.index(max(means))
 
@@ -156,9 +169,50 @@ class GridResult:
         return self.cells[self.best_index]
 
 
-def grid_search(spec: GridSpec, folds, fit) -> GridResult:
-    """Cross-validate every cell on the prepared folds; failed cells score -inf."""
-    return GridResult([cross_validate(fit, params, folds) for params in spec.cells()])
+def identity_groups(candidates: list[dict], n_features: int, identity=None) -> list[list[int]]:
+    """``candidates`` indices grouped by fitted identity.
+
+    ``identity(params, n_features)`` gives ``(key, size)``: candidates with equal
+    keys are one model up to a cut, and each group lists its largest (then
+    earliest) member first, the one to fit.  Without ``identity``, or when it
+    raises a toolkit error, a candidate is a group of its own, whose fit then
+    fails the same way.
+    """
+    groups: dict = {}
+    for i, params in enumerate(candidates):
+        key, size = object(), 0  # a group of its own
+        if identity is not None:
+            try:
+                key, size = identity(params, n_features)
+            except ENoseError:
+                pass
+        groups.setdefault(key, []).append((-size, i))
+    return [[i for _, i in sorted(members)] for members in groups.values()]
+
+
+def grid_search(candidates: list[dict], folds, fit, identity=None, cut=None) -> GridResult:
+    """The one model-selection pass: cross-validate every candidate on the prepared
+    folds, fitting each distinct model (``identity_groups``) once per fold.
+
+    A candidate with no scored fold has mean ``-inf``; the earliest candidate
+    with the best mean wins.
+    """
+    results = [CvResult(params, [], []) for params in candidates]
+    # every prepared fold has the width of the version's pipeline
+    for group in identity_groups(candidates, folds[0][0].d, identity):
+        cross_validate(fit, [results[i] for i in group], folds, cut)
+    return GridResult(results)
+
+
+def fit_candidates(candidates: list[dict], ds: Dataset, fit, identity=None, cut=None) -> list:
+    """A model of each candidate fit on ``ds``, one fit per fitted identity."""
+    cut = cut or _whole
+    models = [None] * len(candidates)
+    for group in identity_groups(candidates, ds.d, identity):
+        model = fit(ds.features, ds.labels, candidates[group[0]], ds.n_classes)
+        for i in group:
+            models[i] = cut(model, candidates[i])
+    return models
 
 
 # --- metrics ------------------------------------------------------------------

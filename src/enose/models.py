@@ -3,16 +3,20 @@
 Adding a family is one entry in ``FAMILIES``.  Every ``fit`` entry calls its
 learner through this module's globals at call time, so a wrapper installed on
 ``rf_fit`` and the others (a tracer, a test double) sees every fit.
+
+Model selection fits each distinct model once per fold: a family's
+``identity`` names the model its ``fit`` builds from a params dict, and its
+``cut`` gives a smaller candidate's model from the shared one.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
 
-from .classifiers.forest import ForestParams, RandomForest, rf_fit
+from .classifiers.forest import ForestParams, RandomForest, resolve_max_features, rf_fit
 from .classifiers.svm import BinarySvm, MulticlassSvm, SvmParams, svm_fit_multiclass
 from .classifiers.tree import DecisionTree, TreeNode, TreeParams, dt_fit
 from .errors import ConfigError
@@ -39,8 +43,12 @@ def _array(values) -> np.ndarray:
 # --- dt -----------------------------------------------------------------------
 
 
+def _dt_params(params: dict) -> TreeParams:
+    return _from_params(TreeParams, params)
+
+
 def _fit_dt(X, y, params: dict, n_classes: int) -> DecisionTree:
-    return dt_fit(X, y, _from_params(TreeParams, params), n_classes=n_classes)
+    return dt_fit(X, y, _dt_params(params), n_classes=n_classes)
 
 
 def _node_to_dict(node: TreeNode) -> dict:
@@ -82,9 +90,27 @@ def _dt_from_dict(doc: dict) -> DecisionTree:
 # --- rf -----------------------------------------------------------------------
 
 
+def _rf_params(params: dict) -> ForestParams:
+    return _from_params(ForestParams, params, tree=_dt_params(params))
+
+
 def _fit_rf(X, y, params: dict, n_classes: int) -> RandomForest:
-    forest = _from_params(ForestParams, params, tree=_from_params(TreeParams, params))
-    return rf_fit(X, y, forest, n_classes=n_classes)
+    return rf_fit(X, y, _rf_params(params), n_classes=n_classes)
+
+
+def _rf_identity(params: dict, n_features: int):
+    """Tree t of a forest depends only on the seed, t, the tree params and the
+    resolved feature count k, so forests that differ only in ``n_estimators``
+    are prefixes of the largest one (and ``log2`` grows the ``sqrt`` trees
+    wherever both resolve to the same k)."""
+    p = _rf_params(params)
+    k = resolve_max_features(p.max_features, n_features)
+    return replace(p, n_estimators=0, max_features=k), p.n_estimators
+
+
+def _rf_cut(model: RandomForest, params: dict) -> RandomForest:
+    p = _rf_params(params)
+    return RandomForest(p, model.trees[:p.n_estimators], model.n_classes)
 
 
 def _rf_to_dict(model: RandomForest) -> dict:
@@ -110,8 +136,12 @@ def _rf_from_dict(doc: dict) -> RandomForest:
 # --- svm ----------------------------------------------------------------------
 
 
+def _svm_params(params: dict) -> SvmParams:
+    return _from_params(SvmParams, params)
+
+
 def _fit_svm(X, y, params: dict, n_classes: int) -> MulticlassSvm:
-    return svm_fit_multiclass(X, y, _from_params(SvmParams, params), n_classes=n_classes)
+    return svm_fit_multiclass(X, y, _svm_params(params), n_classes=n_classes)
 
 
 def _svm_to_dict(model: MulticlassSvm) -> dict:
@@ -187,12 +217,18 @@ def _mlp_from_dict(doc: dict) -> MlpModel:
 @dataclass(frozen=True)
 class Family:
     """One model family.  Grids are ordered ``(name, values)`` axes; a family
-    that is never grid-searched has none."""
+    that is never grid-searched has none, and no ``params`` or ``identity``."""
 
     model: type
     fit: Callable  # (X, y, params dict, n_classes) -> fitted model; ignores keys it lacks
     to_dict: Callable  # fitted model -> JSON-ready dict, without its "kind"
     from_dict: Callable  # that dict -> fitted model; KeyError on a missing key
+    params: Callable | None = None  # params dict -> the params dataclass ``fit`` builds
+    # (params dict, n_features) -> (key, size): equal keys are one model up to a cut
+    identity: Callable | None = None
+    # (model of a group's largest candidate, params dict) -> that candidate's model;
+    # None where equal keys are the same model
+    cut: Callable | None = None
     small_grid: tuple = ()
     default_grid: tuple = ()
 
@@ -200,17 +236,20 @@ class Family:
 FAMILIES = {
     "dt": Family(
         DecisionTree, _fit_dt, _dt_to_dict, _dt_from_dict,
+        params=_dt_params, identity=lambda params, d: (_dt_params(params), 0),
         small_grid=(("max_depth", (16, None)), ("min_samples_leaf", (1, 5))),
         default_grid=(("max_depth", (8, 16, None)), ("min_samples_leaf", (1, 5, 20))),
     ),
     "rf": Family(
         RandomForest, _fit_rf, _rf_to_dict, _rf_from_dict,
+        params=_rf_params, identity=_rf_identity, cut=_rf_cut,
         small_grid=(("n_estimators", (25, 50)), ("max_features", ("sqrt", "all"))),
         default_grid=(("n_estimators", (50, 100, 200)),
                       ("max_features", ("sqrt", "log2", "all"))),
     ),
     "svm": Family(
         MulticlassSvm, _fit_svm, _svm_to_dict, _svm_from_dict,
+        params=_svm_params, identity=lambda params, d: (_svm_params(params), 0),
         small_grid=(("kernel", ("rbf",)), ("C", (1.0, 10.0))),
         default_grid=(("kernel", ("linear", "rbf")), ("C", (0.1, 1.0, 10.0)),
                       ("gamma", ("scale", 0.1, 1.0))),
@@ -228,3 +267,19 @@ def default_grid(family: str, scale: str = "default") -> GridSpec:
         raise ConfigError(f"no default grid for family {family!r}")
     entry = FAMILIES[family]
     return GridSpec(entry.small_grid if scale == "small" else entry.default_grid)
+
+
+def candidates(family: str, scale: str, seed: int) -> list[dict]:
+    """The params a run selects from: the baseline, then the cells of the ``scale``
+    grid (``none``: the baseline alone), all drawing from ``seed``.
+
+    The baseline spells each grid axis at its params default, so it is a row of
+    the grid table, and being first it wins every tie.
+    """
+    base = {"seed": seed}
+    if scale == "none":
+        return [base]
+    grid = default_grid(family, scale)
+    defaults = FAMILIES[family].params(base)
+    return [{**base, **{name: getattr(defaults, name) for name, _ in grid.axes}},
+            *({**base, **cell} for cell in grid.cells())]

@@ -20,7 +20,6 @@ from enose.evaluate import (
     FeaturePipeline,
     GridSpec,
     confusion_matrix,
-    cross_validate,
     f1_score,
     grid_search,
     prepare_folds,
@@ -302,10 +301,14 @@ def test_criterion_8_end_to_end():
 
     # the grid contains the untuned default (100 trees, sqrt) plus strictly
     # larger/denser forests, so tuning can only move sideways or up; the
-    # refit reuses the baseline stream so a tie reproduces the baseline model
+    # refit reuses the baseline stream so a tie reproduces the baseline model.
+    # The selection fits one 200-tree forest per max_features and fold, and
+    # scores the 100-tree cells on its first 100 trees
     grid = GridSpec((("n_estimators", (100, 200)), ("max_features", ("sqrt", "all")),
                      ("seed", (rf_seed,))))
-    result = grid_search(grid, prepare_folds(train, plan.folds, "V2"), FAMILIES["rf"].fit)
+    rf = FAMILIES["rf"]
+    result = grid_search(grid.cells(), prepare_folds(train, plan.folds, "V2"), rf.fit,
+                         rf.identity, rf.cut)
     best = dict(result.best.params)
     tuned_rf = FAMILIES["rf"].fit(train_t.features, train_t.labels, best, data.n_classes)
     rf_acc = test_acc(tuned_rf)

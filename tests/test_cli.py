@@ -123,32 +123,127 @@ def test_run_writes_learning_curves(tmp_path, capsys):
     assert (out_dir / "svg" / "dt.learning_curve.svg").read_text().startswith("<svg")
 
 
-def test_rf_grid_cells_draw_from_the_master_seed(tmp_path, capsys, monkeypatch):
+def _spy(monkeypatch, name, record):
+    """Replace ``enose.models.<name>`` by a wrapper that records what ``record``
+    makes of each call's params and fitted model."""
     from enose import models
+
+    real = getattr(models, name)
+
+    def spy(X, y, params, n_classes=None):
+        model = real(X, y, params, n_classes)
+        record(params, model)
+        return model
+
+    monkeypatch.setattr(models, name, spy)
+
+
+def _saved_params(out_dir, name):
+    return json.loads((out_dir / "models" / f"{name}.model.json").read_text())["model"]["params"]
+
+
+def test_rf_grid_cells_draw_from_the_master_seed(tmp_path, capsys, monkeypatch):
     from enose.rng import derive_seed
 
     seeds = []
-    real_rf_fit = models.rf_fit
-
-    def spy(X, y, params, n_classes=None):
-        seeds.append(params.seed)
-        return real_rf_fit(X, y, params, n_classes)
-
-    monkeypatch.setattr(models, "rf_fit", spy)
+    _spy(monkeypatch, "rf_fit", lambda params, model: seeds.append(params.seed))
     text = CONFIG_SMALL.replace("families = dt,rf", "families = rf").replace("grid = none",
                                                                              "grid = small")
     cfg = write_config(tmp_path, text)
     grids = {}
     for seed in ("11", "12"):
         out_dir = tmp_path / seed
+        seeds.clear()
         assert run_cli(capsys, "--config", cfg, "--seed", seed, "--out", str(out_dir),
                        "run")[0] == 0
         grids[seed] = (out_dir / "grids" / "rf.grid.csv").read_text()
+        # every forest of the run, the grid's included, draws from the baseline stream
+        assert seeds and set(seeds) == {derive_seed(int(seed), "rf", "baseline")}
     assert grids["11"] != grids["12"]
-    # each run fits 4 cells x 2 folds, all from the run's derived grid stream
-    assert seeds.count(derive_seed(11, "rf", "grid")) == 8
-    assert seeds.count(derive_seed(12, "rf", "grid")) == 8
     assert 0 not in seeds
+
+
+def test_selection_fits_each_distinct_forest_and_tree_once_per_fold(tmp_path, capsys,
+                                                                     monkeypatch):
+    trees, dt_fits = [], []
+    _spy(monkeypatch, "rf_fit", lambda params, model: trees.append(len(model.trees)))
+    _spy(monkeypatch, "dt_fit", lambda params, model: dt_fits.append(params))
+    text = CONFIG_SMALL.replace("folds = 2", "folds = 5").replace("grid = none", "grid = small")
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "--config", write_config(tmp_path, text), "--out",
+                             str(out_dir), "run")
+    assert code == 0, err
+    # per fold one 100-tree forest (the baseline, cut for the sqrt cells) and one 50-tree
+    # forest (cut for all/25); then the baseline's train forest, which is cut for a sqrt
+    # winner, and one train fit otherwise
+    tuned = _saved_params(out_dir, "rf_tuned")
+    assert tuned["seed"] == _saved_params(out_dir, "rf_baseline")["seed"]
+    extra = [] if tuned["max_features"] == "sqrt" else [tuned["n_estimators"]]
+    assert trees == [100] * 5 + [50] * 5 + [100] + extra
+    # dt: 4 distinct trees per fold (the baseline is the cell None/1), then 1 or 2 train fits
+    tuned_dt = _saved_params(out_dir, "dt_tuned")
+    assert len(dt_fits) == 4 * 5 + 1 + (tuned_dt != _saved_params(out_dir, "dt_baseline"))
+
+
+def test_svm_selection_fits_each_distinct_machine_set_once_per_fold(tmp_path, capsys,
+                                                                     monkeypatch):
+    fits = []
+    _spy(monkeypatch, "svm_fit_multiclass", lambda params, model: fits.append(params.C))
+    text = CONFIG_SMALL.replace("folds = 2", "folds = 5").replace(
+        "families = dt,rf", "families = svm").replace("grid = none", "grid = small")
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "--config", write_config(tmp_path, text), "--out",
+                             str(out_dir), "run")
+    assert code == 0, err
+    # the baseline (rbf, C=1, scale) is the first cell: 2 distinct fits per fold, then
+    # the baseline's train fit and the tuned one's unless it is the baseline
+    tuned = json.loads((out_dir / "models" / "svm_tuned.model.json").read_text())
+    tuned_c = tuned["model"]["machines"][0]["params"]["C"]
+    assert fits == [1.0] * 5 + [10.0] * 5 + [1.0] + ([] if tuned_c == 1.0 else [tuned_c])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_tuned_cv_contains_the_baseline(tmp_path, capsys, seed):
+    text = CONFIG_SMALL.replace("families = dt,rf", "families = dt,rf,svm").replace(
+        "grid = none", "grid = small")
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "--config", write_config(tmp_path, text), "--seed",
+                             str(seed), "--out", str(out_dir), "run")
+    assert code == 0, err
+    header, *lines = (out_dir / "summary.csv").read_text().splitlines()
+    cv = {row[0]: float(row[1]) for row in (line.split(",") for line in lines) if row[1]}
+    for family in ("dt", "rf", "svm"):
+        assert cv[f"{family}_tuned"] >= cv[f"{family}_baseline"]
+
+
+def test_summary_json_carries_cv_failures(tmp_path, capsys, monkeypatch):
+    from enose import models
+    from enose.errors import DegenerateInput
+
+    real_dt_fit = models.dt_fit
+    calls = []
+
+    def fail_first(X, y, params, n_classes=None):
+        calls.append(1)
+        if len(calls) == 1:  # the baseline's first fold
+            raise DegenerateInput("boom")
+        return real_dt_fit(X, y, params, n_classes)
+
+    monkeypatch.setattr(models, "dt_fit", fail_first)
+    text = CONFIG_SMALL.replace("families = dt,rf", "families = dt").replace(
+        "grid = none", "grid = small").replace("ann_variants =",
+                                               "ann_variants = baseline\nann_epochs = 2")
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "--config", write_config(tmp_path, text), "--out",
+                             str(out_dir), "run")
+    assert code == 0, err
+    rows = {row["model"]: row for row in json.loads((out_dir / "summary.json").read_text())}
+    assert rows["dt_baseline"]["cv_failures"] == ["fold 0: boom"]
+    assert rows["dt_tuned"]["cv_failures"] in ([], ["fold 0: boom"])
+    assert rows["ann_baseline"]["cv_failures"] is None
+    # the baseline is the grid cell None/1, which shares its fits and its failure
+    grid = (out_dir / "grids" / "dt.grid.csv").read_text().splitlines()
+    assert [line.rsplit(",", 1)[1] for line in grid[1:]] == ["0", "0", "1", "0"]
 
 
 @pytest.mark.parametrize("models, folds", [("families = dt,rf\ngrid = small", 5),

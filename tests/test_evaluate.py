@@ -8,7 +8,6 @@ from enose.evaluate import (
     GridSpec,
     binary_roc,
     confusion_matrix,
-    cross_validate,
     curve_folds,
     grid_search,
     learning_curve,
@@ -42,6 +41,12 @@ def fit_with(cls):
     return lambda X, y, params, n_classes: cls(params).fit(X, y, n_classes)
 
 
+def _selection(family):
+    """A family's ``grid_search`` arguments after the folds: fit, identity and cut."""
+    entry = FAMILIES[family]
+    return entry.fit, entry.identity, entry.cut
+
+
 def _balanced_ds(n_per=10, C=10, seed=0):
     rng = np.random.default_rng(seed)
     y = np.repeat(np.arange(C), n_per)
@@ -52,7 +57,7 @@ def _balanced_ds(n_per=10, C=10, seed=0):
 def test_constant_model_cv_accuracy():
     ds = _balanced_ds()
     plan = stratified_kfold(ds.labels, 5, 0)
-    cv = cross_validate(fit_with(ConstantModel), {}, prepare_folds(ds, plan.folds))
+    cv = grid_search([{}], prepare_folds(ds, plan.folds), fit_with(ConstantModel)).best
     assert cv.accuracies == pytest.approx([0.1] * 5)
 
 
@@ -71,7 +76,7 @@ def test_cv_never_fits_on_validation_rows():
             seen.append(np.asarray(X)[:, 0].copy())
             return super().fit(X, y, n_classes)
 
-    cross_validate(fit_with(Spy), {}, prepare_folds(ds, plan.folds, "V1"))
+    grid_search([{}], prepare_folds(ds, plan.folds, "V1"), fit_with(Spy))
     assert len(seen) == 4
     for (train_idx, val_idx), scaled in zip(plan.folds, seen):
         assert scaled.shape[0] == train_idx.shape[0]
@@ -89,7 +94,7 @@ def test_cv_matches_independent_reimplementation():
     plan = stratified_kfold(ds.labels, 3, 2)
     fit = FAMILIES["rf"].fit
     params = {"n_estimators": 10, "seed": 5}
-    cv = cross_validate(fit, params, prepare_folds(ds, plan.folds))
+    cv = grid_search([params], prepare_folds(ds, plan.folds), fit).best
 
     # independent reimplementation of the CV loop (own scaling, own scoring)
     ref = []
@@ -121,7 +126,7 @@ def test_grid_singleton():
     ds = _balanced_ds(n_per=6, C=3, seed=1)
     plan = stratified_kfold(ds.labels, 2, 0)
     spec = GridSpec((("max_depth", (2,)),))
-    result = grid_search(spec, prepare_folds(ds, plan.folds), FAMILIES["dt"].fit)
+    result = grid_search(spec.cells(), prepare_folds(ds, plan.folds), *_selection("dt"))
     assert result.best_index == 0
     assert result.best.mean == pytest.approx(np.mean(result.best.accuracies))
 
@@ -135,7 +140,7 @@ def test_grid_prefers_deeper_tree_on_xor():
     ds = make_dataset(X, y, n_classes=2)
     plan = stratified_kfold(ds.labels, 4, 3)
     spec = GridSpec((("max_depth", (1, 6)),))
-    result = grid_search(spec, prepare_folds(ds, plan.folds), FAMILIES["dt"].fit)
+    result = grid_search(spec.cells(), prepare_folds(ds, plan.folds), *_selection("dt"))
     assert result.best.params["max_depth"] == 6
     assert result.cells[0].mean <= 0.75 + 1e-9
     assert result.best.mean > 0.85
@@ -146,7 +151,7 @@ def test_grid_tie_earliest_wins():
     plan = stratified_kfold(ds.labels, 2, 0)
     # two cells that produce the same constant model → exactly equal means
     spec = GridSpec((("x", (1, 2)),))
-    result = grid_search(spec, prepare_folds(ds, plan.folds), fit_with(ConstantModel))
+    result = grid_search(spec.cells(), prepare_folds(ds, plan.folds), fit_with(ConstantModel))
     assert result.cells[0].mean == result.cells[1].mean
     assert result.best_index == 0
 
@@ -181,7 +186,7 @@ def test_grid_failed_cell_scores_neg_inf():
         return m.fit(X, y, n_classes)
 
     spec = GridSpec((("boom", (True, False)),))
-    result = grid_search(spec, prepare_folds(ds, plan.folds), fit)
+    result = grid_search(spec.cells(), prepare_folds(ds, plan.folds), fit)
     assert result.cells[0].mean == float("-inf")
     assert result.best_index == 1
 
@@ -196,19 +201,59 @@ def test_grid_propagates_programmer_errors():
 
     spec = GridSpec((("x", (1, 2)),))
     with pytest.raises(AttributeError):
-        grid_search(spec, prepare_folds(ds, plan.folds), fit_with(Buggy))
+        grid_search(spec.cells(), prepare_folds(ds, plan.folds), fit_with(Buggy))
 
 
 def test_grid_negative_gamma_cell_is_fold_failure():
     ds = _balanced_ds(n_per=6, C=2, seed=4)
     plan = stratified_kfold(ds.labels, 2, 0)
     spec = GridSpec((("gamma", (-1.0, 1.0)),))
-    result = grid_search(spec, prepare_folds(ds, plan.folds), FAMILIES["svm"].fit)
+    result = grid_search(spec.cells(), prepare_folds(ds, plan.folds), *_selection("svm"))
     bad, good = result.cells
     assert bad.mean == float("-inf") and bad.accuracies == []
     assert len(bad.failures) == 2 and all("gamma must be positive" in f for f in bad.failures)
     assert good.failures == [] and len(good.accuracies) == 2
     assert result.best_index == 1
+
+
+def test_grid_bad_max_features_cell_is_fold_failure():
+    # the error is raised while the cell's identity is resolved; it fails that
+    # cell's folds, not the run
+    ds = _balanced_ds(n_per=6, C=2, seed=4)
+    plan = stratified_kfold(ds.labels, 2, 0)
+    cells = [{"n_estimators": 3, "max_features": "half"}, {"n_estimators": 3}]
+    result = grid_search(cells, prepare_folds(ds, plan.folds), *_selection("rf"))
+    bad, good = result.cells
+    assert bad.mean == float("-inf") and bad.accuracies == []
+    assert bad.failures == [f"fold {i}: max_features must be sqrt, log2, all or a fraction, "
+                            f"got 'half'" for i in range(2)]
+    assert good.failures == [] and len(good.accuracies) == 2
+
+
+def test_grid_fits_each_distinct_model_once_per_fold_and_scores_as_separate_fits():
+    ds = _balanced_ds(n_per=20, C=3, seed=6)
+    ds.features[:, 0] += ds.labels
+    ds.features[:, 1] -= ds.labels
+    plan = stratified_kfold(ds.labels, 3, 1)
+    folds = prepare_folds(ds, plan.folds)
+    fit, identity, cut = _selection("rf")
+    sizes = []
+
+    def counted(X, y, params, n_classes):
+        model = fit(X, y, params, n_classes)
+        sizes.append(len(model.trees))
+        return model
+
+    # at d=3, sqrt and log2 both resolve to k=2, so the first three cells are cuts
+    # of one 9-tree forest; "all" (k=3) and another seed are forests of their own
+    cells = [{"n_estimators": 4, "seed": 1}, {"n_estimators": 9, "seed": 1},
+             {"n_estimators": 6, "max_features": "log2", "seed": 1},
+             {"n_estimators": 5, "max_features": "all", "seed": 1},
+             {"n_estimators": 4, "seed": 2}]
+    shared = grid_search(cells, folds, counted, identity, cut)
+    assert sizes == [9] * 3 + [5] * 3 + [4] * 3  # one fit per distinct forest and fold
+    alone = grid_search(cells, folds, fit)
+    assert [c.accuracies for c in shared.cells] == [c.accuracies for c in alone.cells]
 
 
 # --- metrics ------------------------------------------------------------------
@@ -313,7 +358,7 @@ def test_learning_curve_full_size_matches_cv():
     params = {"max_depth": 3}
     folds = prepare_folds(ds, plan.folds)
     rows = learning_curve(fit, params, curve_folds(ds, [0.5, 1.0], plan.folds, folds))
-    cv = cross_validate(fit, params, folds)
+    cv = grid_search([params], folds, fit).best
     assert rows[-1]["val_acc"] == pytest.approx(cv.mean)
     assert len(rows) == 2
     assert all({"size", "train_acc", "val_acc"} <= set(r) for r in rows)

@@ -160,3 +160,39 @@ def test_node_counts_own_their_data():
     for tree in [dt_fit(X, y, n_classes=4), *forest.trees]:
         for node in _nodes(tree.root):
             assert node.counts.base is None
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(2, 40),
+    d=st.integers(1, 5),
+    n_classes=st.integers(2, 4),
+    big=st.integers(1, 6),
+    data=st.data(),
+    bootstrap=st.booleans(),
+    max_features=st.sampled_from(["sqrt", "log2", "all", 0.5]),
+    max_depth=st.sampled_from([None, 3]),
+)
+@settings(max_examples=60, deadline=None)
+def test_smaller_forest_is_a_prefix_of_a_larger_one(
+    seed, rows, d, n_classes, big, data, bootstrap, max_features, max_depth
+):
+    from enose.models import FAMILIES
+
+    n = data.draw(st.integers(1, big), label="n")
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(rows, d))
+    y = rng.integers(0, n_classes, size=rows)
+    rf = FAMILIES["rf"]
+    params = {"max_features": max_features, "bootstrap": bootstrap, "max_depth": max_depth,
+              "seed": seed}
+    small_params = {**params, "n_estimators": n}
+    key, size = rf.identity(small_params, d)
+    assert (key, size) == (rf.identity({**params, "n_estimators": big}, d)[0], n)
+    cut = rf.cut(rf.fit(X, y, {**params, "n_estimators": big}, n_classes), small_params)
+    small = rf.fit(X, y, small_params, n_classes)
+    assert cut.params == small.params and len(cut.trees) == len(small.trees) == n
+    for a, b in zip(cut.trees, small.trees):
+        _assert_same_tree(a.root, b.root)
+    q = rng.normal(size=(7, d))
+    assert np.array_equal(cut.predict_proba(q), small.predict_proba(q))
