@@ -100,27 +100,6 @@ def _search(
     return int(feats[j]), threshold, dec, i + 1, cum[j, i, :-1].copy()
 
 
-def best_split(
-    X: np.ndarray,
-    y: np.ndarray,
-    n_classes: int,
-    feature_indices: np.ndarray,
-    min_samples_leaf: int = 1,
-) -> tuple[int, float, float] | None:
-    """Best (feature, threshold, gini_decrease) over the candidate features.
-
-    Thresholds are midpoints between consecutive distinct sorted values, or
-    the lower value where the midpoint rounds onto the upper one.
-    Ties break by (lower feature index, lower threshold).  Returns None when
-    no split with positive decrease satisfies the leaf-size constraint.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    counts = np.bincount(y, minlength=n_classes).astype(np.float64)
-    split = _search(X, _weighted_table(y, np.ones(y.shape[0]), n_classes), presort(X), counts,
-                    y.shape[0], np.asarray(feature_indices), min_samples_leaf)
-    return None if split is None else split[:3]
-
-
 class DecisionTree:
     """Greedy binary CART tree; leaves store class counts."""
 

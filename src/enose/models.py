@@ -63,13 +63,16 @@ def _node_to_dict(node: TreeNode) -> dict:
     }
 
 
-def _node_from_dict(d: dict) -> TreeNode:
+def _node_from_dict(d: dict, n_features: int) -> TreeNode:
     node = TreeNode(counts=_array(d["counts"]))
     if "feature" in d:
         node.feature = d["feature"]
+        if not (type(node.feature) is int and 0 <= node.feature < n_features):
+            raise ConfigError(f"split feature {node.feature!r} is not an index "
+                              f"in [0, {n_features})")
         node.threshold = d["threshold"]
-        node.left = _node_from_dict(d["left"])
-        node.right = _node_from_dict(d["right"])
+        node.left = _node_from_dict(d["left"], n_features)
+        node.right = _node_from_dict(d["right"], n_features)
     return node
 
 
@@ -84,7 +87,7 @@ def _dt_to_dict(model: DecisionTree) -> dict:
 
 def _dt_from_dict(doc: dict) -> DecisionTree:
     return DecisionTree(_from_doc(TreeParams, doc["params"]), doc["n_classes"],
-                        doc["n_features"], _node_from_dict(doc["root"]))
+                        doc["n_features"], _node_from_dict(doc["root"], doc["n_features"]))
 
 
 # --- rf -----------------------------------------------------------------------
@@ -202,12 +205,18 @@ def _mlp_from_dict(doc: dict) -> MlpModel:
     s = doc["spec"]
     model = mlp_build(_from_doc(MlpSpec, s, hidden_sizes=tuple(s["hidden_sizes"]),
                                 optimizer=_from_doc(OptimizerSpec, s["optimizer"])))
-    saved = iter(doc["weights"])
-    for layer in model.layers:
-        if type(layer) in _SAVED_LAYERS:
-            w = next(saved)
-            for name in _SAVED_LAYERS[type(layer)][1]:
-                setattr(layer, name, _array(w[name]))
+    layers = [layer for layer in model.layers if type(layer) in _SAVED_LAYERS]
+    if len(doc["weights"]) != len(layers):
+        raise ConfigError(f"the spec has {len(layers)} weighted layers, "
+                          f"the file saves {len(doc['weights'])}")
+    for i, (layer, w) in enumerate(zip(layers, doc["weights"])):
+        for name in _SAVED_LAYERS[type(layer)][1]:
+            # written into the built arrays: W, b, gamma and beta are views of model.theta
+            target, value = getattr(layer, name), _array(w[name])
+            if value.shape != target.shape:
+                raise ConfigError(f"weights[{i}] {name} has shape {value.shape}, "
+                                  f"the spec needs {target.shape}")
+            target[...] = value
     return model
 
 

@@ -80,30 +80,26 @@ class GaussianNoise:
     def backward(self, dout):
         return dout
 
-    def params(self):
-        return []
-
 
 class Dense:
+    # trainable arrays; MlpModel rebinds each, and its gradient "d" + name,
+    # to a view of one flat vector
+    TRAINABLE = ("W", "b")
+
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
         limit = np.sqrt(6.0 / (d_in + d_out))  # Glorot uniform
         self.W = rng.uniform(-limit, limit, size=(d_in, d_out))
         self.b = np.zeros(d_out)
-        self.dW = np.zeros_like(self.W)
-        self.db = np.zeros_like(self.b)
         self._x = None
 
     def forward(self, x, mode):
-        self._x = x
+        self._x = None if mode == EVAL else x
         return x @ self.W + self.b
 
     def backward(self, dout, input_grad: bool = True):
-        self.dW = self._x.T @ dout
-        self.db = dout.sum(axis=0)
+        np.matmul(self._x.T, dout, out=self.dW)
+        np.sum(dout, axis=0, out=self.db)
         return dout @ self.W.T if input_grad else None
-
-    def params(self):
-        return [("W", self.W, self.dW), ("b", self.b, self.db)]
 
     @property
     def n_params(self) -> int:
@@ -113,15 +109,14 @@ class Dense:
 class BatchNorm:
     """Per-feature normalization; 2 trainable + 2 running parameters each."""
 
+    TRAINABLE = ("gamma", "beta")
+
     def __init__(self, width: int):
         self.gamma = np.ones(width)
         self.beta = np.zeros(width)
         self.running_mean = np.zeros(width)
         self.running_var = np.ones(width)
-        self.dgamma = np.zeros(width)
-        self.dbeta = np.zeros(width)
         self._cache = None
-        self.last_normalized = None
 
     def forward(self, x, mode):
         if mode == TRAIN:
@@ -134,21 +129,17 @@ class BatchNorm:
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x - mean) * inv_std
-        self._cache = (xhat, inv_std, mode)
-        self.last_normalized = xhat
+        self._cache = None if mode == EVAL else (xhat, inv_std, mode)
         return self.gamma * xhat + self.beta
 
     def backward(self, dout):
         xhat, inv_std, mode = self._cache
-        self.dgamma = (dout * xhat).sum(axis=0)
-        self.dbeta = dout.sum(axis=0)
+        np.sum(dout * xhat, axis=0, out=self.dgamma)
+        np.sum(dout, axis=0, out=self.dbeta)
         dxhat = dout * self.gamma
         if mode == TRAIN:
             return inv_std * (dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0))
         return dxhat * inv_std  # frozen stats: plain affine map
-
-    def params(self):
-        return [("gamma", self.gamma, self.dgamma), ("beta", self.beta, self.dbeta)]
 
     @property
     def n_params(self) -> int:
@@ -161,14 +152,12 @@ class ReLU:
         self._mask = None
 
     def forward(self, x, mode):
-        self._mask = x > 0
-        return x * self._mask
+        mask = x > 0
+        self._mask = None if mode == EVAL else mask
+        return x * mask
 
     def backward(self, dout):
         return dout * self._mask
-
-    def params(self):
-        return []
 
 
 class Dropout:
@@ -188,9 +177,6 @@ class Dropout:
         if self._mask is not None:
             return dout * self._mask
         return dout
-
-    def params(self):
-        return []
 
 
 # --- model --------------------------------------------------------------------
@@ -218,6 +204,17 @@ class MlpModel:
             self.layers.append(Dropout(spec.dropout_p, derive_rng(spec.seed, "dropout")))
             d = width
         self.layers.append(Dense(d, spec.n_classes, rng))
+        # every trainable array becomes a view of theta, its gradient a view of grad
+        owned = [(l, n) for l in self.layers for n in getattr(l, "TRAINABLE", ())]
+        self.theta = np.concatenate([getattr(l, n).ravel() for l, n in owned])
+        self.grad = np.zeros_like(self.theta)
+        start = 0
+        for layer, name in owned:
+            value = getattr(layer, name)
+            end = start + value.size
+            setattr(layer, name, self.theta[start:end].reshape(value.shape))
+            setattr(layer, "d" + name, self.grad[start:end].reshape(value.shape))
+            start = end
         self.history: list[dict] = []
 
     @property
@@ -267,50 +264,38 @@ class MlpModel:
         return predict_from_proba(self.predict_proba(X))
 
     def trainable_params(self):
+        """(layer, name, value, gradient) of every trainable array; views of theta and grad."""
         for layer in self.layers:
-            for name, value, grad in layer.params():
-                yield layer, name, value, grad
+            for name in getattr(layer, "TRAINABLE", ()):
+                yield layer, name, getattr(layer, name), getattr(layer, "d" + name)
 
 
 def mlp_build(spec: MlpSpec) -> MlpModel:
     return MlpModel(spec)
 
 
-class _Adam:
-    def __init__(self, opt: OptimizerSpec):
+class _Optimizer:
+    """Adam, or RMSprop with rho = beta2, over one whole parameter vector."""
+
+    def __init__(self, opt: OptimizerSpec, size: int):
         self.opt = opt
-        self.m: dict = {}
-        self.v: dict = {}
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
         self.t = 0
 
-    def step(self, params):
+    def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
+        o = self.opt
+        self.v *= o.beta2
+        self.v += (1 - o.beta2) * grad * grad
+        if o.kind == "rmsprop":
+            theta -= o.lr * grad / (np.sqrt(self.v) + o.eps)
+            return
         self.t += 1
-        o = self.opt
-        for key, (value, grad) in params.items():
-            m = self.m.setdefault(key, np.zeros_like(value))
-            v = self.v.setdefault(key, np.zeros_like(value))
-            m *= o.beta1
-            m += (1 - o.beta1) * grad
-            v *= o.beta2
-            v += (1 - o.beta2) * grad * grad
-            mhat = m / (1 - o.beta1 ** self.t)
-            vhat = v / (1 - o.beta2 ** self.t)
-            value -= o.lr * mhat / (np.sqrt(vhat) + o.eps)
-
-
-class _RmsProp:
-    def __init__(self, opt: OptimizerSpec):
-        self.opt = opt
-        self.v: dict = {}
-
-    def step(self, params):
-        o = self.opt
-        rho = o.beta2
-        for key, (value, grad) in params.items():
-            v = self.v.setdefault(key, np.zeros_like(value))
-            v *= rho
-            v += (1 - rho) * grad * grad
-            value -= o.lr * grad / (np.sqrt(v) + o.eps)
+        self.m *= o.beta1
+        self.m += (1 - o.beta1) * grad
+        mhat = self.m / (1 - o.beta1 ** self.t)
+        vhat = self.v / (1 - o.beta2 ** self.t)
+        theta -= o.lr * mhat / (np.sqrt(vhat) + o.eps)
 
 
 def mlp_train(model: MlpModel, X: np.ndarray, y: np.ndarray) -> MlpModel:
@@ -322,7 +307,7 @@ def mlp_train(model: MlpModel, X: np.ndarray, y: np.ndarray) -> MlpModel:
         raise ShapeMismatch(f"train features have {X.shape[1]} columns, spec wants {spec.input_dim}")
     if y.max() >= spec.n_classes:
         raise ShapeMismatch("label index out of range for spec.n_classes")
-    opt = _Adam(spec.optimizer) if spec.optimizer.kind == "adam" else _RmsProp(spec.optimizer)
+    opt = _Optimizer(spec.optimizer, model.theta.size)
     n = X.shape[0]
     # a diverging run overflows before its loss turns non-finite; NonFiniteLoss
     # reports it, so numpy's warnings would only repeat it
@@ -336,11 +321,7 @@ def mlp_train(model: MlpModel, X: np.ndarray, y: np.ndarray) -> MlpModel:
                 if not np.isfinite(loss):
                     raise NonFiniteLoss(epoch=epoch, batch=start // spec.batch_size, loss=loss)
                 losses.append(loss)
-                params = {
-                    (id(layer), name): (value, grad)
-                    for layer, name, value, grad in model.trainable_params()
-                }
-                opt.step(params)
+                opt.step(model.theta, model.grad)
             model.history.append({
                 "epoch": epoch,
                 "loss": float(np.mean(losses)),

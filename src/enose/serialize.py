@@ -122,6 +122,6 @@ def load_model(path: str):
         pipeline = pipeline_from_dict(doc["pipeline"]) if "pipeline" in doc else None
     except KeyError as exc:
         raise CorruptModel(f"{path}: malformed {FORMAT} document, missing key {exc}") from exc
-    except (ConfigError, TypeError, ValueError, IndexError, StopIteration) as exc:
+    except (ConfigError, TypeError, ValueError, IndexError) as exc:
         raise CorruptModel(f"{path}: malformed {FORMAT} document ({exc})") from exc
     return model, pipeline, doc.get("classes")

@@ -7,6 +7,7 @@ import pytest
 from enose.classifiers.forest import ForestParams, rf_fit
 from enose.cli import main
 from enose.config import load_config
+from enose.neural import mlp_build, variant_spec
 from enose.serialize import save_model
 
 
@@ -569,17 +570,46 @@ def _pipeline(version, reducer=None, scaler=True, scaler_means=3, reducer_means=
     (_pipeline("V3", reducer="ica"), "found 'ica'"),
     (_pipeline("V2", scaler_means=2), "scaler means, stds and degenerate differ in length"),
     (_pipeline("V3", reducer="pca", reducer_means=2), "reducer width 2 is not the scaler width 3"),
+    (_edit(lambda doc: doc["model"]["trees"][0]["root"].update(feature=99)),
+     "split feature 99 is not an index in [0, 3)"),
+    (_edit(lambda doc: doc["model"]["trees"][0]["root"].update(feature=1.5)),
+     "split feature 1.5 is not an index in [0, 3)"),
     # widths that agree inside the file but not with the 9-column data scored
     (lambda path: None, "expected 3 features, got 9"),
     (_pipeline("V2"), "expected 3 columns, got 7"),
 ], ids=["truncated", "missing-key", "format-version", "unknown-kind", "forest-member-kind",
         "no-scaler", "unknown-version", "v3-no-reducer", "v1-with-reducer",
-        "unknown-reducer-kind", "scaler-width", "reducer-width", "model-data-width",
-        "pipeline-data-width"])
+        "unknown-reducer-kind", "scaler-width", "reducer-width", "split-feature",
+        "split-feature-float", "model-data-width", "pipeline-data-width"])
 def test_evaluate_corrupt_model_is_runtime_error(tmp_path, capsys, corrupt, message):
     path = _saved_forest(tmp_path)
     corrupt(path)
     code, out, err = run_cli(capsys, "evaluate", str(path))
+    assert code == 2
+    assert str(path) in err and message in err
+
+
+def _ann_weights(change):
+    return _edit(lambda doc: change(doc["model"]["weights"]))
+
+
+# a weight array of the wrong shape would broadcast, or fail only in predict
+@pytest.mark.parametrize("corrupt, message", [
+    (_ann_weights(lambda w: w[-1].update(b=[0.0])),
+     "weights[6] b has shape (1,), the spec needs (10,)"),
+    (_ann_weights(lambda w: w[1].update(running_var=[1.0])),
+     "weights[1] running_var has shape (1,), the spec needs (128,)"),
+    (_ann_weights(lambda w: w[0].update(W=w[0]["W"][:-1])),
+     "weights[0] W has shape (8, 128), the spec needs (9, 128)"),
+    (_ann_weights(lambda w: w.append(w[-1])), "the spec has 7 weighted layers, the file saves 8"),
+], ids=["last-bias", "running-var", "short-W", "extra-layer"])
+def test_evaluate_misshapen_ann_is_runtime_error(tmp_path, capsys, corrupt, message):
+    # an untrained baseline ANN for the 9 raw features and 10 classes of a synth session
+    path = tmp_path / "ann.model.json"
+    save_model(str(path), mlp_build(variant_spec("baseline", 9, 10)))
+    corrupt(path)
+    code, out, err = run_cli(capsys, "--samples", "20", "--out", str(tmp_path / "o"),
+                             "evaluate", str(path))
     assert code == 2
     assert str(path) in err and message in err
 

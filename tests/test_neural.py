@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from enose.neural import (
     mlp_train,
     variant_spec,
 )
+from enose.rng import derive_rng
+from enose.serialize import load_model, save_model
 from tests.conftest import make_dataset
 
 
@@ -126,9 +130,9 @@ def test_gradient_check_with_batchnorm_and_l2():
 def test_batchnorm_training_statistics():
     bn = BatchNorm(6)
     x = np.random.default_rng(0).normal(size=(64, 6)) * 3 + 2
-    bn.forward(x, TRAIN)
-    assert np.abs(bn.last_normalized.mean(axis=0)).max() < 1e-6
-    assert np.abs(bn.last_normalized.var(axis=0) - 1.0).max() < 1e-6
+    xhat = bn.forward(x, TRAIN)  # gamma is ones and beta zeros at init: the output is xhat
+    assert np.abs(xhat.mean(axis=0)).max() < 1e-6
+    assert np.abs(xhat.var(axis=0) - 1.0).max() < 1e-6
 
 
 def test_train_eval_consistency_without_stochastic_layers():
@@ -223,3 +227,117 @@ def test_diverging_training_stops_without_runtime_warnings(recwarn):
     with pytest.raises(NonFiniteLoss):
         mlp_train(mlp_build(spec), ds.features, ds.labels)
     assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
+
+
+# --- one parameter vector -------------------------------------------------------
+# The per-array optimizers and the per-step dict that fed them, kept as the
+# oracle for the one step over the whole vector.
+
+
+class _OracleAdam:
+    def __init__(self, opt):
+        self.opt = opt
+        self.m: dict = {}
+        self.v: dict = {}
+        self.t = 0
+
+    def step(self, params):
+        self.t += 1
+        o = self.opt
+        for key, (value, grad) in params.items():
+            m = self.m.setdefault(key, np.zeros_like(value))
+            v = self.v.setdefault(key, np.zeros_like(value))
+            m *= o.beta1
+            m += (1 - o.beta1) * grad
+            v *= o.beta2
+            v += (1 - o.beta2) * grad * grad
+            mhat = m / (1 - o.beta1 ** self.t)
+            vhat = v / (1 - o.beta2 ** self.t)
+            value -= o.lr * mhat / (np.sqrt(vhat) + o.eps)
+
+
+class _OracleRmsProp:
+    def __init__(self, opt):
+        self.opt = opt
+        self.v: dict = {}
+
+    def step(self, params):
+        o = self.opt
+        rho = o.beta2
+        for key, (value, grad) in params.items():
+            v = self.v.setdefault(key, np.zeros_like(value))
+            v *= rho
+            v += (1 - rho) * grad * grad
+            value -= o.lr * grad / (np.sqrt(v) + o.eps)
+
+
+def _oracle_train(model, X, y):
+    """``mlp_train``'s batches and steps, each step over a dict of the layers' arrays."""
+    spec = model.spec
+    opt = (_OracleAdam if spec.optimizer.kind == "adam" else _OracleRmsProp)(spec.optimizer)
+    steps = 0
+    for epoch in range(spec.epochs):
+        order = derive_rng(spec.seed, "shuffle", epoch).permutation(X.shape[0])
+        for start in range(0, X.shape[0], spec.batch_size):
+            idx = order[start:start + spec.batch_size]
+            model.loss_and_grads(X[idx], y[idx], TRAIN)
+            opt.step({(id(layer), name): (value, grad)
+                      for layer, name, value, grad in model.trainable_params()})
+            steps += 1
+    return steps
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"optimizer": OptimizerSpec(kind="rmsprop", beta2=0.9)},
+    {"l2_lambda": 1e-3},
+], ids=["adam", "rmsprop", "l2"])
+def test_flat_step_matches_per_array_oracle(overrides):
+    spec = MlpSpec(input_dim=4, n_classes=3, hidden_sizes=(8, 6), epochs=25, batch_size=8,
+                   seed=7, **overrides)
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(64, 4))
+    y = rng.integers(0, 3, size=64)
+    flat = mlp_train(mlp_build(spec), X, y)
+    oracle = mlp_build(spec)
+    assert _oracle_train(oracle, X, y) >= 200
+    assert flat.theta.tobytes() == oracle.theta.tobytes()
+    for a, b in zip(flat.layers, oracle.layers):
+        if isinstance(a, BatchNorm):
+            assert a.running_mean.tobytes() == b.running_mean.tobytes()
+            assert a.running_var.tobytes() == b.running_var.tobytes()
+
+
+def _assert_views(model):
+    params = list(model.trainable_params())
+    assert sum(value.size for _, _, value, _ in params) == model.theta.size
+    for _, _, value, grad in params:
+        assert np.shares_memory(value, model.theta) and np.shares_memory(grad, model.grad)
+
+
+def test_trainable_arrays_are_views_after_build_and_load(tmp_path):
+    ds = _toy_two_class(seed=5)
+    model = mlp_build(variant_spec("baseline", 2, 2, epochs=2, seed=3))
+    _assert_views(model)
+    mlp_train(model, ds.features, ds.labels)
+    path = str(tmp_path / "ann.model.json")
+    save_model(path, model)
+    back = load_model(path)[0]
+    _assert_views(back)
+    assert back.theta.tobytes() == model.theta.tobytes()
+
+
+def test_predict_keeps_no_activations():
+    ds = _toy_two_class(seed=6)
+    model = mlp_train(mlp_build(variant_spec("baseline", 2, 2, epochs=1)), ds.features, ds.labels)
+    X = np.random.default_rng(7).normal(size=(5_000, 2))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        model.predict_proba(X)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20
+    for layer in model.layers:
+        assert all(getattr(layer, a, None) is None for a in ("_x", "_mask", "_cache"))

@@ -4,8 +4,31 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from enose.classifiers.tree import TreeParams, best_split, dt_fit
+from enose.classifiers.tree import TreeParams, _search, _weighted_table, dt_fit, presort
 from enose.errors import DimensionMismatch, ShapeMismatch
+
+
+def best_split(
+    X: np.ndarray,
+    y: np.ndarray,
+    n_classes: int,
+    feature_indices: np.ndarray,
+    min_samples_leaf: int = 1,
+) -> tuple[int, float, float] | None:
+    """Best (feature, threshold, gini_decrease) over the candidate features, by
+    the search ``dt_fit`` grows with.
+
+    Thresholds are midpoints between consecutive distinct sorted values, or
+    the lower value where the midpoint rounds onto the upper one.
+    Ties break by (lower feature index, lower threshold).  Returns None when
+    no split with positive decrease satisfies the leaf-size constraint.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    counts = np.bincount(y, minlength=n_classes).astype(np.float64)
+    split = _search(X, _weighted_table(y, np.ones(y.shape[0]), n_classes), presort(X), counts,
+                    y.shape[0], np.asarray(feature_indices), min_samples_leaf)
+    return None if split is None else split[:3]
+
 
 # naive reimplementation used as the exhaustive-split oracle
 
