@@ -62,7 +62,8 @@ class RandomForest:
         proba = self.trees[0].predict_proba(X)
         for tree in self.trees[1:]:
             proba += tree.predict_proba(X)
-        return proba / len(self.trees)
+        proba /= len(self.trees)
+        return proba
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return predict_from_proba(self.predict_proba(X))

@@ -15,7 +15,7 @@ from . import synth as synth_mod
 from .config import FORMATS, PipelineConfig, apply_overrides, load_config
 from .dataset import stratified_kfold, stratified_split
 from .ensemble import VotingEnsemble
-from .errors import ConfigError, DimensionMismatch, ENoseError
+from .errors import ConfigError, DimensionMismatch, ENoseError, NonFiniteScores
 from .evaluate import (
     CvResult,
     FeaturePipeline,
@@ -268,8 +268,8 @@ def cmd_evaluate(cfg: PipelineConfig, model_path: str) -> int:
     try:
         work = pipe.transform(data) if pipe is not None else data
         report = evaluate_model(model, work.features, work.labels, list(data.classes))
-    except DimensionMismatch as exc:
-        raise DimensionMismatch(f"{model_path}: {exc}") from exc
+    except (DimensionMismatch, NonFiniteScores) as exc:
+        raise type(exc)(f"{model_path}: {exc}") from exc
     path = os.path.join(cfg.out_dir, "evaluate.report.json")
     _write(path, _json_text(report.to_dict()))
     print(f"accuracy: {report.accuracy:.4f}")

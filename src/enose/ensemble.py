@@ -34,5 +34,8 @@ def soft_vote_proba(ensemble: VotingEnsemble, X: np.ndarray) -> np.ndarray:
     """Average member probabilities; summation order is member-independent."""
     stacked = np.stack([m.predict_proba(X) for m in ensemble.members])
     # sort the per-member contributions so aggregation is bit-identical under
-    # any permutation of the member list
-    return np.sort(stacked, axis=0).sum(axis=0) / len(ensemble.members)
+    # any permutation of the member list; in place, as np.sort sorts its copy
+    stacked.sort(axis=0)
+    proba = stacked.sum(axis=0)
+    proba /= len(ensemble.members)
+    return proba

@@ -129,6 +129,10 @@ class LabelOutOfRange(ENoseError):
     pass
 
 
+class NonFiniteScores(ENoseError):
+    pass
+
+
 class BadSizes(ENoseError):
     pass
 

@@ -10,7 +10,8 @@ from typing import Callable
 import numpy as np
 
 from .dataset import Dataset
-from .errors import BadSizes, EmptyGrid, EmptyMatrix, ENoseError, LabelOutOfRange
+from .errors import (BadSizes, EmptyGrid, EmptyMatrix, ENoseError, LabelOutOfRange,
+                     NonFiniteScores)
 from .preprocess import DROPPED_AMBIENT, drop_columns, fit_scaler
 from .reduce import LdaModel, PcaModel, lda_fit, pca_fit
 
@@ -305,32 +306,59 @@ def prf_report(confusion: np.ndarray, class_names: list[str] | None = None) -> E
     return EvalReport(cm, per_class, macro, weighted, accuracy=float(diag.sum() / total))
 
 
-def binary_roc(y_pos: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """One-vs-rest ROC points and trapezoidal AUC.
+def _blocks(ascending: np.ndarray) -> np.ndarray:
+    """The index where each run of equal values of a sorted array starts."""
+    return np.flatnonzero(np.r_[True, ascending[1:] > ascending[:-1]])
 
-    Thresholds sweep the distinct scores descending, with a sentinel above
-    the maximum so the curve starts at (0, 0).
+
+def _tally(y_pos: np.ndarray, scores: np.ndarray):
+    """The distinct scores, ascending, with the positive and the negative rows at each.
+
+    Counts are int32 (there are fewer than 2**31 scores), so the micro average's
+    merge of all classes' tables stays small when scores are continuous.
     """
-    y_pos = np.asarray(y_pos, dtype=bool)
-    scores = np.asarray(scores, dtype=np.float64)
-    P = int(y_pos.sum())
-    N = int((~y_pos).sum())
-    order = np.argsort(-scores, kind="stable")
-    ys = y_pos[order]
-    ss = scores[order]
-    tps = np.cumsum(ys)
-    fps = np.cumsum(~ys)
-    # keep only the last index of each distinct score block
-    last = np.r_[np.flatnonzero(ss[:-1] > ss[1:]), ss.size - 1]
-    tpr = np.r_[0.0, tps[last] / P] if P else np.zeros(last.size + 1)
-    fpr = np.r_[0.0, fps[last] / N] if N else np.zeros(last.size + 1)
-    # the trapezoid rule written out, so it does not depend on numpy's trapz -> trapezoid rename
-    auc = float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2))
-    return fpr, tpr, auc
+    ordered = np.sort(scores)
+    starts = _blocks(ordered)
+    values = ordered[starts]
+    rows = np.diff(starts, append=ordered.size)
+    pos = np.diff(np.searchsorted(np.sort(scores[y_pos]), values), append=y_pos.sum())
+    return values, pos.astype(np.int32), (rows - pos).astype(np.int32)
+
+
+def _curve(pos: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """ROC points and trapezoidal AUC from the positive and negative counts at each
+    distinct score, ascending (a ``_tally``).
+
+    Thresholds sweep the distinct scores descending, with a sentinel above the
+    maximum so the curve starts at (0, 0).
+    """
+    fpr, tpr = (np.zeros(counts.size + 1) for counts in (neg, pos))
+    for rate, counts in ((fpr, neg), (tpr, pos)):
+        # rows at or above each threshold: float sums of counts are exact integers
+        np.cumsum(counts[::-1], dtype=np.float64, out=rate[1:])
+        if rate[-1]:
+            rate /= rate[-1]
+    # the trapezoid rule written out, so it does not depend on numpy's trapz ->
+    # trapezoid rename; in place, with the rounding of diff(fpr) * (sum of tpr) / 2
+    area = np.diff(fpr)
+    area *= tpr[1:] + tpr[:-1]
+    area /= 2
+    return fpr, tpr, float(np.sum(area))
+
+
+def binary_roc(y_pos: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """One-vs-rest ROC points and trapezoidal AUC (see ``_curve``)."""
+    _, pos, neg = _tally(np.asarray(y_pos, dtype=bool), np.asarray(scores, dtype=np.float64))
+    return _curve(pos, neg)
 
 
 def roc_auc(y_true: np.ndarray, probas: np.ndarray, class_names: list[str] | None = None) -> dict:
-    """Per-class one-vs-rest ROC plus micro- and macro-averaged AUC."""
+    """Per-class one-vs-rest ROC plus micro- and macro-averaged AUC.
+
+    Every curve comes from per-class counts of distinct scores (``_tally``).  The
+    micro average, the ROC of all (row, class) scores, merges the classes'
+    tables, so no rows x classes array is built.
+    """
     y_true = np.asarray(y_true, dtype=np.int64)
     probas = np.asarray(probas, dtype=np.float64)
     C = probas.shape[1]
@@ -340,19 +368,29 @@ def roc_auc(y_true: np.ndarray, probas: np.ndarray, class_names: list[str] | Non
     curves: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     defined: list[float] = []
     degenerate: list[str] = []
+    tables = []
     for k in range(C):
         pos = y_true == k
+        table = _tally(pos, probas[:, k])
+        tables.append(table)
         if pos.all() or not pos.any():
             per_class[class_names[k]] = None
             degenerate.append(class_names[k])
             continue
-        fpr, tpr, auc = binary_roc(pos, probas[:, k])
+        fpr, tpr, auc = _curve(*table[1:])
         curves[class_names[k]] = (fpr, tpr)
         per_class[class_names[k]] = auc
         defined.append(auc)
-    onehot = np.zeros_like(probas, dtype=bool)
-    onehot[np.arange(y_true.shape[0]), y_true] = True
-    _, _, micro = binary_roc(onehot.ravel(), probas.ravel())
+    # the micro table: every class's counts summed per distinct score; each array
+    # is dropped once merged, which keeps the peak low for continuous scores
+    values, pos, neg = (np.concatenate(column) for column in zip(*tables))
+    del tables
+    order = np.argsort(values, kind="stable")  # merges the C ascending runs
+    starts = _blocks(values[order])
+    del values
+    pos, neg = (np.add.reduceat(counts[order], starts, dtype=np.int32) for counts in (pos, neg))
+    del order, starts
+    micro = _curve(pos, neg)[2]
     macro = float(np.mean(defined)) if defined else None
     return {
         "per_class": per_class,
@@ -364,8 +402,15 @@ def roc_auc(y_true: np.ndarray, probas: np.ndarray, class_names: list[str] | Non
 
 
 def evaluate_model(model, X: np.ndarray, y: np.ndarray, class_names: list[str]) -> EvalReport:
-    """Full EvalReport (confusion, P/R/F1, ROC/AUC) for a fitted model."""
+    """Full EvalReport (confusion, P/R/F1, ROC/AUC) for a fitted model.
+
+    NonFiniteScores if a class probability is NaN or infinite.
+    """
     proba = model.predict_proba(X)
+    finite = np.count_nonzero(np.isfinite(proba))
+    if finite < proba.size:
+        raise NonFiniteScores(f"{proba.size - finite} of {proba.size} class probabilities "
+                              f"are NaN or infinite")
     y_pred = np.argmax(proba, axis=1)
     cm = confusion_matrix(y, y_pred, len(class_names))
     report = prf_report(cm, class_names)

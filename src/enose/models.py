@@ -11,6 +11,7 @@ Model selection fits each distinct model once per fold: a family's
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable
 
@@ -63,16 +64,25 @@ def _node_to_dict(node: TreeNode) -> dict:
     }
 
 
-def _node_from_dict(d: dict, n_features: int) -> TreeNode:
-    node = TreeNode(counts=_array(d["counts"]))
+def _node_from_dict(d: dict, n_features: int, n_classes: int) -> TreeNode:
+    # plain-Python checks on the parsed list, cheaper than numpy calls on C entries:
+    # entries >= 0 with a finite sum are each finite, and a non-number fails sum()
+    counts = d["counts"]
+    if not (type(counts) is list and len(counts) == n_classes
+            and min(counts) >= 0 and 0 < sum(counts) < math.inf):
+        raise ConfigError(f"node counts {counts!r} are not {n_classes} finite numbers "
+                          f">= 0 with a positive finite sum")
+    node = TreeNode(counts=_array(counts))
     if "feature" in d:
         node.feature = d["feature"]
         if not (type(node.feature) is int and 0 <= node.feature < n_features):
             raise ConfigError(f"split feature {node.feature!r} is not an index "
                               f"in [0, {n_features})")
         node.threshold = d["threshold"]
-        node.left = _node_from_dict(d["left"], n_features)
-        node.right = _node_from_dict(d["right"], n_features)
+        if not (type(node.threshold) in (int, float) and math.isfinite(node.threshold)):
+            raise ConfigError(f"split threshold {node.threshold!r} is not a finite number")
+        node.left = _node_from_dict(d["left"], n_features, n_classes)
+        node.right = _node_from_dict(d["right"], n_features, n_classes)
     return node
 
 
@@ -86,8 +96,11 @@ def _dt_to_dict(model: DecisionTree) -> dict:
 
 
 def _dt_from_dict(doc: dict) -> DecisionTree:
-    return DecisionTree(_from_doc(TreeParams, doc["params"]), doc["n_classes"],
-                        doc["n_features"], _node_from_dict(doc["root"], doc["n_features"]))
+    n_classes, n_features = doc["n_classes"], doc["n_features"]
+    if not (type(n_classes) is int and n_classes >= 1):
+        raise ConfigError(f"a tree's n_classes {n_classes!r} is not a positive integer")
+    return DecisionTree(_from_doc(TreeParams, doc["params"]), n_classes, n_features,
+                        _node_from_dict(doc["root"], n_features, n_classes))
 
 
 # --- rf -----------------------------------------------------------------------
@@ -131,6 +144,10 @@ def _rf_from_dict(doc: dict) -> RandomForest:
     if any(t["kind"] != "dt" for t in doc["trees"]):
         raise ConfigError("every member of a forest must be of kind 'dt'")
     trees = [_dt_from_dict(t) for t in doc["trees"]]
+    for i, tree in enumerate(trees):
+        if tree.n_classes != doc["n_classes"]:
+            raise ConfigError(f"the forest has {doc['n_classes']!r} classes, "
+                              f"its tree {i} has {tree.n_classes!r}")
     tree_params = trees[0].params if trees else TreeParams()
     return RandomForest(_from_doc(ForestParams, doc["params"], tree=tree_params),
                         trees, doc["n_classes"])

@@ -120,8 +120,13 @@ def load_model(path: str):
     try:
         model = model_from_dict(doc["model"])
         pipeline = pipeline_from_dict(doc["pipeline"]) if "pipeline" in doc else None
+        classes = doc.get("classes")
+        if classes is not None and (type(classes) is not list
+                                    or len(classes) != model.n_classes):
+            raise ConfigError(f"classes {classes!r} do not name the model's "
+                              f"{model.n_classes} classes")
     except KeyError as exc:
         raise CorruptModel(f"{path}: malformed {FORMAT} document, missing key {exc}") from exc
-    except (ConfigError, TypeError, ValueError, IndexError) as exc:
+    except (ConfigError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise CorruptModel(f"{path}: malformed {FORMAT} document ({exc})") from exc
-    return model, pipeline, doc.get("classes")
+    return model, pipeline, classes

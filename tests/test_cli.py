@@ -542,6 +542,22 @@ def _edit(change):
     return apply
 
 
+def _first_leaf(doc):
+    """The leftmost leaf of the saved forest's first tree."""
+    node = doc["model"]["trees"][0]["root"]
+    while "feature" in node:
+        node = node["left"]
+    return node
+
+
+def _root(**change):
+    return _edit(lambda doc: doc["model"]["trees"][0]["root"].update(change))
+
+
+def _leaf_counts(counts):
+    return _edit(lambda doc: _first_leaf(doc).update(counts=counts))
+
+
 def _pipeline(version, reducer=None, scaler=True, scaler_means=3, reducer_means=3):
     """An edit giving the saved forest a pipeline for its 3 features.
 
@@ -574,19 +590,74 @@ def _pipeline(version, reducer=None, scaler=True, scaler_means=3, reducer_means=
      "split feature 99 is not an index in [0, 3)"),
     (_edit(lambda doc: doc["model"]["trees"][0]["root"].update(feature=1.5)),
      "split feature 1.5 is not an index in [0, 3)"),
+    (_root(threshold="abc"), "split threshold 'abc' is not a finite number"),
+    (_root(threshold=True), "split threshold True is not a finite number"),
+    (_root(threshold=float("nan")), "split threshold nan is not a finite number"),
+    (_root(threshold=10 ** 400), "int too large to convert to float"),
+    (_leaf_counts([1.0]), "node counts [1.0] are not 2 finite numbers >= 0"),
+    (_leaf_counts([-1.0, 3.0]), "node counts [-1.0, 3.0] are not 2 finite numbers >= 0"),
+    (_leaf_counts([1.0, float("inf")]), "node counts [1.0, inf] are not 2 finite numbers"),
+    (_leaf_counts([0.0, 0.0]), "node counts [0.0, 0.0] are not 2 finite numbers >= 0 "
+                               "with a positive finite sum"),
+    (_edit(lambda doc: doc["model"].update(n_classes=3)),
+     "the forest has 3 classes, its tree 0 has 2"),
+    (_edit(lambda doc: [t.update(n_classes=2.0) for t in doc["model"]["trees"]]),
+     "a tree's n_classes 2.0 is not a positive integer"),
+    (_edit(lambda doc: doc.update(classes=["a", "b", "c"])),
+     "classes ['a', 'b', 'c'] do not name the model's 2 classes"),
     # widths that agree inside the file but not with the 9-column data scored
     (lambda path: None, "expected 3 features, got 9"),
     (_pipeline("V2"), "expected 3 columns, got 7"),
 ], ids=["truncated", "missing-key", "format-version", "unknown-kind", "forest-member-kind",
         "no-scaler", "unknown-version", "v3-no-reducer", "v1-with-reducer",
         "unknown-reducer-kind", "scaler-width", "reducer-width", "split-feature",
-        "split-feature-float", "model-data-width", "pipeline-data-width"])
+        "split-feature-float", "threshold-string", "threshold-bool", "threshold-nan",
+        "threshold-huge-int", "counts-length", "counts-negative", "counts-infinite",
+        "leaf-counts-zero", "forest-n-classes", "tree-n-classes-float", "classes-length",
+        "model-data-width", "pipeline-data-width"])
 def test_evaluate_corrupt_model_is_runtime_error(tmp_path, capsys, corrupt, message):
     path = _saved_forest(tmp_path)
     corrupt(path)
     code, out, err = run_cli(capsys, "evaluate", str(path))
     assert code == 2
     assert str(path) in err and message in err
+
+
+def _set_w(*entries):
+    """An edit of the first layer's ``W``: ``(row, column, value)`` entries."""
+    def change(doc):
+        for row, col, value in entries:
+            doc["model"]["weights"][0]["W"][row][col] = value
+    return _edit(change)
+
+
+@pytest.mark.parametrize("corrupt", [
+    _set_w((0, 0, float("nan"))),
+    _set_w((0, 0, 1e308), (1, 0, 1e308)),  # finite, but the logits overflow
+], ids=["nan-weight", "overflowing-weights"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_evaluate_non_finite_probabilities_is_runtime_error(tmp_path, capsys, corrupt):
+    path = tmp_path / "ann.model.json"
+    save_model(str(path), mlp_build(variant_spec("baseline", 9, 10)))
+    corrupt(path)
+    code, out, err = run_cli(capsys, "--samples", "20", "--out", str(tmp_path / "o"),
+                             "evaluate", str(path))
+    assert code == 2
+    assert f"{path}: " in err and "class probabilities are NaN or infinite" in err
+    assert "accuracy" not in out and not (tmp_path / "o").exists()
+
+
+def test_run_non_finite_probabilities_fail_their_stage(tmp_path, capsys, monkeypatch):
+    from enose.classifiers.tree import DecisionTree
+
+    monkeypatch.setattr(DecisionTree, "predict_proba",
+                        lambda self, X: np.full((len(X), self.n_classes), np.nan))
+    text = CONFIG_SMALL.replace("families = dt,rf", "families = dt")
+    code, out, err = run_cli(capsys, "--config", write_config(tmp_path, text), "--out",
+                             str(tmp_path / "o"), "run")
+    assert code == 2
+    assert "[baseline:dt]" in err and "class probabilities are NaN or infinite" in err
 
 
 def _ann_weights(change):

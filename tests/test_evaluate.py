@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from enose.dataset import stratified_kfold
 from enose.errors import BadSizes, ConfigError, EmptyGrid, EmptyMatrix, LabelOutOfRange
@@ -348,6 +351,114 @@ def test_roc_auc_multiclass_and_degenerate():
     assert result["per_class"]["c"] is None
     assert "c" in result["degenerate"]
     assert result["macro"] == pytest.approx(1.0)
+
+
+# --- ROC from per-class score counts: the rows x classes version as oracle -------
+
+
+def _oracle_binary_roc(y_pos, scores):
+    """The argsort-and-cumsum ROC over every row that counts replaced."""
+    y_pos = np.asarray(y_pos, dtype=bool)
+    scores = np.asarray(scores, dtype=np.float64)
+    P = int(y_pos.sum())
+    N = int((~y_pos).sum())
+    order = np.argsort(-scores, kind="stable")
+    ys = y_pos[order]
+    ss = scores[order]
+    tps = np.cumsum(ys)
+    fps = np.cumsum(~ys)
+    last = np.r_[np.flatnonzero(ss[:-1] > ss[1:]), ss.size - 1]
+    tpr = np.r_[0.0, tps[last] / P] if P else np.zeros(last.size + 1)
+    fpr = np.r_[0.0, fps[last] / N] if N else np.zeros(last.size + 1)
+    auc = float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2))
+    return fpr, tpr, auc
+
+
+def _oracle_roc_auc(y_true, probas, class_names=None):
+    """The micro average over the raveled scores and a one-hot label matrix."""
+    y_true = np.asarray(y_true, dtype=np.int64)
+    probas = np.asarray(probas, dtype=np.float64)
+    C = probas.shape[1]
+    if class_names is None:
+        class_names = [str(i) for i in range(C)]
+    per_class, curves, defined, degenerate = {}, {}, [], []
+    for k in range(C):
+        pos = y_true == k
+        if pos.all() or not pos.any():
+            per_class[class_names[k]] = None
+            degenerate.append(class_names[k])
+            continue
+        fpr, tpr, auc = _oracle_binary_roc(pos, probas[:, k])
+        curves[class_names[k]] = (fpr, tpr)
+        per_class[class_names[k]] = auc
+        defined.append(auc)
+    onehot = np.zeros_like(probas, dtype=bool)
+    onehot[np.arange(y_true.shape[0]), y_true] = True
+    _, _, micro = _oracle_binary_roc(onehot.ravel(), probas.ravel())
+    macro = float(np.mean(defined)) if defined else None
+    return {"per_class": per_class, "curves": curves, "micro": micro, "macro": macro,
+            "degenerate": degenerate}
+
+
+# few distinct values (signed zeros among them), or any finite float
+_SCORES = st.one_of(st.sampled_from([0.0, -0.0, 0.1, 0.25, 0.5, 1.0, -3.0]),
+                    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _roc_inputs(draw):
+    """Labels over C classes, possibly missing some or all but one, and n x C scores."""
+    C = draw(st.integers(1, 5))
+    present = draw(st.lists(st.integers(0, C - 1), min_size=1, max_size=C, unique=True))
+    y = draw(st.lists(st.sampled_from(present), min_size=1, max_size=40))
+    scores = draw(st.lists(_SCORES, min_size=len(y) * C, max_size=len(y) * C))
+    return np.array(y), np.array(scores).reshape(len(y), C)
+
+
+def _same_curve(got, want):
+    return all(g.tobytes() == w.tobytes() for g, w in zip(got[:2], want[:2]))
+
+
+@given(_roc_inputs())
+@settings(max_examples=300, deadline=None)
+def test_roc_from_counts_is_bitwise_the_row_sweep(inputs):
+    y, probas = inputs
+    got, want = roc_auc(y, probas), _oracle_roc_auc(y, probas)
+    assert got["curves"].keys() == want["curves"].keys()
+    assert all(_same_curve(got["curves"][k], want["curves"][k]) for k in want["curves"])
+    for key in ("per_class", "micro", "macro", "degenerate"):
+        assert got[key] == want[key], key
+    for k in range(probas.shape[1]):  # every class, single-class labels included
+        got, want = binary_roc(y == k, probas[:, k]), _oracle_binary_roc(y == k, probas[:, k])
+        assert _same_curve(got, want) and got[2] == want[2]
+
+
+def _roc_peak(fn, y, probas) -> int:
+    tracemalloc.start()
+    try:
+        fn(y, probas)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_roc_of_forest_scores_needs_no_rows_x_classes_temporary():
+    # a 100-tree forest's probabilities: multiples of 1/100, about 100 distinct values
+    rng = np.random.default_rng(0)
+    y = rng.integers(0, 10, size=50_000)
+    p = np.exp(rng.normal(size=(y.size, 10)) + 2.0 * np.eye(10)[y])
+    probas = rng.multinomial(100, p / p.sum(axis=1, keepdims=True)) / 100.0
+    assert np.unique(probas).size <= 101
+    peak = _roc_peak(roc_auc, y, probas)
+    assert peak < probas.nbytes / 2, peak / probas.nbytes
+
+
+def test_roc_of_continuous_scores_peaks_no_higher_than_the_row_sweep():
+    rng = np.random.default_rng(1)
+    y = rng.integers(0, 10, size=50_000)
+    e = np.exp(rng.normal(size=(y.size, 10)))
+    probas = e / e.sum(axis=1, keepdims=True)
+    assert _roc_peak(roc_auc, y, probas) <= _roc_peak(_oracle_roc_auc, y, probas)
 
 
 def test_learning_curve_full_size_matches_cv():
