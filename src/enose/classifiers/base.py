@@ -11,7 +11,11 @@ def predict_from_proba(proba: np.ndarray) -> np.ndarray:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, shifted by each row's maximum for stability."""
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-wise softmax, shifted by each row's maximum for stability.
+
+    Computed in place: ``z`` (float64) is overwritten and returned.
+    """
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z

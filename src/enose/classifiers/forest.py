@@ -59,9 +59,11 @@ class RandomForest:
         self.n_classes = n_classes
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        proba = self.trees[0].predict_proba(X)
-        for tree in self.trees[1:]:
-            proba += tree.predict_proba(X)
+        """Mean of the trees' probabilities, each tree added in order into one array."""
+        X = np.asarray(X, dtype=np.float64)
+        proba = np.zeros((X.shape[0], self.n_classes))
+        for tree in self.trees:
+            tree.predict_proba(X, add_to=proba)
         proba /= len(self.trees)
         return proba
 

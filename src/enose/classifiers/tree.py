@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,17 +17,31 @@ class TreeParams:
     min_samples_leaf: int = 1
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
     counts: np.ndarray                     # per-class sample counts at this node
     feature: int | None = None
     threshold: float | None = None
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
+    _leaf_value: int | np.ndarray | None = field(default=None, init=False, repr=False,
+                                                 compare=False)
 
     @property
     def is_leaf(self) -> bool:
         return self.feature is None
+
+    @property
+    def leaf_value(self) -> int | np.ndarray:
+        """What this leaf adds to a probability row: its class if pure, else counts / total.
+
+        Computed on first use and kept in the node's own slot.
+        """
+        if self._leaf_value is None:
+            classes = np.flatnonzero(self.counts)
+            self._leaf_value = (int(classes[0]) if classes.size == 1
+                                else self.counts / self.counts.sum())
+        return self._leaf_value
 
 
 def presort(X: np.ndarray) -> np.ndarray:
@@ -109,11 +123,16 @@ class DecisionTree:
         self.n_features = n_features
         self.root = root
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+    def predict_proba(self, X: np.ndarray, *, add_to: np.ndarray | None = None) -> np.ndarray:
+        """Class probabilities of X's rows, added into ``add_to`` if given; returns that sum.
+
+        A pure leaf adds 1.0 at its class and nothing elsewhere: adding +0.0
+        to a sum of probabilities leaves its bits unchanged.
+        """
         X = np.asarray(X, dtype=np.float64)
         if X.shape[1] != self.n_features:
             raise DimensionMismatch(f"expected {self.n_features} features, got {X.shape[1]}")
-        out = np.empty((X.shape[0], self.n_classes))
+        out = np.zeros((X.shape[0], self.n_classes)) if add_to is None else add_to
         # route index blocks down the tree instead of looping per row
         stack = [(self.root, np.arange(X.shape[0]))]
         while stack:
@@ -121,7 +140,11 @@ class DecisionTree:
             if idx.size == 0:
                 continue
             if node.is_leaf:
-                out[idx] = node.counts / node.counts.sum()
+                value = node.leaf_value
+                if isinstance(value, int):
+                    out[idx, value] += 1.0
+                else:
+                    out[idx] += value
                 continue
             mask = X[idx, node.feature] <= node.threshold
             stack.append((node.left, idx[mask]))

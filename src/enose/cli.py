@@ -267,7 +267,8 @@ def cmd_evaluate(cfg: PipelineConfig, model_path: str) -> int:
         )
     try:
         work = pipe.transform(data) if pipe is not None else data
-        report = evaluate_model(model, work.features, work.labels, list(data.classes))
+        del data  # the raw session, no longer needed once transformed
+        report = evaluate_model(model, work.features, work.labels, list(work.classes))
     except (DimensionMismatch, NonFiniteScores) as exc:
         raise type(exc)(f"{model_path}: {exc}") from exc
     path = os.path.join(cfg.out_dir, "evaluate.report.json")

@@ -26,6 +26,7 @@ from .errors import (
 from .rng import derive_rng
 
 LABEL_COLUMN = "target"
+PARSE_CHUNK_ROWS = 512  # run-CSV rows whose tokens and floats exist at once while parsing
 
 # canonical 9-channel header (configurable at ingest time)
 CANONICAL_CHANNELS = (
@@ -120,41 +121,40 @@ def parse_run_csv(text: str, label: str | None = None) -> RunTable:
     label_col = header.index(LABEL_COLUMN) if LABEL_COLUMN in header else None
     feature_cols = [i for i in range(width) if i != label_col]
 
-    # the rows before the first ragged one are split and converted in bulk;
-    # a failing row or cell is located only once the bulk pass shows one
+    # the rows before the first ragged one are split and converted in chunks; a
+    # failing row or cell is located only once a chunk's bulk pass shows one
     commas = np.fromiter(map(str.count, body, repeat(",")), dtype=np.int64, count=len(body))
     ragged = np.flatnonzero(commas != width - 1)
     n = int(ragged[0]) if ragged.size else len(body)
-    tokens = list(map(str.strip, ",".join(body[:n]).split(","))) if n else []
-
+    d = len(feature_cols)
+    rows = np.empty((n, d))
     file_label: str | None = None
-    mismatch_row = None
-    if label_col is not None:
-        targets = tokens[label_col::width]
-        if targets:
-            file_label = targets[0]
-            if targets.count(file_label) != n:
-                mismatch_row = next(r for r, t in enumerate(targets, start=1) if t != file_label)
-        del tokens[label_col::width]
-
-    try:
-        rows = np.array(list(map(float, tokens)), dtype=np.float64)
-        nonfinite = np.flatnonzero(~np.isfinite(rows))
-        bad = int(nonfinite[0]) if nonfinite.size else None
-    except ValueError:
-        bad = _first_bad_cell(tokens)
-    bad_row = None if bad is None else bad // len(feature_cols) + 1
-
-    if mismatch_row is not None and (bad_row is None or mismatch_row <= bad_row):
-        cell = targets[mismatch_row - 1]
-        raise SchemaMismatch(f"target column is not constant: {file_label!r} vs {cell!r} "
-                             f"at row {mismatch_row}")
-    if bad_row is not None:
-        col = feature_cols[bad % len(feature_cols)] + 1
-        raise MalformedCell(row=bad_row, col=col, token=tokens[bad])
+    for start in range(0, n, PARSE_CHUNK_ROWS):
+        stop = min(start + PARSE_CHUNK_ROWS, n)
+        tokens = list(map(str.strip, ",".join(body[start:stop]).split(",")))
+        mismatch = None
+        if label_col is not None:
+            targets = tokens[label_col::width]
+            if file_label is None:
+                file_label = targets[0]
+            if targets.count(file_label) != len(targets):
+                mismatch = next(r for r, t in enumerate(targets) if t != file_label)
+            del tokens[label_col::width]
+        try:
+            chunk = np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
+            nonfinite = np.flatnonzero(~np.isfinite(chunk))
+            bad = int(nonfinite[0]) if nonfinite.size else None
+        except ValueError:
+            bad = _first_bad_cell(tokens)
+        if mismatch is not None and (bad is None or mismatch <= bad // d):
+            raise SchemaMismatch(f"target column is not constant: {file_label!r} vs "
+                                 f"{targets[mismatch]!r} at row {start + mismatch + 1}")
+        if bad is not None:
+            raise MalformedCell(row=start + bad // d + 1, col=feature_cols[bad % d] + 1,
+                                token=tokens[bad])
+        rows[start:stop] = chunk.reshape(stop - start, d)
     if n < len(body):
         raise RaggedRow(row=n + 1, expected=width, got=int(commas[n]) + 1)
-    rows = rows.reshape(n, len(feature_cols))
 
     if file_label is not None and label is not None and file_label != label:
         raise SchemaMismatch(f"in-file target {file_label!r} disagrees with supplied label {label!r}")

@@ -141,6 +141,8 @@ def _rf_to_dict(model: RandomForest) -> dict:
 
 
 def _rf_from_dict(doc: dict) -> RandomForest:
+    if not doc["trees"]:
+        raise ConfigError("a forest needs at least one tree")
     if any(t["kind"] != "dt" for t in doc["trees"]):
         raise ConfigError("every member of a forest must be of kind 'dt'")
     trees = [_dt_from_dict(t) for t in doc["trees"]]
@@ -148,8 +150,7 @@ def _rf_from_dict(doc: dict) -> RandomForest:
         if tree.n_classes != doc["n_classes"]:
             raise ConfigError(f"the forest has {doc['n_classes']!r} classes, "
                               f"its tree {i} has {tree.n_classes!r}")
-    tree_params = trees[0].params if trees else TreeParams()
-    return RandomForest(_from_doc(ForestParams, doc["params"], tree=tree_params),
+    return RandomForest(_from_doc(ForestParams, doc["params"], tree=trees[0].params),
                         trees, doc["n_classes"])
 
 

@@ -94,7 +94,9 @@ class Dense:
 
     def forward(self, x, mode):
         self._x = None if mode == EVAL else x
-        return x @ self.W + self.b
+        h = x @ self.W
+        h += self.b
+        return h
 
     def backward(self, dout, input_grad: bool = True):
         np.matmul(self._x.T, dout, out=self.dW)
@@ -128,8 +130,16 @@ class BatchNorm:
             mean = self.running_mean
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        if mode == EVAL:
+            # x is the fresh output of the Dense below; the same operations, in place
+            x -= mean
+            x *= inv_std
+            x *= self.gamma
+            x += self.beta
+            self._cache = None
+            return x
         xhat = (x - mean) * inv_std
-        self._cache = None if mode == EVAL else (xhat, inv_std, mode)
+        self._cache = (xhat, inv_std, mode)
         return self.gamma * xhat + self.beta
 
     def backward(self, dout):
@@ -152,9 +162,12 @@ class ReLU:
         self._mask = None
 
     def forward(self, x, mode):
-        mask = x > 0
-        self._mask = None if mode == EVAL else mask
-        return x * mask
+        if mode == EVAL:
+            # in place, as the array below is fresh; x * 0.0 keeps -0.0, np.maximum would not
+            self._mask = None
+            return np.multiply(x, x > 0, out=x)
+        self._mask = x > 0
+        return x * self._mask
 
     def backward(self, dout):
         return dout * self._mask

@@ -29,7 +29,9 @@ class Scaler:
         X = np.asarray(X, dtype=np.float64)
         if X.shape[1] != self.means.shape[0]:
             raise DimensionMismatch(f"expected {self.means.shape[0]} columns, got {X.shape[1]}")
-        return (X - self.means) / self.stds
+        Z = X - self.means
+        Z /= self.stds
+        return Z
 
 
 def fit_scaler(X: np.ndarray) -> Scaler:

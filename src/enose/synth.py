@@ -124,10 +124,6 @@ def generate(spec: SynthSpec) -> Dataset:
 RUN_ID = "run0"  # the run part of each written file name, <class>__run0.csv
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
-
-
 def write_run_files(ds: Dataset, out_dir: str) -> str:
     """Emit per-class CSV run files plus a manifest; returns the manifest path."""
     os.makedirs(out_dir, exist_ok=True)
@@ -139,8 +135,8 @@ def write_run_files(ds: Dataset, out_dir: str) -> str:
         path = os.path.join(out_dir, fname)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(_format_float(v) for v in row) + "\n")
+            for row in rows.tolist():  # Python floats, each written as its repr
+                fh.write(",".join(map(repr, row)) + "\n")
         manifest_lines.append(f"{fname},{name}")
     manifest_path = os.path.join(out_dir, "manifest.csv")
     with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:

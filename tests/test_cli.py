@@ -601,6 +601,7 @@ def _pipeline(version, reducer=None, scaler=True, scaler_means=3, reducer_means=
                                "with a positive finite sum"),
     (_edit(lambda doc: doc["model"].update(n_classes=3)),
      "the forest has 3 classes, its tree 0 has 2"),
+    (_edit(lambda doc: doc["model"].update(trees=[])), "a forest needs at least one tree"),
     (_edit(lambda doc: [t.update(n_classes=2.0) for t in doc["model"]["trees"]]),
      "a tree's n_classes 2.0 is not a positive integer"),
     (_edit(lambda doc: doc.update(classes=["a", "b", "c"])),
@@ -613,8 +614,8 @@ def _pipeline(version, reducer=None, scaler=True, scaler_means=3, reducer_means=
         "unknown-reducer-kind", "scaler-width", "reducer-width", "split-feature",
         "split-feature-float", "threshold-string", "threshold-bool", "threshold-nan",
         "threshold-huge-int", "counts-length", "counts-negative", "counts-infinite",
-        "leaf-counts-zero", "forest-n-classes", "tree-n-classes-float", "classes-length",
-        "model-data-width", "pipeline-data-width"])
+        "leaf-counts-zero", "forest-n-classes", "forest-no-trees", "tree-n-classes-float",
+        "classes-length", "model-data-width", "pipeline-data-width"])
 def test_evaluate_corrupt_model_is_runtime_error(tmp_path, capsys, corrupt, message):
     path = _saved_forest(tmp_path)
     corrupt(path)

@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from enose import dataset
 from enose.dataset import (
     FoldPlan,
     RunTable,
@@ -107,10 +109,41 @@ def run_texts(draw):
     return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
 
 
-@given(run_texts(), st.sampled_from([None, "onion", "garlic"]))
+@given(run_texts(), st.sampled_from([None, "onion", "garlic"]), st.sampled_from([2, 3]))
 @settings(max_examples=400, deadline=None)
-def test_parse_matches_the_row_loop_oracle(text, label):
-    assert _outcome(parse_run_csv, text, label) == _outcome(row_loop_parse, text, label)
+def test_parse_matches_the_row_loop_oracle(text, label, chunk):
+    # chunks of 2 or 3 rows, so most texts cross a chunk boundary
+    with mock.patch.object(dataset, "PARSE_CHUNK_ROWS", chunk):
+        assert _outcome(parse_run_csv, text, label) == _outcome(row_loop_parse, text, label)
+
+
+def test_parse_in_chunks_keeps_every_row_in_place():
+    text = "a,target,b\n" + "".join(f"{r}.5, onion ,-{r}e-3\n" for r in range(1, 12))
+    whole = _outcome(parse_run_csv, text, None)
+    with mock.patch.object(dataset, "PARSE_CHUNK_ROWS", 3):
+        assert _outcome(parse_run_csv, text, None) == whole == _outcome(row_loop_parse, text, None)
+
+
+@pytest.mark.parametrize("row", [3, 4, 6, 7])  # the last and first rows of 3-row chunks
+@pytest.mark.parametrize("fault, kind", [
+    (lambda cells: cells.__setitem__(2, "x"), MalformedCell),
+    (lambda cells: cells.__setitem__(2, "inf"), MalformedCell),
+    (lambda cells: cells.append("1"), RaggedRow),
+    (lambda cells: cells.__setitem__(1, "garlic"), SchemaMismatch),
+], ids=["bad-cell", "non-finite", "ragged", "target"])
+def test_parse_fault_at_a_chunk_boundary(row, fault, kind):
+    lines = ["a,target,b"]
+    for r in range(1, 9):
+        cells = [f"{r}.5", "onion", f"-{r}"]
+        if r == row:
+            fault(cells)
+        lines.append(",".join(cells))
+    text = "\n".join(lines) + "\n"
+    with mock.patch.object(dataset, "PARSE_CHUNK_ROWS", 3):
+        with pytest.raises(kind) as exc:
+            parse_run_csv(text)
+        assert f"at row {row}" in str(exc.value) or getattr(exc.value, "row", None) == row
+        assert _outcome(parse_run_csv, text, "onion") == _outcome(row_loop_parse, text, "onion")
 
 
 def test_parse_error_order_within_and_across_rows():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -196,3 +198,59 @@ def test_smaller_forest_is_a_prefix_of_a_larger_one(
         _assert_same_tree(a.root, b.root)
     q = rng.normal(size=(7, d))
     assert np.array_equal(cut.predict_proba(q), small.predict_proba(q))
+
+
+def _oracle_tree_proba(tree, X):
+    """One tree's probabilities in their own array, each leaf writing counts / total."""
+    out = np.empty((X.shape[0], tree.n_classes))
+    stack = [(tree.root, np.arange(X.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        if idx.size == 0:
+            continue
+        if node.is_leaf:
+            out[idx] = node.counts / node.counts.sum()
+            continue
+        mask = X[idx, node.feature] <= node.threshold
+        stack.append((node.left, idx[mask]))
+        stack.append((node.right, idx[~mask]))
+    return out
+
+
+def _oracle_forest_proba(forest, X):
+    """The trees' own probability arrays summed in order, then divided by their number."""
+    proba = _oracle_tree_proba(forest.trees[0], X)
+    for tree in forest.trees[1:]:
+        proba += _oracle_tree_proba(tree, X)
+    proba /= len(forest.trees)
+    return proba
+
+
+@pytest.mark.parametrize("max_depth", [None, 2])
+def test_forest_proba_is_bitwise_the_sum_of_tree_arrays(max_depth):
+    # duplicated rows with different labels end in impure leaves at any depth
+    X, y = _data(n=90, d=3, C=4, seed=8)
+    X = np.concatenate([X, X[:30]])
+    y = np.concatenate([y, (y[:30] + 1) % 4])
+    forest = rf_fit(X, y, ForestParams(n_estimators=25, tree=TreeParams(max_depth=max_depth),
+                                       seed=4), n_classes=4)
+    leaves = [node for tree in forest.trees for node in _nodes(tree.root) if node.is_leaf]
+    assert any(np.count_nonzero(node.counts) > 1 for node in leaves)
+    assert any(np.count_nonzero(node.counts) == 1 for node in leaves)
+    q = np.concatenate([X, np.random.default_rng(9).normal(size=(200, 3))])
+    assert forest.predict_proba(q).tobytes() == _oracle_forest_proba(forest, q).tobytes()
+    tree = forest.trees[0]
+    assert tree.predict_proba(q).tobytes() == _oracle_tree_proba(tree, q).tobytes()
+
+
+def test_forest_predict_holds_one_probability_array():
+    X, y = _data(n=300, d=7, C=10, seed=10)
+    forest = rf_fit(X, y, ForestParams(n_estimators=100, seed=1), n_classes=10)
+    q = np.random.default_rng(11).normal(size=(50_000, 7))
+    tracemalloc.start()
+    try:
+        proba = forest.predict_proba(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * proba.nbytes  # one array per tree as well would be 2x

@@ -5,13 +5,16 @@ import pytest
 
 from enose.errors import BadSpec, NonFiniteLoss, ShapeMismatch, UnknownVariant
 from enose.neural import (
+    BN_EPS,
     EVAL,
     FROZEN,
     TRAIN,
+    VARIANT_NAMES,
     BatchNorm,
     Dense,
     MlpSpec,
     OptimizerSpec,
+    ReLU,
     mlp_build,
     mlp_train,
     variant_spec,
@@ -341,3 +344,60 @@ def test_predict_keeps_no_activations():
     assert retained < 1 << 20
     for layer in model.layers:
         assert all(getattr(layer, a, None) is None for a in ("_x", "_mask", "_cache"))
+
+
+def _oracle_eval_proba(model, X):
+    """The eval forward and softmax with a new array for every operation."""
+    h = X
+    for layer in model.layers:
+        if isinstance(layer, Dense):
+            h = h @ layer.W + layer.b
+        elif isinstance(layer, BatchNorm):
+            inv_std = 1.0 / np.sqrt(layer.running_var + BN_EPS)
+            h = layer.gamma * ((h - layer.running_mean) * inv_std) + layer.beta
+        elif isinstance(layer, ReLU):
+            h = h * (h > 0)
+        # the noise and dropout layers pass their input through in eval mode
+    z = h - h.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _scrambled(variant, input_dim=7, n_classes=10, seed=0):
+    """A variant's model with random parameters and batch-norm running statistics."""
+    model = mlp_build(variant_spec(variant, input_dim, n_classes))
+    rng = np.random.default_rng(seed)
+    model.theta[:] = rng.normal(scale=0.5, size=model.theta.size)
+    for layer in model.layers:
+        if isinstance(layer, BatchNorm):
+            layer.running_mean[:] = rng.normal(size=layer.running_mean.size)
+            layer.running_var[:] = rng.uniform(0.2, 3.0, size=layer.running_var.size)
+    return model
+
+
+@pytest.mark.parametrize("variant", VARIANT_NAMES)
+def test_in_place_eval_is_bitwise_the_oracle(variant):
+    model = _scrambled(variant)
+    X = np.random.default_rng(1).normal(scale=2.0, size=(3_000, 7))
+    X[:5] = 0.0
+    kept = X.copy()
+    assert model.predict_proba(X).tobytes() == _oracle_eval_proba(model, X).tobytes()
+    assert X.tobytes() == kept.tobytes()  # the caller's rows are not written to
+
+
+def test_eval_relu_keeps_the_sign_of_zeros():
+    h = ReLU().forward(np.array([[-2.0, -0.0, 0.0, 3.0]]), EVAL)
+    assert np.signbit(h).tolist() == [[True, True, False, False]]
+
+
+def test_eval_forward_holds_about_one_activation_at_a_time():
+    model = _scrambled("baseline")
+    X = np.random.default_rng(2).normal(size=(5_000, 7))
+    widest = X.shape[0] * max(model.spec.hidden_sizes) * 8
+    tracemalloc.start()
+    try:
+        model.predict_proba(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * widest  # a new array for every operation peaks near 4x

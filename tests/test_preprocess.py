@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,19 @@ def test_scaler_idempotent_on_standardized():
     sc2 = fit_scaler(Z)
     assert np.abs(sc2.means).max() < 1e-9
     assert np.abs(sc2.stds - 1.0).max() < 1e-9
+
+
+def test_scaler_transform_holds_only_its_output():
+    X = np.random.default_rng(2).normal(size=(50_000, 7)) * 4 + 3
+    sc = fit_scaler(X)
+    tracemalloc.start()
+    try:
+        Z = sc.transform(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * Z.nbytes  # X - means and the quotient at once would be 2x
+    assert Z.tobytes() == ((X - sc.means) / sc.stds).tobytes()
 
 
 def test_scaler_empty():
