@@ -35,12 +35,13 @@ class TreeNode:
     def leaf_value(self) -> int | np.ndarray:
         """What this leaf adds to a probability row: its class if pure, else counts / total.
 
-        Computed on first use and kept in the node's own slot.
+        Computed on first use and kept in the node's own slot, with few calls,
+        as most leaves are read only once or twice.
         """
         if self._leaf_value is None:
-            classes = np.flatnonzero(self.counts)
-            self._leaf_value = (int(classes[0]) if classes.size == 1
-                                else self.counts / self.counts.sum())
+            counts = self.counts
+            self._leaf_value = (int(counts.argmax()) if np.count_nonzero(counts) == 1
+                                else counts / np.add.reduce(counts))
         return self._leaf_value
 
 
