@@ -180,32 +180,40 @@ class _Grower:
         # scratch side flags; a split writes and reads only its node's rows
         self.go_left = np.zeros(X.shape[0], dtype=bool)
 
-    def grow(self, order: np.ndarray, counts: np.ndarray, depth: int) -> TreeNode:
+    def grow(self, order: np.ndarray, counts: np.ndarray) -> TreeNode:
+        """The tree over ``order``'s rows, grown in preorder from an explicit stack,
+        so its depth is not bounded by the recursion limit."""
         params = self.params
-        node = TreeNode(counts=counts)
-        n = counts.sum()
-        if (
-            counts.max() == n  # pure
-            or n < params.min_samples_split
-            or (params.max_depth is not None and depth >= params.max_depth)
-            or n < 2 * params.min_samples_leaf
-        ):
-            return node
-        d = order.shape[0]
-        split = _search(self.X, self.table, order, counts, n,
-                        self.feature_sampler(d), params.min_samples_leaf)
-        if split is None:
-            return node
-        f, threshold, _, n_left, left_counts = split
-        node.feature = f
-        node.threshold = threshold
-        self.go_left[order[f, :n_left]] = True
-        self.go_left[order[f, n_left:]] = False
-        go_left = self.go_left[order]
-        left, right = order[go_left].reshape(d, -1), order[~go_left].reshape(d, -1)
-        node.left = self.grow(left, left_counts, depth + 1)
-        node.right = self.grow(right, counts - left_counts, depth + 1)
-        return node
+        root = TreeNode(counts=counts)
+        stack = [(root, order, 0)]
+        while stack:
+            node, order, depth = stack.pop()
+            counts = node.counts
+            n = counts.sum()
+            if (
+                counts.max() == n  # pure
+                or n < params.min_samples_split
+                or (params.max_depth is not None and depth >= params.max_depth)
+                or n < 2 * params.min_samples_leaf
+            ):
+                continue
+            d = order.shape[0]
+            split = _search(self.X, self.table, order, counts, n,
+                            self.feature_sampler(d), params.min_samples_leaf)
+            if split is None:
+                continue
+            f, threshold, _, n_left, left_counts = split
+            node.feature = f
+            node.threshold = threshold
+            self.go_left[order[f, :n_left]] = True
+            self.go_left[order[f, n_left:]] = False
+            go_left = self.go_left[order]
+            node.left = TreeNode(counts=left_counts)
+            node.right = TreeNode(counts=counts - left_counts)
+            # the left child is popped first, so the feature sampler draws in preorder
+            stack.append((node.right, order[~go_left].reshape(d, -1), depth + 1))
+            stack.append((node.left, order[go_left].reshape(d, -1), depth + 1))
+        return root
 
 
 def dt_fit(
@@ -240,4 +248,4 @@ def dt_fit(
         order = order[weights[order] > 0].reshape(X.shape[1], -1)
     counts = np.bincount(y, weights=weights, minlength=n_classes)
     grower = _Grower(X, _weighted_table(y, weights, n_classes), params, feature_sampler)
-    return DecisionTree(params, n_classes, X.shape[1], grower.grow(order, counts, 0))
+    return DecisionTree(params, n_classes, X.shape[1], grower.grow(order, counts))

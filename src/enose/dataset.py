@@ -99,7 +99,19 @@ def _first_bad_cell(tokens: list[str]) -> int | None:
             return i
 
 
-def parse_run_csv(text: str, label: str | None = None) -> RunTable:
+def _lines(text: str) -> list[str]:
+    """A run file's non-blank lines, the header first."""
+    return list(filter(str.strip, text.replace("\r\n", "\n").split("\n")))
+
+
+def _header(line: str) -> tuple[list[str], int | None, list[int]]:
+    """The header's cells, the index of its ``target`` column (or None), and its feature columns."""
+    header = [h.strip() for h in line.split(",")]
+    label_col = header.index(LABEL_COLUMN) if LABEL_COLUMN in header else None
+    return header, label_col, [i for i in range(len(header)) if i != label_col]
+
+
+def parse_run_csv(text: str, label: str | None = None, out: np.ndarray | None = None) -> RunTable:
     """Parse one run's CSV content into a RunTable.
 
     The first line is a comma-separated header; subsequent lines are numeric.
@@ -107,19 +119,18 @@ def parse_run_csv(text: str, label: str | None = None) -> RunTable:
     constant and, if ``label`` is also given, must agree with it.  Cells are
     read by Python's ``float``.  A bad file fails at its earliest bad row;
     within a row a wrong cell count beats a target mismatch, which beats the
-    leftmost bad cell.
+    leftmost bad cell.  ``out``, if given, is a float64 array with one row per
+    data line and one column per feature; the rows are parsed into it.
     """
-    lines = list(filter(str.strip, text.replace("\r\n", "\n").split("\n")))
+    lines = _lines(text)
     if not lines:
         raise EmptyRun("no header line")
-    header = [h.strip() for h in lines[0].split(",")]
+    header, label_col, feature_cols = _header(lines[0])
     body = lines[1:]
     if not body:
         raise EmptyRun("header only, no data rows")
 
     width = len(header)
-    label_col = header.index(LABEL_COLUMN) if LABEL_COLUMN in header else None
-    feature_cols = [i for i in range(width) if i != label_col]
 
     # the rows before the first ragged one are split and converted in chunks; a
     # failing row or cell is located only once a chunk's bulk pass shows one
@@ -127,7 +138,12 @@ def parse_run_csv(text: str, label: str | None = None) -> RunTable:
     ragged = np.flatnonzero(commas != width - 1)
     n = int(ragged[0]) if ragged.size else len(body)
     d = len(feature_cols)
-    rows = np.empty((n, d))
+    if out is None:
+        out = np.empty((len(body), d))
+    elif out.shape != (len(body), d):
+        raise SchemaMismatch(f"{len(body)} data rows of {d} features do not fit the "
+                             f"{out.shape} rows counted when the file was first read")
+    rows = out[:n]
     file_label: str | None = None
     for start in range(0, n, PARSE_CHUNK_ROWS):
         stop = min(start + PARSE_CHUNK_ROWS, n)
@@ -169,8 +185,12 @@ def encode_class_names(names) -> tuple[str, ...]:
     return tuple(sorted(set(names)))
 
 
-def merge_runs(tables: list[RunTable]) -> Dataset:
-    """Concatenate runs (in input order) into one labeled Dataset."""
+def merge_runs(tables: list[RunTable], features: np.ndarray | None = None) -> Dataset:
+    """Runs (in input order) as one labeled Dataset.
+
+    ``features`` is the tables' rows stacked, where the caller parsed them
+    into one array; without it they are concatenated.
+    """
     if not tables:
         raise EmptyInput("no run tables to merge")
     names = tables[0].feature_names
@@ -179,8 +199,10 @@ def merge_runs(tables: list[RunTable]) -> Dataset:
             raise SchemaMismatch(f"headers differ: {names} vs {t.feature_names}")
     classes = encode_class_names(t.label for t in tables)
     index = {c: i for i, c in enumerate(classes)}
-    features = np.concatenate([t.rows for t in tables], axis=0)
-    labels = np.concatenate([np.full(t.rows.shape[0], index[t.label], dtype=np.int64) for t in tables])
+    if features is None:
+        features = np.concatenate([t.rows for t in tables], axis=0)
+    labels = np.repeat(np.array([index[t.label] for t in tables], dtype=np.int64),
+                       [t.rows.shape[0] for t in tables])
     return Dataset(names, features, labels, classes)
 
 
@@ -269,18 +291,49 @@ def _naming(path: str):
         raise
 
 
-def load_run_file(path: str, label: str | None = None) -> RunTable:
+def load_run_file(path: str, label: str | None = None, out: np.ndarray | None = None) -> RunTable:
     if label is None:
         label = label_from_filename(path)
     text = _read_text(path)
     with _naming(path):
-        return parse_run_csv(text, label)
+        return parse_run_csv(text, label, out)
+
+
+def _load_runs(runs: list[tuple[str, str | None]]) -> tuple[list[RunTable], np.ndarray]:
+    """Each ``(path, label)`` run parsed, in order, into its rows of one features array.
+
+    A first pass counts each file's data lines, up to the first file it
+    cannot read; the second parses them, so the errors come in the order of
+    parsing the files one by one.  A file whose header differs from the
+    first's is parsed on its own, for its errors, and ``merge_runs`` rejects it.
+    """
+    shapes = []
+    for path, _ in runs:
+        try:
+            lines = _lines(_read_text(path))
+        except ENoseError:
+            break
+        header, _, feature_cols = _header(lines[0]) if lines else ([], None, [])
+        shapes.append((tuple(header[i] for i in feature_cols), max(len(lines) - 1, 0)))
+    names = shapes[0][0] if shapes else ()
+    features = np.empty((sum(n for h, n in shapes if h == names), len(names)))
+    tables, start = [], 0
+    for (path, label), (header, n) in zip(runs, shapes):
+        out = None
+        if header == names:
+            out, start = features[start:start + n], start + n
+        tables.append(load_run_file(path, label, out))
+    if len(shapes) < len(runs):
+        path = runs[len(shapes)][0]
+        _read_text(path)  # raises the error that ended the count
+        raise EmptyInput(f"{path}: became readable while the run files were read")
+    return tables, features
 
 
 def load_manifest(path: str) -> Dataset:
     """Load runs listed in a manifest of ``<path>,<class_name>`` lines."""
     base = os.path.dirname(os.path.abspath(path))
-    tables = []
+    runs = []
     for line in _read_text(path).split("\n"):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -289,9 +342,10 @@ def load_manifest(path: str) -> Dataset:
         run_path = run_path.strip()
         if not os.path.isabs(run_path):
             run_path = os.path.join(base, run_path)
-        tables.append(load_run_file(run_path, cls.strip() or None))
+        runs.append((run_path, cls.strip() or None))
+    tables, features = _load_runs(runs)
     with _naming(path):
-        return merge_runs(tables)
+        return merge_runs(tables, features)
 
 
 def load_glob(pattern: str) -> Dataset:
@@ -299,4 +353,4 @@ def load_glob(pattern: str) -> Dataset:
     paths = sorted(_glob.glob(pattern))
     if not paths:
         raise EmptyInput(f"no files match {pattern!r}")
-    return merge_runs([load_run_file(p) for p in paths])
+    return merge_runs(*_load_runs([(p, None) for p in paths]))

@@ -62,13 +62,14 @@ class FeaturePipeline:
         work = self._project(ds)
         self.scaler = fit_scaler(work.features)
         if self.version in REDUCTIONS:
-            Z = self.scaler.transform(work.features)
+            Z = self.scaler.transform(work.features, copy=work is ds)
             self.reducer = REDUCTIONS[self.version].fit(Z, ds)
         return self
 
     def transform(self, ds: Dataset) -> Dataset:
         work = self._project(ds)
-        Z = self.scaler.transform(work.features)
+        # a projection is a fresh copy, scaled in place; V1 keeps the caller's array
+        Z = self.scaler.transform(work.features, copy=work is ds)
         if self.reducer is None:
             return work.with_features(work.feature_names, Z)
         scores = self.reducer.transform(Z)

@@ -20,7 +20,7 @@ import numpy as np
 from .classifiers.forest import ForestParams, RandomForest, resolve_max_features, rf_fit
 from .classifiers.svm import BinarySvm, MulticlassSvm, SvmParams, svm_fit_multiclass
 from .classifiers.tree import DecisionTree, TreeNode, TreeParams, dt_fit
-from .errors import ConfigError
+from .errors import ConfigError, ProblemTooLarge
 from .evaluate import GridSpec
 from .neural import BatchNorm, Dense, MlpModel, MlpSpec, OptimizerSpec, mlp_build, mlp_train, variant_spec
 
@@ -35,6 +35,11 @@ def _from_doc(cls, doc: dict, **fixed):
     """``cls`` built from a saved document; every field must be present (KeyError)."""
     names = [f.name for f in fields(cls) if f.name not in fixed]
     return cls(**{n: doc[n] for n in names}, **fixed)
+
+
+# JSON encoding and decoding recurse once per level of a tree; 500 levels stay
+# clear of Python's default recursion limit of 1000 from any caller's stack
+MAX_SAVED_DEPTH = 500
 
 
 def _array(values) -> np.ndarray:
@@ -64,16 +69,51 @@ def _node_to_dict(node: TreeNode) -> dict:
     }
 
 
-def _node_from_dict(d: dict, n_features: int, n_classes: int) -> TreeNode:
-    # plain-Python checks on the parsed list, cheaper than numpy calls on C entries:
-    # entries >= 0 with a finite sum are each finite, and a non-number fails sum()
-    counts = d["counts"]
-    if not (type(counts) is list and len(counts) == n_classes
+def decode_node(d: dict):
+    """``json`` object hook: a saved tree node as a TreeNode, built while the file is
+    decoded so that its node dicts never all exist at once.
+
+    Only a node with exactly a leaf's or a split's keys that passes every check
+    needing no ``n_classes`` or ``n_features`` is built; ``_node_from_dict``
+    makes the rest, and any other dict is returned as it is.
+    """
+    counts = d.get("counts")
+    if not (type(counts) is list and counts and all(type(c) is float for c in counts)
             and min(counts) >= 0 and 0 < sum(counts) < math.inf):
-        raise ConfigError(f"node counts {counts!r} are not {n_classes} finite numbers "
-                          f">= 0 with a positive finite sum")
-    node = TreeNode(counts=_array(counts))
-    if "feature" in d:
+        return d
+    if len(d) == 1:
+        return TreeNode(_array(counts))
+    feature, threshold = d.get("feature"), d.get("threshold")
+    if (len(d) == 5 and "left" in d and "right" in d and type(feature) is int and feature >= 0
+            and type(threshold) is float and math.isfinite(threshold)):
+        return TreeNode(_array(counts), feature, threshold, d["left"], d["right"])
+    return d
+
+
+def _node_from_dict(d: dict | TreeNode, n_features: int, n_classes: int) -> TreeNode:
+    if type(d) is TreeNode:  # by decode_node; left to check: the counts' length, the feature's bound
+        node = d
+        if len(node.counts) != n_classes:
+            raise ConfigError(f"node counts {node.counts.tolist()!r} are not {n_classes} finite "
+                              f"numbers >= 0 with a positive finite sum")
+        if node.is_leaf:
+            return node
+        if node.feature >= n_features:
+            raise ConfigError(f"split feature {node.feature!r} is not an index "
+                              f"in [0, {n_features})")
+        node.left = _node_from_dict(node.left, n_features, n_classes)
+        node.right = _node_from_dict(node.right, n_features, n_classes)
+    else:
+        # plain-Python checks on the parsed list, cheaper than numpy calls on C entries:
+        # entries >= 0 with a finite sum are each finite, and a non-number fails sum()
+        counts = d["counts"]
+        if not (type(counts) is list and len(counts) == n_classes
+                and min(counts) >= 0 and 0 < sum(counts) < math.inf):
+            raise ConfigError(f"node counts {counts!r} are not {n_classes} finite numbers "
+                              f">= 0 with a positive finite sum")
+        node = TreeNode(counts=_array(counts))
+        if "feature" not in d:
+            return node
         node.feature = d["feature"]
         if not (type(node.feature) is int and 0 <= node.feature < n_features):
             raise ConfigError(f"split feature {node.feature!r} is not an index "
@@ -86,7 +126,17 @@ def _node_from_dict(d: dict, n_features: int, n_classes: int) -> TreeNode:
     return node
 
 
+def _check_depth(tree: DecisionTree) -> None:
+    depth, level = 0, [tree.root]
+    while level := [c for node in level if not node.is_leaf for c in (node.left, node.right)]:
+        depth += 1
+    if depth > MAX_SAVED_DEPTH:
+        raise ProblemTooLarge(f"a tree of depth {depth} is deeper than the {MAX_SAVED_DEPTH} "
+                              f"levels a model file holds")
+
+
 def _dt_to_dict(model: DecisionTree) -> dict:
+    _check_depth(model)
     return {
         "params": asdict(model.params),
         "n_classes": model.n_classes,
@@ -133,11 +183,11 @@ def _rf_to_dict(model: RandomForest) -> dict:
     # the tree params are stored once per member tree, not in the forest's params
     params = asdict(model.params)
     del params["tree"]
-    return {
-        "params": params,
-        "n_classes": model.n_classes,
-        "trees": [{"kind": "dt", **_dt_to_dict(t)} for t in model.trees],
-    }
+    # the trees are made dicts only as save_model writes them, so check them before it
+    # opens its file
+    for tree in model.trees:
+        _check_depth(tree)
+    return {"params": params, "n_classes": model.n_classes, "trees": list(model.trees)}
 
 
 def _rf_from_dict(doc: dict) -> RandomForest:
@@ -248,7 +298,7 @@ class Family:
 
     model: type
     fit: Callable  # (X, y, params dict, n_classes) -> fitted model; ignores keys it lacks
-    to_dict: Callable  # fitted model -> JSON-ready dict, without its "kind"
+    to_dict: Callable  # fitted model -> dict without its "kind", JSON-ready but for member models
     from_dict: Callable  # that dict -> fitted model; KeyError on a missing key
     params: Callable | None = None  # params dict -> the params dataclass ``fit`` builds
     # (params dict, n_features) -> (key, size): equal keys are one model up to a cut

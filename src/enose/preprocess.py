@@ -25,13 +25,17 @@ class Scaler:
     stds: np.ndarray
     degenerate: np.ndarray  # bool mask of zero-variance columns
 
-    def transform(self, X: np.ndarray) -> np.ndarray:
+    def transform(self, X: np.ndarray, *, copy: bool = True) -> np.ndarray:
+        """``(X - means) / stds``; with ``copy=False`` a float64 ``X`` is scaled in place."""
         X = np.asarray(X, dtype=np.float64)
         if X.shape[1] != self.means.shape[0]:
             raise DimensionMismatch(f"expected {self.means.shape[0]} columns, got {X.shape[1]}")
-        Z = X - self.means
-        Z /= self.stds
-        return Z
+        if copy:
+            X = X - self.means
+        else:
+            X -= self.means
+        X /= self.stds
+        return X
 
 
 def fit_scaler(X: np.ndarray) -> Scaler:

@@ -8,13 +8,13 @@ count: adding parallelism never changes results.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 
 def derive_seed(master_seed: int, *tags: object) -> int:
     """Hash (master_seed, *tags) into a 64-bit stream seed."""
+    import hashlib  # maps OpenSSL, about 3.6 MB that scoring a saved model never needs
+
     h = hashlib.sha256()
     h.update(str(int(master_seed)).encode())
     for tag in tags:

@@ -10,7 +10,7 @@ import numpy as np
 from .ensemble import VotingEnsemble
 from .errors import ConfigError, CorruptModel
 from .evaluate import REDUCTIONS, FeaturePipeline
-from .models import FAMILIES
+from .models import FAMILIES, decode_node
 from .preprocess import VERSIONS, Scaler
 
 FORMAT = "enose-model"
@@ -18,6 +18,8 @@ FORMAT_VERSION = 1
 
 
 def model_to_dict(model) -> dict:
+    """The model's saved form; a forest's trees are left as models, which ``save_model``'s
+    encoder makes dicts one at a time as it writes them."""
     if isinstance(model, VotingEnsemble):
         return {"kind": "ensemble", "members": [model_to_dict(m) for m in model.members]}
     for kind, family in FAMILIES.items():
@@ -93,7 +95,7 @@ def save_model(path: str, model, pipeline: FeaturePipeline | None = None,
     if classes is not None:
         doc["classes"] = list(classes)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
+        json.dump(doc, fh, sort_keys=True, indent=1, default=model_to_dict)
         fh.write("\n")
 
 
@@ -107,9 +109,11 @@ def load_model(path: str):
     """
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_hook=decode_node)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CorruptModel(f"{path}: not valid JSON ({exc})") from exc
+        except RecursionError as exc:
+            raise CorruptModel(f"{path}: nested too deeply to decode ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ConfigError(f"{path} is not an {FORMAT} document")
     if doc.get("format_version") != FORMAT_VERSION:
@@ -127,6 +131,6 @@ def load_model(path: str):
                               f"{model.n_classes} classes")
     except KeyError as exc:
         raise CorruptModel(f"{path}: malformed {FORMAT} document, missing key {exc}") from exc
-    except (ConfigError, TypeError, ValueError, IndexError, OverflowError) as exc:
+    except (ConfigError, TypeError, ValueError, IndexError, OverflowError, RecursionError) as exc:
         raise CorruptModel(f"{path}: malformed {FORMAT} document ({exc})") from exc
     return model, pipeline, classes

@@ -122,6 +122,7 @@ def generate(spec: SynthSpec) -> Dataset:
 
 
 RUN_ID = "run0"  # the run part of each written file name, <class>__run0.csv
+WRITE_CHUNK_ROWS = 512  # rows whose Python floats exist at once while writing a run file
 
 
 def write_run_files(ds: Dataset, out_dir: str) -> str:
@@ -135,8 +136,9 @@ def write_run_files(ds: Dataset, out_dir: str) -> str:
         path = os.path.join(out_dir, fname)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(header + "\n")
-            for row in rows.tolist():  # Python floats, each written as its repr
-                fh.write(",".join(map(repr, row)) + "\n")
+            for start in range(0, len(rows), WRITE_CHUNK_ROWS):  # Python floats, each as its repr
+                fh.writelines(",".join(map(repr, row)) + "\n"
+                              for row in rows[start:start + WRITE_CHUNK_ROWS].tolist())
         manifest_lines.append(f"{fname},{name}")
     manifest_path = os.path.join(out_dir, "manifest.csv")
     with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:

@@ -575,6 +575,7 @@ def _pipeline(version, reducer=None, scaler=True, scaler_means=3, reducer_means=
 
 @pytest.mark.parametrize("corrupt, message", [
     (_truncate, "not valid JSON"),
+    (lambda path: path.write_text("[" * 100_000), "nested too deeply to decode"),
     (_edit(lambda doc: doc["model"].pop("trees")), "missing key 'trees'"),
     (_edit(lambda doc: doc.update(format_version=99)), "format_version 99"),
     (_edit(lambda doc: doc["model"].update(kind="forest")), "unknown model kind 'forest'"),
@@ -609,8 +610,8 @@ def _pipeline(version, reducer=None, scaler=True, scaler_means=3, reducer_means=
     # widths that agree inside the file but not with the 9-column data scored
     (lambda path: None, "expected 3 features, got 9"),
     (_pipeline("V2"), "expected 3 columns, got 7"),
-], ids=["truncated", "missing-key", "format-version", "unknown-kind", "forest-member-kind",
-        "no-scaler", "unknown-version", "v3-no-reducer", "v1-with-reducer",
+], ids=["truncated", "deeply-nested", "missing-key", "format-version", "unknown-kind",
+        "forest-member-kind", "no-scaler", "unknown-version", "v3-no-reducer", "v1-with-reducer",
         "unknown-reducer-kind", "scaler-width", "reducer-width", "split-feature",
         "split-feature-float", "threshold-string", "threshold-bool", "threshold-nan",
         "threshold-huge-int", "counts-length", "counts-negative", "counts-infinite",
@@ -687,6 +688,16 @@ def test_evaluate_misshapen_ann_is_runtime_error(tmp_path, capsys, corrupt, mess
 
 
 # --- stage names ----------------------------------------------------------------
+
+
+def test_a_model_too_deep_to_save_fails_at_models(tmp_path, capsys, monkeypatch):
+    from enose import models
+    monkeypatch.setattr(models, "MAX_SAVED_DEPTH", 1)
+    text = CONFIG_SMALL.replace("families = dt,rf", "families = dt")
+    code, out, err = run_cli(capsys, "--config", write_config(tmp_path, text), "--out",
+                             str(tmp_path / "o"), "run")
+    assert code == 2
+    assert "[models]" in err and "deeper than the 1 levels a model file holds" in err
 
 
 def test_overflowing_column_fails_at_pipeline(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -82,34 +83,50 @@ def _outcome(parse, text, label):
 
 
 _PADS = ["", " ", "\t", "\x0b", "\x1c", "\u00a0", "\u2003"]
-_CELLS = ["1", "-2.5", "0", "-0", "3e2", "1.", ".5", "1_0", "nan", "inf", "-inf", "1e999",
-          "", "x", "onion", "1 2", "\r"]
+_CELLS = ["1", "-2.5", "0", "-0", "3e2", "1.", ".5", "1_0"]
+_BAD_CELLS = ["nan", "inf", "-inf", "1e999", "", "x", "onion", "1 2", "\r"]
+
+
+def _rare(strategy, one_in: int):
+    """``strategy`` drawn about once in ``one_in`` draws, None otherwise."""
+    return st.integers(0, one_in - 1).flatmap(lambda i: strategy if i == 0 else st.none())
 
 
 @st.composite
-def run_texts(draw):
-    """Run-CSV text with padding, CRLF, blank lines, ragged rows and bad tokens."""
-    width = draw(st.integers(1, 4))
-    names = [f"c{i}" for i in range(width)]
+def headers(draw):
+    """1 to 4 feature names, and a ``target`` column in half the headers."""
+    names = [f"c{i}" for i in range(draw(st.integers(1, 4)))]
     if draw(st.booleans()):
-        names.insert(draw(st.integers(0, width)), "target")
-        width += 1
+        names.insert(draw(st.integers(0, len(names))), "target")
+    return names
+
+
+@st.composite
+def run_texts(draw, names=None):
+    """Run-CSV text with padding, CRLF and blank lines, and now and then a ragged
+    row, a bad token or another target, so that about half the texts parse.
+
+    ``names`` is the header (a ``target`` entry is the label column); drawn if None.
+    """
+    names = draw(headers()) if names is None else names
+    width = len(names)
+    valid = st.one_of(st.sampled_from(_CELLS),
+                      st.floats(allow_nan=False, allow_infinity=False).map(repr))
     pad = st.sampled_from(_PADS)
     lines = [",".join(draw(pad) + name + draw(pad) for name in names)]
     for _ in range(draw(st.integers(0, 6))):
-        n_cells = width + draw(st.sampled_from([0, 0, 0, 0, 0, 0, -1, 1]))
-        cells = draw(st.lists(st.one_of(st.sampled_from(_CELLS), st.sampled_from(["onion", "garlic"]),
-                                        st.floats(allow_nan=False, allow_infinity=False).map(repr)),
-                              min_size=max(n_cells, 0), max_size=max(n_cells, 0)))
-        if "target" in names and len(cells) == width and draw(st.integers(0, 3)):
-            cells[names.index("target")] = "onion"
+        n_cells = width + (draw(_rare(st.sampled_from([-1, 1]), 30)) or 0)
+        cells = [draw(_rare(st.sampled_from(_BAD_CELLS), 60)) or draw(valid)
+                 for _ in range(max(n_cells, 0))]
+        if "target" in names and len(cells) == width:
+            cells[names.index("target")] = draw(_rare(st.just("garlic"), 20)) or "onion"
         lines.append(",".join(draw(pad) + c + draw(pad) for c in cells))
         if draw(st.integers(0, 4)) == 0:
             lines.append(draw(st.sampled_from(["", " ", "\t \t"])))
     return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
 
 
-@given(run_texts(), st.sampled_from([None, "onion", "garlic"]), st.sampled_from([2, 3]))
+@given(run_texts(), st.sampled_from([None, None, "onion", "garlic"]), st.sampled_from([2, 3]))
 @settings(max_examples=400, deadline=None)
 def test_parse_matches_the_row_loop_oracle(text, label, chunk):
     # chunks of 2 or 3 rows, so most texts cross a chunk boundary
@@ -350,6 +367,92 @@ def test_manifest_and_glob_roundtrip(tmp_path, tiny_drifted):
     assert via_glob.classes == tiny_drifted.classes
     # per-class blocks survive the round trip
     assert np.allclose(np.sort(via_manifest.features[:, 0]), np.sort(tiny_drifted.features[:, 0]))
+
+
+def _load_outcome(load, arg):
+    try:
+        ds = load(arg)
+    except ENoseError as exc:
+        return type(exc), str(exc)
+    return (ds.features.shape, ds.features.tobytes(), ds.labels.tobytes(), ds.classes,
+            ds.feature_names)
+
+
+def load_oracle(runs, manifest=None):
+    """Each ``(path, label)`` run read and parsed by the row-loop oracle in turn,
+    then concatenated: the outcome ``load_manifest`` (errors of the merge named by
+    ``manifest``) or ``load_glob`` (``manifest`` None) must give."""
+    tables = []
+    for path, label in runs:
+        try:
+            text = dataset._read_text(path)
+        except ENoseError as exc:
+            return type(exc), str(exc)
+        try:
+            tables.append(row_loop_parse(text, label or dataset.label_from_filename(path)))
+        except ENoseError as exc:
+            return type(exc), f"{path}: {exc}"
+    prefix = "" if manifest is None else f"{manifest}: "
+    if not tables:
+        return EmptyInput, prefix + "no run tables to merge"
+    names = tables[0].feature_names
+    for t in tables[1:]:
+        if t.feature_names != names:
+            return SchemaMismatch, prefix + f"headers differ: {names} vs {t.feature_names}"
+    classes = tuple(sorted({t.label for t in tables}))
+    labels = np.concatenate([np.full(t.rows.shape[0], classes.index(t.label), dtype=np.int64)
+                             for t in tables])
+    features = np.concatenate([t.rows for t in tables])
+    return features.shape, features.tobytes(), labels.tobytes(), classes, names
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_loads_match_parsing_each_file_then_concatenating(tmp_path_factory, data):
+    # files of one header, and now and then one of another header, one that is
+    # missing or one that is not UTF-8, so errors come from every file position
+    folder = tmp_path_factory.mktemp("runs")
+    names = data.draw(headers())
+    runs = []
+    for i in range(data.draw(st.integers(0, 4))):
+        cls = data.draw(st.sampled_from(["onion", "garlic"]))
+        path = folder / f"{cls}__run{i}.csv"
+        kind = data.draw(_rare(st.sampled_from(["missing", "other header", "not UTF-8"]), 8))
+        if kind == "not UTF-8":
+            path.write_bytes(b"a,b\n1,\xff\n")
+        elif kind != "missing":
+            text = data.draw(run_texts(None if kind else names))
+            path.write_text(text, encoding="utf-8")
+        runs.append((str(path), data.draw(st.sampled_from([None, None, "onion", "garlic"]))))
+    manifest = folder / "manifest.csv"
+    manifest.write_text("".join(f"{path},{label or ''}\n" for path, label in runs))
+    with mock.patch.object(dataset, "PARSE_CHUNK_ROWS", data.draw(st.sampled_from([2, 3]))):
+        assert _load_outcome(load_manifest, str(manifest)) == load_oracle(runs, str(manifest))
+        found = sorted(str(p) for p in folder.glob("*__run*.csv"))
+        if found:
+            assert (_load_outcome(load_glob, str(folder / "*__run*.csv"))
+                    == load_oracle([(p, None) for p in found]))
+
+
+def test_manifest_rows_are_parsed_into_one_array(tmp_path):
+    # 20 files of 2,000 rows: per-file arrays and their concatenated copy would
+    # hold every row twice (2.2x the rows at the peak), more than the one file
+    # being parsed adds
+    from enose.synth import default_spec, generate, write_run_files
+    manifest = write_run_files(generate(default_spec(2000, 4)), str(tmp_path))
+    files = sorted(tmp_path.glob("*__run0.csv"))
+    for i, path in enumerate(files):
+        (tmp_path / f"copy{i}__run0.csv").write_text(path.read_text())
+    with open(manifest, "a", encoding="utf-8") as fh:
+        fh.writelines(f"copy{i}__run0.csv,\n" for i in range(len(files)))
+    tracemalloc.start()
+    try:
+        ds = load_manifest(manifest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.n == 40_000 and ds.n_classes == 20
+    assert peak < 2 * ds.features.nbytes
 
 
 def test_glob_no_match(tmp_path):

@@ -1,9 +1,11 @@
-"""scipy is imported only when an LDA (V4) pipeline is fitted.
+"""scipy is imported only when an LDA (V4) pipeline is fitted, and hashlib only
+when a seed is derived.
 
 Every ``enose`` process used to import ``scipy.linalg`` at start-up, which cost
-a quarter of a second and about 24 MB for commands that never fit LDA.  Each
-check runs a fresh interpreter, so modules the test process already holds do
-not hide an import.
+a quarter of a second and about 24 MB for commands that never fit LDA, and
+``hashlib``, which maps OpenSSL (about 3.6 MB) for commands that draw no random
+stream, such as scoring a saved model.  Each check runs a fresh interpreter, so
+modules the test process already holds do not hide an import.
 """
 
 import json
@@ -29,10 +31,13 @@ def fresh_python(code: str) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+LAZY = ("scipy", "hashlib", "_hashlib")
+
+
 def test_importing_the_cli_does_not_import_scipy():
     seen = fresh_python("import json, sys\nimport enose.cli\n"
-                        "print(json.dumps('scipy' in sys.modules))")
-    assert seen is False
+                        f"print(json.dumps([m in sys.modules for m in {LAZY!r}]))")
+    assert seen == [False, False, False]
 
 
 def test_ingest_and_evaluate_of_a_v2_model_do_not_import_scipy(tmp_path):
@@ -51,9 +56,9 @@ from enose.cli import main
 codes = [main(["--config", {str(cfg)!r}, "ingest"]),
          main(["--config", {str(cfg)!r}, "--out", {str(tmp_path / "out")!r},
                "evaluate", {model_path!r}])]
-print(json.dumps([codes, "scipy" in sys.modules]))
+print(json.dumps([codes, [m in sys.modules for m in {LAZY!r}]]))
 """)
-    assert seen == [[0, 0], False]
+    assert seen == [[0, 0], [False, False, False]]
     assert (tmp_path / "out" / "evaluate.report.json").exists()
 
 
@@ -68,3 +73,17 @@ width = FeaturePipeline("V4").fit(data).transform(data).d
 print(json.dumps([before, "scipy" in sys.modules, width]))
 """)
     assert seen[:2] == [False, True] and seen[2] >= 1
+
+
+def test_a_run_imports_hashlib(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[data]\nsamples = 20\n[pipeline]\nfolds = 2\n"
+                   "[models]\nfamilies = dt\ngrid = none\nann_variants =\nensemble = no\n")
+    seen = fresh_python(f"""
+import json, sys
+from enose.cli import main
+before = [m in sys.modules for m in ("hashlib", "_hashlib")]
+code = main(["--config", {str(cfg)!r}, "--out", {str(tmp_path / "out")!r}, "run"])
+print(json.dumps([before, code, [m in sys.modules for m in ("hashlib", "_hashlib")]]))
+""")
+    assert seen == [[False, False], 0, [True, True]]

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from enose.dataset import encode_class_names
 from enose.errors import EmptyMatrix, MissingColumn
 from enose.evaluate import FeaturePipeline
-from enose.preprocess import feature_target_correlation, fit_scaler, pearson_r
+from enose.preprocess import DROPPED_AMBIENT, feature_target_correlation, fit_scaler, pearson_r
 from tests.conftest import make_dataset
 
 PANTRY_CLASSES = [
@@ -78,6 +78,13 @@ def test_scaler_transform_holds_only_its_output():
         tracemalloc.stop()
     assert peak < 1.5 * Z.nbytes  # X - means and the quotient at once would be 2x
     assert Z.tobytes() == ((X - sc.means) / sc.stds).tobytes()
+
+
+def test_scaler_transform_in_place_writes_its_input():
+    X = np.random.default_rng(3).normal(size=(40, 5)) * 2 - 1
+    sc = fit_scaler(X)
+    expected = ((X - sc.means) / sc.stds).tobytes()
+    assert sc.transform(X, copy=False) is X and X.tobytes() == expected
 
 
 def test_scaler_empty():
@@ -166,3 +173,34 @@ def test_apply_version_missing_column():
     ds = make_dataset(np.zeros((4, 2)), [0, 0, 1, 1], names=("a", "b"))
     with pytest.raises(MissingColumn):
         _apply_version("V2", ds)
+
+
+@pytest.mark.parametrize("version", ["V1", "V2", "V3", "V4"])
+def test_pipeline_transform_is_bitwise_the_two_step_oracle(version):
+    # the projection, then X - means and /= stds as two steps, then the reducer;
+    # the caller's rows are read-only, so a write into them raises
+    ds = _nine_col_ds(90, seed=5)
+    before = ds.features.tobytes()
+    ds.features.flags.writeable = False
+    pipe = FeaturePipeline(version).fit(ds)
+    out = pipe.transform(ds)
+    keep = [j for j, name in enumerate(ds.feature_names)
+            if version == "V1" or name not in DROPPED_AMBIENT]
+    Z = ds.features[:, keep] - pipe.scaler.means
+    Z /= pipe.scaler.stds
+    if pipe.reducer is not None:
+        Z = pipe.reducer.transform(Z)
+    assert out.features.tobytes() == Z.tobytes()
+    assert ds.features.tobytes() == before
+
+
+def test_pipeline_transform_holds_only_its_output():
+    ds = _nine_col_ds(50_000, seed=6)
+    pipe = FeaturePipeline("V2").fit(ds)
+    tracemalloc.start()
+    try:
+        out = pipe.transform(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * out.features.nbytes  # the projected copy and X - means would be 2x

@@ -1,12 +1,15 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from enose.classifiers.forest import ForestParams, rf_fit
+from enose.classifiers.forest import ForestParams, RandomForest, rf_fit
 from enose.classifiers.tree import TreeParams, dt_fit
 from enose.ensemble import VotingEnsemble
-from enose.errors import ConfigError
+from enose.errors import ConfigError, ProblemTooLarge
 from enose.evaluate import FeaturePipeline
-from enose.models import FAMILIES
+from enose.models import FAMILIES, MAX_SAVED_DEPTH
 from enose.serialize import load_model, model_from_dict, model_to_dict, save_model
 
 
@@ -100,8 +103,6 @@ def test_format_header(tmp_path):
     model = dt_fit(X, y, TreeParams(max_depth=2), n_classes=3)
     path = str(tmp_path / "m.model.json")
     save_model(path, model)
-    import json
-
     with open(path) as fh:
         doc = json.load(fh)
     assert doc["format"] == "enose-model"
@@ -131,3 +132,80 @@ def test_save_is_deterministic(tmp_path):
     save_model(p2, model)
     with open(p1, "rb") as f1, open(p2, "rb") as f2:
         assert f1.read() == f2.read()
+
+
+def test_a_tree_as_deep_as_a_file_holds_round_trips(tmp_path):
+    n = MAX_SAVED_DEPTH + 1  # alternating labels on one feature: a chain of depth n - 1
+    X, y = np.arange(n, dtype=np.float64)[:, None], np.arange(n) % 2
+    back = _round_trip(dt_fit(X, y), tmp_path, "deep")
+    assert np.array_equal(back.predict(X), y)
+
+
+def _edit_nodes(doc, change):
+    stack = [t["root"] for t in doc["model"]["trees"]]
+    while stack:
+        node = stack.pop()
+        change(node)
+        stack.extend(node[side] for side in ("left", "right") if side in node)
+
+
+@pytest.mark.parametrize("change", [
+    lambda node: node.update(counts=[int(c) for c in node["counts"]]),
+    lambda node: node.update(note="hand-edited"),
+], ids=["int-counts", "extra-key"])
+def test_nodes_the_decode_hook_leaves_as_dicts_load_as_before(tmp_path, query, change):
+    X, y = _blobs(seed=6)
+    model = rf_fit(X, y, ForestParams(n_estimators=3, seed=3), n_classes=3)
+    path = tmp_path / "rf.model.json"
+    save_model(str(path), model)
+    doc = json.loads(path.read_text())
+    _edit_nodes(doc, change)
+    path.write_text(json.dumps(doc))
+    back, _, _ = load_model(str(path))
+    assert np.array_equal(model.predict_proba(query), back.predict_proba(query))
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _decoded_peak(path):
+    def decode():
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    return _traced_peak(decode)
+
+
+@pytest.fixture(scope="module")
+def forest():
+    X, y = _blobs(n_per=100, seed=7)
+    return rf_fit(X, y, ForestParams(n_estimators=40, seed=4), n_classes=3)
+
+
+def test_loading_a_forest_never_holds_its_whole_document(tmp_path, forest):
+    # with the whole document decoded first, it and the built trees would exist at once (1.2x)
+    path = str(tmp_path / "rf.model.json")
+    save_model(path, forest)
+    assert _traced_peak(lambda: load_model(path)) < _decoded_peak(path)
+
+
+def test_saving_a_forest_makes_one_tree_dict_at_a_time(tmp_path, forest):
+    # the whole document built before it is written would be about as large as decoded
+    path = str(tmp_path / "rf.model.json")
+    peak = _traced_peak(lambda: save_model(path, forest))
+    assert peak < 0.5 * _decoded_peak(path)
+
+
+def test_a_forest_with_a_tree_too_deep_to_save_writes_no_file(tmp_path):
+    X, y = np.arange(600, dtype=np.float64)[:, None], np.arange(600) % 2
+    deep = dt_fit(X, y)
+    shallow = dt_fit(X, y, TreeParams(max_depth=2))
+    path = tmp_path / "rf.model.json"
+    with pytest.raises(ProblemTooLarge, match="a tree of depth 599"):
+        save_model(str(path), RandomForest(ForestParams(n_estimators=2), [shallow, deep], 2))
+    assert not path.exists()

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from enose.classifiers.tree import TreeParams, _search, _weighted_table, dt_fit, presort
-from enose.errors import DimensionMismatch, ShapeMismatch
+from enose.classifiers.tree import TreeNode, TreeParams, _search, _weighted_table, dt_fit, presort
+from enose.errors import DimensionMismatch, ProblemTooLarge, ShapeMismatch
+from enose.models import _node_to_dict
+from enose.serialize import save_model
 
 
 def best_split(
@@ -304,3 +306,51 @@ def test_mirrored_exact_ties_take_lowest_feature_and_threshold(seed, half, n_cla
     x = np.sort(rng.choice(1000, size=2 * half, replace=False)) / 10.0
     X = np.column_stack([x, x, -x])
     _assert_exact_splits(X, y, n_classes)
+
+
+def recursive_tree(X, y, n_classes, params, sampler, rows, depth=0):
+    """Recursive CART growth, each node's rows sorted afresh: the oracle for the
+    stack-grown tree, whose feature sampler must draw in this preorder."""
+    counts = np.bincount(y[rows], minlength=n_classes).astype(np.float64)
+    node = TreeNode(counts)
+    n = counts.sum()
+    if (counts.max() == n or n < params.min_samples_split or n < 2 * params.min_samples_leaf
+            or (params.max_depth is not None and depth >= params.max_depth)):
+        return node
+    order = rows[presort(X[rows])]
+    split = _search(X, _weighted_table(y, np.ones(y.shape[0]), n_classes), order, counts, n,
+                    sampler(X.shape[1]), params.min_samples_leaf)
+    if split is None:
+        return node
+    node.feature, node.threshold, _, n_left, _ = split
+    left = np.sort(order[node.feature, :n_left])
+    node.left = recursive_tree(X, y, n_classes, params, sampler, left, depth + 1)
+    node.right = recursive_tree(X, y, n_classes, params, sampler, np.setdiff1d(rows, left),
+                                depth + 1)
+    return node
+
+
+@pytest.mark.parametrize("params", [TreeParams(), TreeParams(max_depth=4, min_samples_leaf=3)])
+def test_stack_growth_is_the_recursive_preorder(params):
+    rng = np.random.default_rng(12)
+    X = np.round(rng.normal(size=(300, 5)), 1)  # rounded, so features tie
+    y = rng.integers(0, 3, size=300)
+
+    def sampler(seed):
+        draws = np.random.default_rng(seed)
+        return lambda d: draws.choice(d, size=2, replace=False)
+
+    grown = dt_fit(X, y, params, n_classes=3, feature_sampler=sampler(5))
+    oracle = recursive_tree(X, y, 3, params, sampler(5), np.arange(300))
+    assert _node_to_dict(grown.root) == _node_to_dict(oracle)
+
+
+def test_dt_grows_past_the_recursion_limit_but_does_not_save(tmp_path):
+    # one feature with alternating labels: every split peels off one row
+    X, y = np.arange(4000, dtype=np.float64)[:, None], np.arange(4000) % 2
+    tree = dt_fit(X, y)
+    assert np.array_equal(tree.predict(X), y)
+    path = tmp_path / "deep.model.json"
+    with pytest.raises(ProblemTooLarge, match="a tree of depth 3999 is deeper than the 500"):
+        save_model(str(path), tree)
+    assert not path.exists()
