@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,12 +11,13 @@ import numpy as np
 from ..errors import (
     ConfigError, DegenerateLabels, DimensionMismatch, ProblemTooLarge, ShapeMismatch,
 )
+from ..dataset import distinct
 from .base import predict_from_proba, softmax
 
 
 @dataclass(frozen=True)
 class SvmParams:
-    kernel: str = "rbf"          # linear | rbf
+    kernel: str = "rbf"          # one of KERNELS
     C: float = 1.0
     gamma: float | str = "scale"  # rbf width; "scale" = 1 / (d * var(X))
     tol: float = 1e-3
@@ -35,42 +37,56 @@ def resolve_gamma(gamma: float | str, X: np.ndarray) -> float:
     return g
 
 
-# Rows of the rbf buffer that take |a|^2 + |b|^2 at a time: that sum's temporary
-# is RBF_BLOCK_ROWS x m floats beside the n x m result (1.13x at n = m = 2,000).
-RBF_BLOCK_ROWS = 256
+KERNELS = ("linear", "rbf")
 
 
-def kernel_matrix(params: SvmParams, gamma: float, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """K(A, B), built in the one n x m buffer that ``A @ B.T`` allocates.
+# Entries of the rbf buffer that take |a|^2 + |b|^2 at a time, in whole rows
+# (one row when m is larger): that sum's temporary stays below glibc's default
+# 128 KiB mmap threshold, so freeing it never raises the threshold.
+RBF_BLOCK_FLOATS = 16_000
+
+
+def kernel_matrix(params: SvmParams, gamma: float, A: np.ndarray, B: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """K(A, B), built in ``out`` or else in the one n x m buffer that ``A @ B.T`` allocates.
 
     The rbf entries are exp(-gamma * max((|a|^2 + |b|^2) - 2 a.b, 0)) with
     every operation rounded as in that expression: the GEMM is one call over
     all rows, scaling by -2 is exact, and IEEE addition is commutative.
     """
-    if params.kernel == "linear":
-        return A @ B.T
+    if params.kernel not in KERNELS:
+        raise ConfigError(f"unknown kernel {params.kernel!r}")
+    K = np.matmul(A, B.T, out=out)
     if params.kernel == "rbf":
-        K = A @ B.T
         K *= -2.0
         a2 = (A * A).sum(axis=1)[:, None]
         b2 = (B * B).sum(axis=1)[None, :]
-        for lo in range(0, K.shape[0], RBF_BLOCK_ROWS):
-            hi = lo + RBF_BLOCK_ROWS
+        rows = max(1, RBF_BLOCK_FLOATS // max(1, K.shape[1]))
+        for lo in range(0, K.shape[0], rows):
+            hi = lo + rows
             K[lo:hi] += a2[lo:hi] + b2
         np.maximum(K, 0.0, out=K)
         K *= -gamma
-        return np.exp(K, out=K)
-    raise ConfigError(f"unknown kernel {params.kernel!r}")
+        np.exp(K, out=K)
+    return K
 
 
 # The dense n x n float64 Gram matrix may take at most this much memory
-# (2 GiB: up to n = 16,384 training rows).  Building it allocates that one
-# buffer plus an RBF_BLOCK_ROWS x n block, so the limit bounds the fit's peak.
+# (2 GiB: up to n = 16,384 training rows).  Building it maps that one buffer
+# and allocates a temporary of at most max(RBF_BLOCK_FLOATS, n) floats, so the
+# limit bounds the fit's peak.
 GRAM_LIMIT_BYTES = 2 << 30
 
 
 def gram_matrix(params: SvmParams, gamma: float, X: np.ndarray) -> np.ndarray:
-    """K(X, X), refused before allocation when it would exceed GRAM_LIMIT_BYTES."""
+    """K(X, X) in its own anonymous mapping, refused before it is mapped when it
+    would exceed GRAM_LIMIT_BYTES.
+
+    The mapping is unmapped when the last array over it is dropped.  From
+    malloc, a freed Gram matrix would raise glibc's dynamic mmap threshold to
+    its size, so that every later one would come from the heap, which keeps
+    its pages after the fit.
+    """
     n = X.shape[0]
     need = n * n * 8
     if need > GRAM_LIMIT_BYTES:
@@ -78,7 +94,9 @@ def gram_matrix(params: SvmParams, gamma: float, X: np.ndarray) -> np.ndarray:
             f"SVM Gram matrix for n={n} training rows needs {need} bytes "
             f"({need / 2**30:.2f} GiB), over the {GRAM_LIMIT_BYTES}-byte limit"
         )
-    return kernel_matrix(params, gamma, X, X)
+    # private, as malloc's own mappings are; a length of 0 is refused
+    buf = mmap.mmap(-1, max(need, 8), flags=mmap.MAP_PRIVATE)
+    return kernel_matrix(params, gamma, X, X, np.ndarray((n, n), np.float64, buf))
 
 
 class BinarySvm:
@@ -120,22 +138,30 @@ class _Wss2:
     m = max F[I_up] and M = min F[I_low] satisfy m - M < tol.
 
     F is kept only as its two masked copies, Fu (-inf off I_up) and Fl (+inf
-    off I_low), and both take every update that F would.  With C > 0 each
-    index is in I_up or I_low, so F[k] is always in one of them: the working
-    i is in I_up and j in I_low.  The O(1) pair update runs on Python floats.
+    off I_low), the two rows of one 2 x n array that takes every update that
+    F would.  With C > 0 each index is in I_up or I_low, so F[k] is always in
+    one of them: the working i is in I_up and j in I_low.  The O(1) pair
+    update runs on Python floats, and each step's n-sized work writes into
+    scratch arrays allocated once.
     """
 
     def __init__(self, K: np.ndarray, y: np.ndarray, C: float, tol: float):
         self.K = K
         self.Kd = np.diag(K).copy()
         y = np.asarray(y, dtype=np.float64)
+        n = y.shape[0]
         self._kd = self.Kd.tolist()
         self._y = y.tolist()
-        self._alpha = [0.0] * y.shape[0]
+        self._alpha = [0.0] * n
         self.C = float(C)
         self.tol = tol
-        self.Fu = np.where(y > 0, y, -np.inf)  # a < C for y = +1, a > 0 for y = -1
-        self.Fl = np.where(y < 0, y, np.inf)   # a > 0 for y = +1, a < C for y = -1
+        self.FuFl = np.array([
+            np.where(y > 0, y, -np.inf),  # a < C for y = +1, a > 0 for y = -1
+            np.where(y < 0, y, np.inf),   # a > 0 for y = +1, a < C for y = -1
+        ])
+        self.Fu, self.Fl = self.FuFl
+        self._curv, self._gap, self._gain = np.empty(n), np.empty(n), np.empty(n)
+        self._not_pos = np.empty(n, dtype=bool)
 
     @property
     def alpha(self) -> np.ndarray:
@@ -149,11 +175,21 @@ class _Wss2:
         M = Fl.min()
         if m - M < self.tol or m <= M:
             return None
-        b = m - Fl  # > 0 exactly where j in I_low can improve the pair
-        a = self._kd[i] + self.Kd - 2.0 * self.K[i]
-        a = np.where(a > 0, a, TAU)
-        j = int(np.where(b > 0, b * b / a, -1.0).argmax())
-        return i, j
+        a, b, gain, not_pos = self._curv, self._gap, self._gain, self._not_pos
+        # a = where(K_ii + Kd - 2 K_i > 0, that, TAU)
+        np.multiply(self.K[i], 2.0, out=gain)
+        np.add(self.Kd, self._kd[i], out=a)
+        np.subtract(a, gain, out=a)
+        np.logical_not(np.greater(a, 0.0, out=not_pos), out=not_pos)
+        np.copyto(a, TAU, where=not_pos)
+        # b = m - Fl is > 0 exactly where j in I_low can improve the pair;
+        # gain = where(b > 0, b * b / a, -1)
+        np.subtract(m, Fl, out=b)
+        np.multiply(b, b, out=gain)
+        np.divide(gain, a, out=gain)
+        np.logical_not(np.greater(b, 0.0, out=not_pos), out=not_pos)
+        np.copyto(gain, -1.0, where=not_pos)
+        return i, int(gain.argmax())
 
     def update(self, i: int, j: int) -> None:
         """Move a_i by +y_i t and a_j by -y_j t for the clipped Newton step t."""
@@ -166,9 +202,12 @@ class _Wss2:
         t = min(t, room_i, room_j)
         ai = (C if yi > 0 else 0.0) if t == room_i else ai0 + yi * t
         aj = (0.0 if yj > 0 else C) if t == room_j else aj0 - yj * t
-        dF = yi * (ai - ai0) * Ki + yj * (aj - aj0) * Kj
-        self.Fu -= dF
-        self.Fl -= dF
+        # dF = y_i (ai - ai0) K_i + y_j (aj - aj0) K_j, in select's scratch
+        dF, dFj = self._curv, self._gap
+        np.multiply(Ki, yi * (ai - ai0), out=dF)
+        np.multiply(Kj, yj * (aj - aj0), out=dFj)
+        np.add(dF, dFj, out=dF)
+        self.FuFl -= dF
         self._alpha[i], self._alpha[j] = ai, aj
         for k, ak, Fk in ((i, ai, self.Fu.item(i)), (j, aj, self.Fl.item(j))):
             pos = self._y[k] > 0
@@ -221,7 +260,7 @@ def svm_fit_binary(
     y = np.asarray(y, dtype=np.float64)
     _check_shapes(X, y)
     _check_params(params)
-    if np.unique(y).shape[0] < 2:
+    if distinct(y).shape[0] < 2:
         raise DegenerateLabels("both -1 and +1 labels are required")
     n = X.shape[0]
     gamma = resolve_gamma(params.gamma, X)

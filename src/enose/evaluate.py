@@ -9,7 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, distinct
 from .errors import (BadSizes, EmptyGrid, EmptyMatrix, ENoseError, LabelOutOfRange,
                      NonFiniteScores)
 from .preprocess import DROPPED_AMBIENT, drop_columns, fit_scaler
@@ -426,7 +426,7 @@ def stratified_head(indices: np.ndarray, labels: np.ndarray, count: int) -> np.n
     """First ~count indices, taking a proportional head of every class."""
     frac = count / indices.shape[0]
     parts = []
-    for c in np.unique(labels[indices]):
+    for c in distinct(labels[indices]):
         cls_idx = indices[labels[indices] == c]
         parts.append(cls_idx[: max(1, math.ceil(frac * cls_idx.shape[0]))])
     return np.sort(np.concatenate(parts))

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .classifiers.forest import ForestParams, RandomForest, resolve_max_features, rf_fit
-from .classifiers.svm import BinarySvm, MulticlassSvm, SvmParams, svm_fit_multiclass
+from .classifiers.svm import KERNELS, BinarySvm, MulticlassSvm, SvmParams, svm_fit_multiclass
 from .classifiers.tree import DecisionTree, TreeNode, TreeParams, dt_fit
 from .errors import ConfigError, ProblemTooLarge
 from .evaluate import GridSpec
@@ -44,6 +44,22 @@ MAX_SAVED_DEPTH = 500
 
 def _array(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
+
+
+def finite_array(values, what: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Saved ``values``, a list (1-D ``shape``) or a list of rows (2-D) of finite
+    numbers that are not bools, as a float64 array; ConfigError naming ``what`` otherwise."""
+    rows = values if len(shape) == 2 else [values]
+    if not (type(rows) is list and len(rows) == math.prod(shape[:-1])
+            and all(type(row) is list and len(row) == shape[-1] for row in rows)):
+        raise ConfigError(f"{what} is not {' x '.join(map(str, shape))} numbers")
+    flat = [v for row in rows for v in row]
+    if not all(type(v) is float or type(v) is int for v in flat):
+        raise ConfigError(f"{what} holds a value that is not a number")
+    out = _array(flat).reshape(shape)
+    if not np.isfinite(out).all():
+        raise ConfigError(f"{what} holds a number that is not finite")
+    return out
 
 
 # --- dt -----------------------------------------------------------------------
@@ -235,13 +251,38 @@ def _svm_to_dict(model: MulticlassSvm) -> dict:
 
 
 def _svm_from_dict(doc: dict) -> MulticlassSvm:
-    machines = [
-        BinarySvm(_from_doc(SvmParams, m["params"]), m["gamma"], _array(m["sv_x"]),
-                  _array(m["sv_y"]), _array(m["sv_alpha"]), m["b"], m["converged"],
-                  m["n_passes"])
-        for m in doc["machines"]
-    ]
-    return MulticlassSvm(machines, doc["n_classes"])
+    """ConfigError unless there is one machine per class, each with n_sv >= 1 support
+    vectors of one width d for all, labels of +-1, alphas >= 0, b finite and gamma
+    finite and positive, and a kernel of KERNELS."""
+    saved, n_classes = doc["machines"], doc["n_classes"]
+    if not (type(saved) is list and type(n_classes) is int and n_classes == len(saved) >= 2):
+        raise ConfigError(f"an SVM's n_classes {n_classes!r} is not its number of machines, "
+                          f"at least 2")
+    machines, width = [], None
+    for i, m in enumerate(saved):
+        what = f"SVM machine {i}"
+        sv_x = m["sv_x"]
+        if not (type(sv_x) is list and sv_x and type(sv_x[0]) is list):
+            raise ConfigError(f"{what} sv_x is not a list of support vectors")
+        if width is None:
+            width = len(sv_x[0])
+        shape = (len(sv_x), width)
+        x = finite_array(sv_x, f"{what} sv_x", shape)
+        y = finite_array(m["sv_y"], f"{what} sv_y", shape[:1])
+        if not (np.abs(y) == 1.0).all():
+            raise ConfigError(f"{what} sv_y holds a label other than +1 and -1")
+        alpha = finite_array(m["sv_alpha"], f"{what} sv_alpha", shape[:1])
+        if (alpha < 0.0).any():
+            raise ConfigError(f"{what} sv_alpha holds a negative number")
+        b = finite_array([m["b"]], f"{what} b", (1,)).item()
+        gamma = finite_array([m["gamma"]], f"{what} gamma", (1,)).item()
+        if not gamma > 0.0:
+            raise ConfigError(f"{what} gamma {gamma!r} is not positive")
+        params = _from_doc(SvmParams, m["params"])
+        if params.kernel not in KERNELS:
+            raise ConfigError(f"{what} kernel {params.kernel!r} is not one of {KERNELS}")
+        machines.append(BinarySvm(params, gamma, x, y, alpha, b, m["converged"], m["n_passes"]))
+    return MulticlassSvm(machines, n_classes)
 
 
 # --- mlp ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import distinct
 from .errors import BadComponentCount, DegenerateInput, DimensionMismatch, SingleClass
 
 
@@ -80,7 +81,7 @@ def lda_fit(X: np.ndarray, y: np.ndarray, m: int, ridge: float | None = None) ->
     """Fit LDA directions from within/between-class scatter matrices."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    classes = np.unique(y)
+    classes = distinct(y)
     C = classes.shape[0]
     if C < 2:
         raise SingleClass("LDA needs at least 2 classes")

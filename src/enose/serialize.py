@@ -10,7 +10,7 @@ import numpy as np
 from .ensemble import VotingEnsemble
 from .errors import ConfigError, CorruptModel
 from .evaluate import REDUCTIONS, FeaturePipeline
-from .models import FAMILIES, decode_node
+from .models import FAMILIES, decode_node, finite_array
 from .preprocess import VERSIONS, Scaler
 
 FORMAT = "enose-model"
@@ -61,12 +61,14 @@ def pipeline_from_dict(doc: dict) -> FeaturePipeline:
         raise ConfigError(f"pipeline version {version!r} is not one of {VERSIONS}")
     pipe = FeaturePipeline(version)
     s = doc["scaler"]
-    pipe.scaler = Scaler(
-        np.asarray(s["means"]), np.asarray(s["stds"]), np.asarray(s["degenerate"], dtype=bool),
-    )
-    width = len(pipe.scaler.means)
-    if not width == len(pipe.scaler.stds) == len(pipe.scaler.degenerate):
+    width, degenerate = len(s["means"]), s["degenerate"]
+    if not width == len(s["stds"]) == len(degenerate):
         raise ConfigError("scaler means, stds and degenerate differ in length")
+    if not (type(degenerate) is list and all(type(v) is bool for v in degenerate)):
+        raise ConfigError(f"scaler degenerate is not {width} bools")
+    pipe.scaler = Scaler(finite_array(s["means"], "scaler means", (width,)),
+                         finite_array(s["stds"], "scaler stds", (width,)),
+                         np.array(degenerate, dtype=bool))
     reduction = REDUCTIONS.get(version)
     kind = None if reduction is None else reduction.kind
     r = doc.get("reducer")

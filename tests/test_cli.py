@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from enose.classifiers.forest import ForestParams, rf_fit
+from enose.classifiers.svm import SvmParams, svm_fit_multiclass
 from enose.cli import main
 from enose.config import load_config
 from enose.neural import mlp_build, variant_spec
@@ -573,6 +574,12 @@ def _pipeline(version, reducer=None, scaler=True, scaler_means=3, reducer_means=
     return _edit(lambda doc: doc.update(pipeline=pipe))
 
 
+def _scaler(**change):
+    """An edit giving the saved forest a V1 pipeline whose scaler has ``change``."""
+    scaler = {"means": [0.0] * 3, "stds": [1.0] * 3, "degenerate": [False] * 3, **change}
+    return _edit(lambda doc: doc.update(pipeline={"version": "V1", "scaler": scaler}))
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_truncate, "not valid JSON"),
     (lambda path: path.write_text("[" * 100_000), "nested too deeply to decode"),
@@ -587,6 +594,12 @@ def _pipeline(version, reducer=None, scaler=True, scaler_means=3, reducer_means=
     (_pipeline("V3", reducer="ica"), "found 'ica'"),
     (_pipeline("V2", scaler_means=2), "scaler means, stds and degenerate differ in length"),
     (_pipeline("V3", reducer="pca", reducer_means=2), "reducer width 2 is not the scaler width 3"),
+    (_scaler(means=[0.0, "abc", 0.0]), "scaler means holds a value that is not a number"),
+    (_scaler(stds=[1.0, True, 1.0]), "scaler stds holds a value that is not a number"),
+    (_scaler(stds=[1.0, float("inf"), 1.0]), "scaler stds holds a number that is not finite"),
+    (_scaler(means=[0.0, [1.0], 0.0]), "scaler means holds a value that is not a number"),
+    (_scaler(means="abc"), "scaler means is not 3 numbers"),
+    (_scaler(degenerate=[False, 0, False]), "scaler degenerate is not 3 bools"),
     (_edit(lambda doc: doc["model"]["trees"][0]["root"].update(feature=99)),
      "split feature 99 is not an index in [0, 3)"),
     (_edit(lambda doc: doc["model"]["trees"][0]["root"].update(feature=1.5)),
@@ -612,7 +625,9 @@ def _pipeline(version, reducer=None, scaler=True, scaler_means=3, reducer_means=
     (_pipeline("V2"), "expected 3 columns, got 7"),
 ], ids=["truncated", "deeply-nested", "missing-key", "format-version", "unknown-kind",
         "forest-member-kind", "no-scaler", "unknown-version", "v3-no-reducer", "v1-with-reducer",
-        "unknown-reducer-kind", "scaler-width", "reducer-width", "split-feature",
+        "unknown-reducer-kind", "scaler-width", "reducer-width", "scaler-means-string",
+        "scaler-stds-bool", "scaler-stds-infinite", "scaler-means-list", "scaler-means-not-list",
+        "scaler-degenerate-int", "split-feature",
         "split-feature-float", "threshold-string", "threshold-bool", "threshold-nan",
         "threshold-huge-int", "counts-length", "counts-negative", "counts-infinite",
         "leaf-counts-zero", "forest-n-classes", "forest-no-trees", "tree-n-classes-float",
@@ -621,6 +636,54 @@ def test_evaluate_corrupt_model_is_runtime_error(tmp_path, capsys, corrupt, mess
     path = _saved_forest(tmp_path)
     corrupt(path)
     code, out, err = run_cli(capsys, "evaluate", str(path))
+    assert code == 2
+    assert str(path) in err and message in err
+
+
+def _saved_svm(tmp_path):
+    """An rbf SVM for the 9 raw features and 10 classes of a synth session; each of its
+    machines has at least 2 support vectors."""
+    rng = np.random.default_rng(0)
+    path = tmp_path / "svm.model.json"
+    save_model(str(path), svm_fit_multiclass(rng.normal(size=(30, 9)), np.arange(30) % 10,
+                                             SvmParams(kernel="rbf")))
+    return path
+
+
+def _machine(i, change):
+    return _edit(lambda doc: change(doc["model"]["machines"][i]))
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_machine(0, lambda m: m.update(sv_y=m["sv_y"][:-1])), "SVM machine 0 sv_y is not"),
+    (_machine(1, lambda m: m.update(b="abc")), "SVM machine 1 b holds a value that is not a number"),
+    (_machine(0, lambda m: m.update(b=float("nan"))), "SVM machine 0 b holds a number that is not"),
+    (_machine(0, lambda m: m.update(b=True)), "SVM machine 0 b holds a value that is not a number"),
+    (_machine(0, lambda m: m["sv_y"].__setitem__(0, 0.5)),
+     "SVM machine 0 sv_y holds a label other than +1 and -1"),
+    (_machine(0, lambda m: m["sv_alpha"].__setitem__(0, -0.5)),
+     "SVM machine 0 sv_alpha holds a negative number"),
+    (_machine(0, lambda m: m.update(sv_alpha=m["sv_alpha"] + [0.5])), "SVM machine 0 sv_alpha is not"),
+    (_machine(0, lambda m: m["sv_x"][0].__setitem__(1, float("inf"))),
+     "SVM machine 0 sv_x holds a number that is not finite"),
+    (_machine(0, lambda m: m["sv_x"][1].pop()), "SVM machine 0 sv_x is not"),
+    (_machine(1, lambda m: [row.pop() for row in m["sv_x"]]), "SVM machine 1 sv_x is not"),
+    (_machine(0, lambda m: m.update(sv_x=[])), "SVM machine 0 sv_x is not a list of support vectors"),
+    (_machine(1, lambda m: m.update(gamma=0.0)), "SVM machine 1 gamma 0.0 is not positive"),
+    (_machine(1, lambda m: m.update(gamma="scale")), "SVM machine 1 gamma holds a value that is not"),
+    (_machine(0, lambda m: m["params"].update(kernel="poly")),
+     "SVM machine 0 kernel 'poly' is not one of ('linear', 'rbf')"),
+    (_edit(lambda doc: doc["model"].update(n_classes=11)),
+     "an SVM's n_classes 11 is not its number of machines"),
+], ids=["sv-y-short", "b-string", "b-nan", "b-bool", "sv-y-half", "alpha-negative",
+        "alpha-long", "sv-x-infinite", "sv-x-ragged", "machines-differ-in-width", "no-support-vectors",
+        "gamma-zero", "gamma-string", "kernel", "n-classes"])
+def test_evaluate_corrupt_svm_is_runtime_error(tmp_path, capsys, corrupt, message):
+    path = _saved_svm(tmp_path)
+    argv = ["--samples", "20", "--out", str(tmp_path / "o"), "evaluate", str(path)]
+    assert run_cli(capsys, *argv)[0] == 0
+    corrupt(path)
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert str(path) in err and message in err
 

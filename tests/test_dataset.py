@@ -10,6 +10,7 @@ from enose import dataset
 from enose.dataset import (
     FoldPlan,
     RunTable,
+    distinct,
     load_glob,
     load_manifest,
     load_run_file,
@@ -484,3 +485,17 @@ def test_arbitrary_run_file_and_manifest_raise_only_toolkit_errors(tmp_path_fact
         load_manifest(str(manifest))
     except ENoseError:
         pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.lists(st.integers(-2**63, 2**63 - 1)).map(lambda v: np.array(v, dtype=np.int64)),
+    st.lists(st.integers(-3, 3)).map(lambda v: np.array(v, dtype=np.int64)),
+    st.lists(st.floats(width=64)).map(lambda v: np.array(v, dtype=np.float64)),
+    st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, np.nan, np.inf])).map(
+        lambda v: np.array(v, dtype=np.float64)),
+))
+def test_distinct_is_np_unique(values):
+    got, want = distinct(values), np.unique(values)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)

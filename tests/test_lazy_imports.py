@@ -87,3 +87,21 @@ code = main(["--config", {str(cfg)!r}, "--out", {str(tmp_path / "out")!r}, "run"
 print(json.dumps([before, code, [m in sys.modules for m in ("hashlib", "_hashlib")]]))
 """)
     assert seen == [[False, False], 0, [True, True]]
+
+
+def test_a_run_imports_numpy_ma_only_if_numpy_does(tmp_path):
+    # np.unique imports numpy.ma on its first call in numpy 2.x; numpy 1.x imports it
+    # with numpy itself, where there is nothing to avoid
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[data]\nsamples = 20\n[pipeline]\nversion = V3\nfolds = 2\n"
+                   "[models]\nfamilies = svm,dt\ngrid = none\nann_variants =\nensemble = no\n")
+    seen = fresh_python(f"""
+import json, sys
+import numpy
+with_numpy = "numpy.ma" in sys.modules
+from enose.cli import main
+code = main(["--config", {str(cfg)!r}, "--out", {str(tmp_path / "out")!r}, "run"])
+print(json.dumps([with_numpy, code, "numpy.ma" in sys.modules]))
+""")
+    assert seen[1] == 0
+    assert seen[2] == seen[0]
