@@ -138,30 +138,22 @@ class _Wss2:
     m = max F[I_up] and M = min F[I_low] satisfy m - M < tol.
 
     F is kept only as its two masked copies, Fu (-inf off I_up) and Fl (+inf
-    off I_low), the two rows of one 2 x n array that takes every update that
-    F would.  With C > 0 each index is in I_up or I_low, so F[k] is always in
-    one of them: the working i is in I_up and j in I_low.  The O(1) pair
-    update runs on Python floats, and each step's n-sized work writes into
-    scratch arrays allocated once.
+    off I_low), and both take every update that F would.  With C > 0 each
+    index is in I_up or I_low, so F[k] is always in one of them: the working
+    i is in I_up and j in I_low.  The O(1) pair update runs on Python floats.
     """
 
     def __init__(self, K: np.ndarray, y: np.ndarray, C: float, tol: float):
         self.K = K
         self.Kd = np.diag(K).copy()
         y = np.asarray(y, dtype=np.float64)
-        n = y.shape[0]
         self._kd = self.Kd.tolist()
         self._y = y.tolist()
-        self._alpha = [0.0] * n
+        self._alpha = [0.0] * y.shape[0]
         self.C = float(C)
         self.tol = tol
-        self.FuFl = np.array([
-            np.where(y > 0, y, -np.inf),  # a < C for y = +1, a > 0 for y = -1
-            np.where(y < 0, y, np.inf),   # a > 0 for y = +1, a < C for y = -1
-        ])
-        self.Fu, self.Fl = self.FuFl
-        self._curv, self._gap, self._gain = np.empty(n), np.empty(n), np.empty(n)
-        self._not_pos = np.empty(n, dtype=bool)
+        self.Fu = np.where(y > 0, y, -np.inf)  # a < C for y = +1, a > 0 for y = -1
+        self.Fl = np.where(y < 0, y, np.inf)   # a > 0 for y = +1, a < C for y = -1
 
     @property
     def alpha(self) -> np.ndarray:
@@ -175,21 +167,11 @@ class _Wss2:
         M = Fl.min()
         if m - M < self.tol or m <= M:
             return None
-        a, b, gain, not_pos = self._curv, self._gap, self._gain, self._not_pos
-        # a = where(K_ii + Kd - 2 K_i > 0, that, TAU)
-        np.multiply(self.K[i], 2.0, out=gain)
-        np.add(self.Kd, self._kd[i], out=a)
-        np.subtract(a, gain, out=a)
-        np.logical_not(np.greater(a, 0.0, out=not_pos), out=not_pos)
-        np.copyto(a, TAU, where=not_pos)
-        # b = m - Fl is > 0 exactly where j in I_low can improve the pair;
-        # gain = where(b > 0, b * b / a, -1)
-        np.subtract(m, Fl, out=b)
-        np.multiply(b, b, out=gain)
-        np.divide(gain, a, out=gain)
-        np.logical_not(np.greater(b, 0.0, out=not_pos), out=not_pos)
-        np.copyto(gain, -1.0, where=not_pos)
-        return i, int(gain.argmax())
+        b = m - Fl  # > 0 exactly where j in I_low can improve the pair
+        a = self._kd[i] + self.Kd - 2.0 * self.K[i]
+        a = np.where(a > 0, a, TAU)
+        j = int(np.where(b > 0, b * b / a, -1.0).argmax())
+        return i, j
 
     def update(self, i: int, j: int) -> None:
         """Move a_i by +y_i t and a_j by -y_j t for the clipped Newton step t."""
@@ -202,12 +184,9 @@ class _Wss2:
         t = min(t, room_i, room_j)
         ai = (C if yi > 0 else 0.0) if t == room_i else ai0 + yi * t
         aj = (0.0 if yj > 0 else C) if t == room_j else aj0 - yj * t
-        # dF = y_i (ai - ai0) K_i + y_j (aj - aj0) K_j, in select's scratch
-        dF, dFj = self._curv, self._gap
-        np.multiply(Ki, yi * (ai - ai0), out=dF)
-        np.multiply(Kj, yj * (aj - aj0), out=dFj)
-        np.add(dF, dFj, out=dF)
-        self.FuFl -= dF
+        dF = yi * (ai - ai0) * Ki + yj * (aj - aj0) * Kj
+        self.Fu -= dF
+        self.Fl -= dF
         self._alpha[i], self._alpha[j] = ai, aj
         for k, ak, Fk in ((i, ai, self.Fu.item(i)), (j, aj, self.Fl.item(j))):
             pos = self._y[k] > 0

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,25 +24,10 @@ class TreeNode:
     threshold: float | None = None
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
-    _leaf_value: int | np.ndarray | None = field(default=None, init=False, repr=False,
-                                                 compare=False)
 
     @property
     def is_leaf(self) -> bool:
         return self.feature is None
-
-    @property
-    def leaf_value(self) -> int | np.ndarray:
-        """What this leaf adds to a probability row: its class if pure, else counts / total.
-
-        Computed on first use and kept in the node's own slot, with few calls,
-        as most leaves are read only once or twice.
-        """
-        if self._leaf_value is None:
-            counts = self.counts
-            self._leaf_value = (int(counts.argmax()) if np.count_nonzero(counts) == 1
-                                else counts / np.add.reduce(counts))
-        return self._leaf_value
 
 
 def presort(X: np.ndarray) -> np.ndarray:
@@ -141,11 +126,11 @@ class DecisionTree:
             if idx.size == 0:
                 continue
             if node.is_leaf:
-                value = node.leaf_value
-                if isinstance(value, int):
-                    out[idx, value] += 1.0
+                counts = node.counts
+                if np.count_nonzero(counts) == 1:
+                    out[idx, counts.argmax()] += 1.0
                 else:
-                    out[idx] += value
+                    out[idx] += counts / np.add.reduce(counts)
                 continue
             mask = X[idx, node.feature] <= node.threshold
             stack.append((node.left, idx[mask]))

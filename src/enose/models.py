@@ -85,41 +85,12 @@ def _node_to_dict(node: TreeNode) -> dict:
     }
 
 
-def decode_node(d: dict):
-    """``json`` object hook: a saved tree node as a TreeNode, built while the file is
-    decoded so that its node dicts never all exist at once.
-
-    Only a node with exactly a leaf's or a split's keys that passes every check
-    needing no ``n_classes`` or ``n_features`` is built; ``_node_from_dict``
-    makes the rest, and any other dict is returned as it is.
-    """
-    counts = d.get("counts")
-    if not (type(counts) is list and counts and all(type(c) is float for c in counts)
-            and min(counts) >= 0 and 0 < sum(counts) < math.inf):
-        return d
-    if len(d) == 1:
-        return TreeNode(_array(counts))
-    feature, threshold = d.get("feature"), d.get("threshold")
-    if (len(d) == 5 and "left" in d and "right" in d and type(feature) is int and feature >= 0
-            and type(threshold) is float and math.isfinite(threshold)):
-        return TreeNode(_array(counts), feature, threshold, d["left"], d["right"])
-    return d
-
-
-def _node_from_dict(d: dict | TreeNode, n_features: int, n_classes: int) -> TreeNode:
-    if type(d) is TreeNode:  # by decode_node; left to check: the counts' length, the feature's bound
-        node = d
-        if len(node.counts) != n_classes:
-            raise ConfigError(f"node counts {node.counts.tolist()!r} are not {n_classes} finite "
-                              f"numbers >= 0 with a positive finite sum")
-        if node.is_leaf:
-            return node
-        if node.feature >= n_features:
-            raise ConfigError(f"split feature {node.feature!r} is not an index "
-                              f"in [0, {n_features})")
-        node.left = _node_from_dict(node.left, n_features, n_classes)
-        node.right = _node_from_dict(node.right, n_features, n_classes)
-    else:
+def _root_from_dict(d: dict, n_features: int, n_classes: int) -> TreeNode:
+    """The tree saved under node dict ``d``, built in preorder from an explicit stack;
+    ConfigError at the first node whose counts, split feature or threshold is bad."""
+    stack, root = [(d, None, None)], None
+    while stack:
+        d, parent, side = stack.pop()
         # plain-Python checks on the parsed list, cheaper than numpy calls on C entries:
         # entries >= 0 with a finite sum are each finite, and a non-number fails sum()
         counts = d["counts"]
@@ -127,19 +98,21 @@ def _node_from_dict(d: dict | TreeNode, n_features: int, n_classes: int) -> Tree
                 and min(counts) >= 0 and 0 < sum(counts) < math.inf):
             raise ConfigError(f"node counts {counts!r} are not {n_classes} finite numbers "
                               f">= 0 with a positive finite sum")
-        node = TreeNode(counts=_array(counts))
+        node = TreeNode(_array(counts))
+        if parent is None:
+            root = node
+        else:
+            setattr(parent, side, node)
         if "feature" not in d:
-            return node
-        node.feature = d["feature"]
+            continue
+        node.feature, node.threshold = d["feature"], d["threshold"]
         if not (type(node.feature) is int and 0 <= node.feature < n_features):
             raise ConfigError(f"split feature {node.feature!r} is not an index "
                               f"in [0, {n_features})")
-        node.threshold = d["threshold"]
         if not (type(node.threshold) in (int, float) and math.isfinite(node.threshold)):
             raise ConfigError(f"split threshold {node.threshold!r} is not a finite number")
-        node.left = _node_from_dict(d["left"], n_features, n_classes)
-        node.right = _node_from_dict(d["right"], n_features, n_classes)
-    return node
+        stack += ((d["right"], node, "right"), (d["left"], node, "left"))
+    return root
 
 
 def _check_depth(tree: DecisionTree) -> None:
@@ -166,7 +139,7 @@ def _dt_from_dict(doc: dict) -> DecisionTree:
     if not (type(n_classes) is int and n_classes >= 1):
         raise ConfigError(f"a tree's n_classes {n_classes!r} is not a positive integer")
     return DecisionTree(_from_doc(TreeParams, doc["params"]), n_classes, n_features,
-                        _node_from_dict(doc["root"], n_features, n_classes))
+                        _root_from_dict(doc["root"], n_features, n_classes))
 
 
 # --- rf -----------------------------------------------------------------------
@@ -207,11 +180,12 @@ def _rf_to_dict(model: RandomForest) -> dict:
 
 
 def _rf_from_dict(doc: dict) -> RandomForest:
-    if not doc["trees"]:
+    # the trees are models, as _rf_to_dict leaves them and as load_model decodes them
+    trees = doc["trees"]
+    if not trees:
         raise ConfigError("a forest needs at least one tree")
-    if any(t["kind"] != "dt" for t in doc["trees"]):
+    if any(type(t) is not DecisionTree for t in trees):
         raise ConfigError("every member of a forest must be of kind 'dt'")
-    trees = [_dt_from_dict(t) for t in doc["trees"]]
     for i, tree in enumerate(trees):
         if tree.n_classes != doc["n_classes"]:
             raise ConfigError(f"the forest has {doc['n_classes']!r} classes, "

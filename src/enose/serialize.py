@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import fields
 
 import numpy as np
@@ -10,7 +11,7 @@ import numpy as np
 from .ensemble import VotingEnsemble
 from .errors import ConfigError, CorruptModel
 from .evaluate import REDUCTIONS, FeaturePipeline
-from .models import FAMILIES, decode_node, finite_array
+from .models import FAMILIES, finite_array
 from .preprocess import VERSIONS, Scaler
 
 FORMAT = "enose-model"
@@ -29,6 +30,8 @@ def model_to_dict(model) -> dict:
 
 
 def model_from_dict(doc: dict):
+    if type(doc) is FAMILIES["dt"].model:  # a tree load_model built as it decoded the file
+        return doc
     kind = doc["kind"]
     if kind == "ensemble":
         return VotingEnsemble([model_from_dict(m) for m in doc["members"]])
@@ -76,13 +79,34 @@ def pipeline_from_dict(doc: dict) -> FeaturePipeline:
     if found != kind:
         raise ConfigError(f"a {version} pipeline needs reducer kind {kind!r}, found {found!r}")
     if r is not None:
-        cls = reduction.model
-        pipe.reducer = cls(**{f.name: np.asarray(r[f.name]) if isinstance(r[f.name], list)
-                              else r[f.name] for f in fields(cls)})
-        if len(pipe.reducer.means) != width:
-            raise ConfigError(f"reducer width {len(pipe.reducer.means)} is not the scaler "
-                              f"width {width}")
+        pipe.reducer = _reducer_from_dict(reduction.model, r, width)
     return pipe
+
+
+def _rows(value, what: str, width: int) -> np.ndarray:
+    if not (type(value) is list and value):
+        raise ConfigError(f"{what} is not rows of {width} numbers")
+    return finite_array(value, what, (len(value), width))
+
+
+def _reducer_from_dict(cls, r: dict, width: int):
+    """The saved reducer as ``cls``; ConfigError unless ``means`` is ``width`` finite
+    numbers, the m >= 1 projection rows (PCA ``components``, LDA ``directions``) and
+    LDA's ``class_means`` are rows of ``width`` finite numbers, ``eigenvalues`` is m
+    finite numbers and LDA's ``ridge`` is a finite number."""
+    means = r["means"]
+    if type(means) is list and len(means) != width:
+        raise ConfigError(f"reducer width {len(means)} is not the scaler width {width}")
+    saved = {"means": finite_array(means, "reducer means", (width,))}
+    names = [f.name for f in fields(cls)]
+    projection = names[1]  # the field after means in both reducer classes
+    saved[projection] = _rows(r[projection], f"reducer {projection}", width)
+    saved["eigenvalues"] = finite_array(r["eigenvalues"], "reducer eigenvalues",
+                                        saved[projection].shape[:1])
+    if "ridge" in names:
+        saved["class_means"] = _rows(r["class_means"], "reducer class_means", width)
+        saved["ridge"] = finite_array([r["ridge"]], "reducer ridge", (1,)).item()
+    return cls(**saved)
 
 
 def save_model(path: str, model, pipeline: FeaturePipeline | None = None,
@@ -101,6 +125,27 @@ def save_model(path: str, model, pipeline: FeaturePipeline | None = None,
         fh.write("\n")
 
 
+def _decode_tree(d: dict):
+    """``json`` object hook: a saved tree built as soon as its dict is decoded, so that
+    the node dicts of only one tree exist at a time; any other dict as it is."""
+    return FAMILIES["dt"].from_dict(d) if d.get("kind") == "dt" else d
+
+
+@contextmanager
+def _malformed(path: str):
+    """An error of a malformed document, raised in the block, as CorruptModel."""
+    try:
+        yield
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CorruptModel(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise CorruptModel(f"{path}: nested too deeply to decode ({exc})") from exc
+    except KeyError as exc:
+        raise CorruptModel(f"{path}: malformed {FORMAT} document, missing key {exc}") from exc
+    except (ConfigError, TypeError, ValueError, IndexError, OverflowError) as exc:
+        raise CorruptModel(f"{path}: malformed {FORMAT} document ({exc})") from exc
+
+
 def load_model(path: str):
     """Returns (model, pipeline-or-None, classes-or-None).
 
@@ -109,13 +154,8 @@ def load_model(path: str):
     model kind, and a pipeline without the scaler or reducer its version
     needs) or of another version.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh, object_hook=decode_node)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise CorruptModel(f"{path}: not valid JSON ({exc})") from exc
-        except RecursionError as exc:
-            raise CorruptModel(f"{path}: nested too deeply to decode ({exc})") from exc
+    with open(path, encoding="utf-8") as fh, _malformed(path):
+        doc = json.load(fh, object_hook=_decode_tree)
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ConfigError(f"{path} is not an {FORMAT} document")
     if doc.get("format_version") != FORMAT_VERSION:
@@ -123,7 +163,7 @@ def load_model(path: str):
             f"{path}: format_version {doc.get('format_version')!r} is not supported "
             f"(expected {FORMAT_VERSION})"
         )
-    try:
+    with _malformed(path):
         model = model_from_dict(doc["model"])
         pipeline = pipeline_from_dict(doc["pipeline"]) if "pipeline" in doc else None
         classes = doc.get("classes")
@@ -131,8 +171,4 @@ def load_model(path: str):
                                     or len(classes) != model.n_classes):
             raise ConfigError(f"classes {classes!r} do not name the model's "
                               f"{model.n_classes} classes")
-    except KeyError as exc:
-        raise CorruptModel(f"{path}: malformed {FORMAT} document, missing key {exc}") from exc
-    except (ConfigError, TypeError, ValueError, IndexError, OverflowError, RecursionError) as exc:
-        raise CorruptModel(f"{path}: malformed {FORMAT} document ({exc})") from exc
     return model, pipeline, classes

@@ -62,7 +62,7 @@ def _openblas_core() -> str | None:
                                       "libscipy_openblas*")):
         corename = getattr(ctypes.CDLL(lib), "scipy_openblas_get_corename64_", None)
         if corename is not None:
-            corename.restype = ctypes.c_char_p
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
             return corename().decode()
     return None
 
@@ -119,8 +119,9 @@ def test_the_run_matrix_writes_the_recorded_bytes(tmp_path):
                         f"(recorded, here): {differ}")
     got, want = run_matrix(tmp_path), recorded["digests"]
     changed = sorted(k for k in want.keys() & got.keys() if want[k] != got[k])
-    assert (changed, sorted(want.keys() - got.keys()), sorted(got.keys() - want.keys())) \
-        == ([], [], []), f"{DIGESTS.name}: (changed, missing, new) artifacts"
+    missing, new = sorted(want.keys() - got.keys()), sorted(got.keys() - want.keys())
+    assert not (changed or missing or new), (f"artifacts differ from {DIGESTS.name}: changed "
+                                            f"{changed}, missing {missing}, new {new}")
 
 
 if __name__ == "__main__":

@@ -559,18 +559,21 @@ def _leaf_counts(counts):
     return _edit(lambda doc: _first_leaf(doc).update(counts=counts))
 
 
-def _pipeline(version, reducer=None, scaler=True, scaler_means=3, reducer_means=3):
+def _pipeline(version, reducer=None, scaler=True, scaler_means=3, reducer_means=3, **change):
     """An edit giving the saved forest a pipeline for its 3 features.
 
-    ``scaler_means`` and ``reducer_means`` are the lengths of the two ``means`` arrays.
+    ``scaler_means`` and ``reducer_means`` are the lengths of the two ``means`` arrays;
+    ``change`` replaces saved arrays of the reducer.
     """
     pipe = {"version": version}
     if scaler:
         pipe["scaler"] = {"means": [0.0] * scaler_means, "stds": [1.0] * 3,
                           "degenerate": [False] * 3}
     if reducer is not None:
-        pipe["reducer"] = {"kind": reducer, "means": [0.0] * reducer_means,
-                           "components": np.eye(3).tolist(), "eigenvalues": [1.0] * 3}
+        arrays = ({"directions": np.eye(3).tolist(), "class_means": np.eye(3).tolist(),
+                   "ridge": 1e-6} if reducer == "lda" else {"components": np.eye(3).tolist()})
+        pipe["reducer"] = {"kind": reducer, "means": [0.0] * reducer_means, **arrays,
+                           "eigenvalues": [1.0] * 3, **change}
     return _edit(lambda doc: doc.update(pipeline=pipe))
 
 
@@ -594,6 +597,16 @@ def _scaler(**change):
     (_pipeline("V3", reducer="ica"), "found 'ica'"),
     (_pipeline("V2", scaler_means=2), "scaler means, stds and degenerate differ in length"),
     (_pipeline("V3", reducer="pca", reducer_means=2), "reducer width 2 is not the scaler width 3"),
+    (_pipeline("V3", reducer="pca", components="abc"),
+     "reducer components is not rows of 3 numbers"),
+    (_pipeline("V3", reducer="pca", means=[0.0, "abc", 0.0]),
+     "reducer means holds a value that is not a number"),
+    (_pipeline("V3", reducer="pca", components=np.eye(3, 4).tolist()),
+     "reducer components is not 3 x 3 numbers"),
+    (_pipeline("V3", reducer="pca", eigenvalues=None), "reducer eigenvalues is not 3 numbers"),
+    (_pipeline("V4", reducer="lda", class_means=[[0.0, 0.0, float("nan")]]),
+     "reducer class_means holds a number that is not finite"),
+    (_pipeline("V4", reducer="lda", ridge="abc"), "reducer ridge holds a value that is not a number"),
     (_scaler(means=[0.0, "abc", 0.0]), "scaler means holds a value that is not a number"),
     (_scaler(stds=[1.0, True, 1.0]), "scaler stds holds a value that is not a number"),
     (_scaler(stds=[1.0, float("inf"), 1.0]), "scaler stds holds a number that is not finite"),
@@ -625,7 +638,9 @@ def _scaler(**change):
     (_pipeline("V2"), "expected 3 columns, got 7"),
 ], ids=["truncated", "deeply-nested", "missing-key", "format-version", "unknown-kind",
         "forest-member-kind", "no-scaler", "unknown-version", "v3-no-reducer", "v1-with-reducer",
-        "unknown-reducer-kind", "scaler-width", "reducer-width", "scaler-means-string",
+        "unknown-reducer-kind", "scaler-width", "reducer-width", "reducer-components-string",
+        "reducer-means-string", "reducer-components-wide", "reducer-eigenvalues-null",
+        "reducer-class-means-nan", "reducer-ridge-string", "scaler-means-string",
         "scaler-stds-bool", "scaler-stds-infinite", "scaler-means-list", "scaler-means-not-list",
         "scaler-degenerate-int", "split-feature",
         "split-feature-float", "threshold-string", "threshold-bool", "threshold-nan",

@@ -153,7 +153,7 @@ def _edit_nodes(doc, change):
     lambda node: node.update(counts=[int(c) for c in node["counts"]]),
     lambda node: node.update(note="hand-edited"),
 ], ids=["int-counts", "extra-key"])
-def test_nodes_the_decode_hook_leaves_as_dicts_load_as_before(tmp_path, query, change):
+def test_nodes_with_int_counts_or_extra_keys_load_as_before(tmp_path, query, change):
     X, y = _blobs(seed=6)
     model = rf_fit(X, y, ForestParams(n_estimators=3, seed=3), n_classes=3)
     path = tmp_path / "rf.model.json"
