@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -27,8 +28,7 @@ from .evaluate import (
     prepare_folds,
 )
 from .models import FAMILIES, candidates, default_grid
-from .neural import history_csv
-from .preprocess import VERSIONS, correlation_report_csv, feature_target_correlation
+from .preprocess import VERSIONS, feature_target_correlation
 from .rng import derive_seed
 from .serialize import load_model, save_model
 from .svgplot import confusion_svg, line_chart_svg
@@ -60,6 +60,16 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _table(path: str, header: list[str], rows) -> None:
+    """One CSV table. A cell is quoted only when it holds a comma, quote or newline;
+    a number is written as ``str`` (a float's repr) and ``None`` as an empty cell."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _json_text(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
@@ -86,41 +96,13 @@ def cmd_inspect(cfg: PipelineConfig) -> int:
     data = _load_data(cfg)
     ranking = feature_target_correlation(data)
     path = os.path.join(cfg.out_dir, "correlation.csv")
-    _write(path, correlation_report_csv(ranking))
+    _table(path, ["feature", "r"], ranking)
     top = ranking[0]
     bottom = ranking[-1]
     print(f"most positive: {top[0]} (r={top[1]:+.4f})")
     print(f"most negative: {bottom[0]} (r={bottom[1]:+.4f})")
     print(f"wrote {path}")
     return EXIT_OK
-
-
-def _grid_csv(cells: list[CvResult], axes) -> str:
-    """One row per candidate (the baseline, unless it is also a grid cell, then the
-    cells) and one column per grid axis."""
-    if cells[0].params in [c.params for c in cells[1:]]:
-        cells = cells[1:]
-    names = sorted(name for name, _ in axes)
-    lines = [",".join(names) + ",mean,std,failures"]
-    for cell in cells:
-        vals = [str(cell.params[n]) for n in names]
-        lines.append(",".join(vals) + f",{cell.mean!r},{cell.std!r},{len(cell.failures)}")
-    return "\n".join(lines) + "\n"
-
-
-def _roc_csv(auc: dict) -> str:
-    lines = ["class,fpr,tpr"]
-    for name, (fpr, tpr) in auc["curves"].items():
-        for x, y in zip(fpr, tpr):
-            lines.append(f"{name},{x!r},{y!r}")
-    return "\n".join(lines) + "\n"
-
-
-def _curve_csv(rows: list[dict]) -> str:
-    lines = ["size,train_acc,val_acc"]
-    for r in rows:
-        lines.append(f"{r['size']!r},{r['train_acc']!r},{r['val_acc']!r}")
-    return "\n".join(lines) + "\n"
 
 
 @contextmanager
@@ -140,7 +122,7 @@ def cmd_run(cfg: PipelineConfig) -> int:
 
     with _stage("inspect"):
         ranking = feature_target_correlation(data)
-        _write(os.path.join(out, "correlation.csv"), correlation_report_csv(ranking))
+        _table(os.path.join(out, "correlation.csv"), ["feature", "r"], ranking)
 
     with _stage("split"):
         train, test = stratified_split(data, cfg.test_fraction, derive_seed(cfg.seed, "split"))
@@ -164,7 +146,9 @@ def cmd_run(cfg: PipelineConfig) -> int:
             _write(os.path.join(out, "reports", f"{name}.report.json"),
                    _json_text(report.to_dict()))
         if "csv" in cfg.formats:
-            _write(os.path.join(out, "roc", f"{name}.roc.csv"), _roc_csv(report.auc))
+            _table(os.path.join(out, "roc", f"{name}.roc.csv"), ["class", "fpr", "tpr"],
+                   [[c, x, y] for c, (fpr, tpr) in report.auc["curves"].items()
+                    for x, y in zip(fpr.tolist(), tpr.tolist())])
         if "svg" in cfg.formats:
             _write(os.path.join(out, "svg", f"{name}.confusion.svg"),
                    confusion_svg(report.confusion, classes))
@@ -197,8 +181,14 @@ def cmd_run(cfg: PipelineConfig) -> int:
             continue
         with _stage(f"grid:{family}"):
             if "csv" in cfg.formats:
-                _write(os.path.join(out, "grids", f"{family}.grid.csv"),
-                       _grid_csv(result.cells, default_grid(family, cfg.grid).axes))
+                # one row per candidate (the baseline, unless it is also a grid cell,
+                # then the cells) and one column per grid axis
+                cells = result.cells[1:] if params[0] in params[1:] else result.cells
+                names = sorted(name for name, _ in default_grid(family, cfg.grid).axes)
+                _table(os.path.join(out, "grids", f"{family}.grid.csv"),
+                       names + ["mean", "std", "failures"],
+                       [[str(c.params[n]) for n in names] + [c.mean, c.std, len(c.failures)]
+                        for c in cells])
             register(f"{family}_tuned", models[1], result.cells[best])
             tuned_classical.append(f"{family}_tuned")
 
@@ -207,8 +197,9 @@ def cmd_run(cfg: PipelineConfig) -> int:
         with _stage(f"learning_curve:{family}"):
             rows = learning_curve(entry.fit, params[best], curve)
             if "csv" in cfg.formats:
-                _write(os.path.join(out, "curves", f"{family}.learning_curve.csv"),
-                       _curve_csv(rows))
+                _table(os.path.join(out, "curves", f"{family}.learning_curve.csv"),
+                       ["size", "train_acc", "val_acc"],
+                       [[r["size"], r["train_acc"], r["val_acc"]] for r in rows])
             if "svg" in cfg.formats:
                 xs = np.array([r["size"] for r in rows])
                 _write(os.path.join(out, "svg", f"{family}.learning_curve.svg"),
@@ -225,8 +216,10 @@ def cmd_run(cfg: PipelineConfig) -> int:
                                         data.n_classes)
             register(f"ann_{variant}", model)
             if "csv" in cfg.formats:
-                _write(os.path.join(out, "curves", f"ann_{variant}.history.csv"),
-                       history_csv(model))
+                # the val_acc column stays, empty, so the file keeps its layout
+                _table(os.path.join(out, "curves", f"ann_{variant}.history.csv"),
+                       ["epoch", "loss", "train_acc", "val_acc"],
+                       [[r["epoch"], r["loss"], r["train_acc"], None] for r in model.history])
 
     if cfg.ensemble and len(tuned_classical) >= 2:
         with _stage("ensemble"):
@@ -237,13 +230,9 @@ def cmd_run(cfg: PipelineConfig) -> int:
         for row in summary:
             row["best"] = row is best_row
         if "csv" in cfg.formats:
-            lines = ["model,cv_mean,cv_std,train_acc,test_acc,best"]
-            for row in summary:
-                cvm = "" if row["cv_mean"] is None else repr(row["cv_mean"])
-                cvs = "" if row["cv_std"] is None else repr(row["cv_std"])
-                lines.append(f"{row['model']},{cvm},{cvs},{row['train_acc']!r},"
-                             f"{row['test_acc']!r},{int(row['best'])}")
-            _write(os.path.join(out, "summary.csv"), "\n".join(lines) + "\n")
+            columns = ["model", "cv_mean", "cv_std", "train_acc", "test_acc"]
+            _table(os.path.join(out, "summary.csv"), columns + ["best"],
+                   [[row[k] for k in columns] + [int(row["best"])] for row in summary])
         if "json" in cfg.formats:
             _write(os.path.join(out, "summary.json"), _json_text(summary))
 

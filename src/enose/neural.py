@@ -342,9 +342,3 @@ def mlp_train(model: MlpModel, X: np.ndarray, y: np.ndarray) -> MlpModel:
             })
     return model
 
-
-def history_csv(model: MlpModel) -> str:
-    # the val_acc column stays, empty, so the file keeps its layout
-    lines = ["epoch,loss,train_acc,val_acc"]
-    lines += [f"{r['epoch']},{r['loss']!r},{r['train_acc']!r}," for r in model.history]
-    return "\n".join(lines) + "\n"

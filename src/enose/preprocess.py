@@ -90,12 +90,6 @@ def feature_target_correlation(ds: Dataset) -> list[tuple[str, float]]:
     return sorted(rows, key=lambda t: (-t[1], t[0]))
 
 
-def correlation_report_csv(ranking: list[tuple[str, float]]) -> str:
-    lines = ["feature,r"]
-    lines += [f"{name},{r!r}" for name, r in ranking]
-    return "\n".join(lines) + "\n"
-
-
 def drop_columns(ds: Dataset, names: tuple[str, ...]) -> Dataset:
     missing = [n for n in names if n not in ds.feature_names]
     if missing:

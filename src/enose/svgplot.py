@@ -6,6 +6,7 @@ import numpy as np
 
 CELL = 32  # confusion-matrix cell side, px
 WIDTH, HEIGHT = 480, 360  # line-chart size, px
+XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})  # escapes an XML text node
 
 
 def _svg(width: int, height: int, body: list[str]) -> str:
@@ -36,7 +37,7 @@ def confusion_svg(confusion: np.ndarray, class_names: list[str]) -> str:
                 f'<text x="{x + CELL // 2}" y="{y + CELL // 2 + 4}" font-size="9" '
                 f'text-anchor="middle">{int(cm[i, j])}</text>'
             )
-    for k, name in enumerate(class_names):
+    for k, name in enumerate(n.translate(XML_TEXT) for n in class_names):
         body.append(
             f'<text x="{margin - 4}" y="{margin + k * CELL + CELL // 2 + 4}" '
             f'font-size="9" text-anchor="end">{name}</text>'
@@ -66,9 +67,9 @@ def line_chart_svg(series: dict[str, tuple[np.ndarray, np.ndarray]],
                "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf"]
     body = [
         f'<rect x="{margin}" y="{margin}" width="{pw}" height="{ph}" fill="none" stroke="black"/>',
-        f'<text x="{WIDTH // 2}" y="{HEIGHT - 8}" font-size="11" text-anchor="middle">{x_label}</text>',
+        f'<text x="{WIDTH // 2}" y="{HEIGHT - 8}" font-size="11" text-anchor="middle">{x_label.translate(XML_TEXT)}</text>',
         f'<text x="14" y="{HEIGHT // 2}" font-size="11" text-anchor="middle" '
-        f'transform="rotate(-90 14 {HEIGHT // 2})">{y_label}</text>',
+        f'transform="rotate(-90 14 {HEIGHT // 2})">{y_label.translate(XML_TEXT)}</text>',
     ]
     for i, (name, (sx, sy)) in enumerate(series.items()):
         color = palette[i % len(palette)]
@@ -80,6 +81,6 @@ def line_chart_svg(series: dict[str, tuple[np.ndarray, np.ndarray]],
         body.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         body.append(
             f'<text x="{margin + 6}" y="{margin + 14 + 13 * i}" font-size="10" '
-            f'fill="{color}">{name}</text>'
+            f'fill="{color}">{name.translate(XML_TEXT)}</text>'
         )
     return _svg(WIDTH, HEIGHT, body)

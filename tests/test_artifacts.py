@@ -12,6 +12,7 @@ code as it is, for that reviewed diff; nothing rewrites the file.
 """
 
 import contextlib
+import csv
 import ctypes
 import glob
 import hashlib
@@ -54,6 +55,12 @@ learning_curve_sizes = 0.5,1.0
 formats = json,csv,svg
 """
 VERSIONS = ("V1", "V2", "V3", "V4")
+# the numeric columns of the CSV tables, and the (table kind, column) cells the
+# writer leaves empty where it got None; a table's kind is its name's second-last
+# dot part, as in ``ann_baseline.history.csv``
+NUMERIC = {"r", "fpr", "tpr", "mean", "std", "failures", "size", "train_acc", "val_acc",
+           "epoch", "loss", "cv_mean", "cv_std", "test_acc", "best"}
+MAY_BE_EMPTY = {("summary", "cv_mean"), ("summary", "cv_std"), ("history", "val_acc")}
 
 
 def _openblas_core() -> str | None:
@@ -110,6 +117,28 @@ def run_matrix(work: Path) -> dict[str, str]:
         os.chdir(cwd)
 
 
+def _malformed_cells(work: Path) -> list[tuple[str, int, str]]:
+    """(file, line, reason) for every CSV row under ``work`` that is not as wide as its
+    header, or whose numeric cell neither parses with ``float`` nor is an allowed empty."""
+    bad = []
+    for path in sorted(work.rglob("*.csv")):
+        with path.open(encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        name, kind = path.relative_to(work).as_posix(), path.name.split(".")[-2]
+        for line, row in enumerate(rows, start=2):
+            if len(row) != len(header):
+                bad.append((name, line, f"{len(row)} cells, header has {len(header)}"))
+                continue
+            for column, cell in zip(header, row):
+                if column not in NUMERIC or (cell == "" and (kind, column) in MAY_BE_EMPTY):
+                    continue
+                try:
+                    float(cell)
+                except ValueError:
+                    bad.append((name, line, f"{column} = {cell!r}"))
+    return bad
+
+
 def test_the_run_matrix_writes_the_recorded_bytes(tmp_path):
     recorded = json.loads(DIGESTS.read_text())
     env = environment()
@@ -118,6 +147,8 @@ def test_the_run_matrix_writes_the_recorded_bytes(tmp_path):
     assert not differ, (f"{DIGESTS.name} was recorded in another environment "
                         f"(recorded, here): {differ}")
     got, want = run_matrix(tmp_path), recorded["digests"]
+    bad = _malformed_cells(tmp_path)
+    assert not bad, f"{len(bad)} malformed CSV cells, the first: {bad[:3]}"
     changed = sorted(k for k in want.keys() & got.keys() if want[k] != got[k])
     missing, new = sorted(want.keys() - got.keys()), sorted(got.keys() - want.keys())
     assert not (changed or missing or new), (f"artifacts differ from {DIGESTS.name}: changed "

@@ -1,5 +1,7 @@
+import csv
 import json
 import os
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -123,6 +125,35 @@ def test_run_writes_learning_curves(tmp_path, capsys):
     header, *rows = (out_dir / "curves" / "dt.learning_curve.csv").read_text().splitlines()
     assert header == "size,train_acc,val_acc" and len(rows) == 4
     assert (out_dir / "svg" / "dt.learning_curve.svg").read_text().startswith("<svg")
+
+
+def test_awkward_class_names_survive_csv_and_svg(tmp_path, capsys):
+    # a comma, a double quote, & and < in class names: CSV cells are quoted, SVG text escaped
+    awkward = ["juice, fresh", 'say "cheese"', "cardamom & co", "a<b"]
+    data_dir = tmp_path / "data"
+    run_cli(capsys, "--samples", "30", "--out", str(data_dir), "synth")
+    manifest = data_dir / "manifest.csv"
+    lines = manifest.read_text().splitlines()
+    for k, name in enumerate(awkward):
+        lines[k] = f"{lines[k].split(',')[0]},{name}"
+    manifest.write_text("\n".join(lines) + "\n")
+    classes = {line.split(",", 1)[1] for line in lines}
+    text = CONFIG_SMALL.replace("source = synth", f"source = manifest\nmanifest = {manifest}")
+    text = text.replace("families = dt,rf", "families = dt").replace(
+        "formats = json,csv", "formats = json,csv,svg")
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "--config", write_config(tmp_path, text), "--out",
+                             str(out_dir), "run")
+    assert code == 0, err
+    with (out_dir / "roc" / "dt_baseline.roc.csv").open(newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["class", "fpr", "tpr"] and {len(row) for row in rows} == {3}
+    assert {row[0] for row in rows} == classes
+    svgs = sorted((out_dir / "svg").glob("*.svg"))
+    assert [p.name for p in svgs] == ["dt_baseline.confusion.svg", "dt_baseline.roc.svg"]
+    for svg in svgs:
+        texts = {t.text for t in ET.parse(svg).iter("{http://www.w3.org/2000/svg}text")}
+        assert classes <= texts, svg.name
 
 
 def _spy(monkeypatch, name, record):
