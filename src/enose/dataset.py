@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import glob as _glob
 import math
 import os
@@ -345,18 +346,30 @@ def _load_runs(runs: list[tuple[str, str | None]]) -> tuple[list[RunTable], np.n
 
 
 def load_manifest(path: str) -> Dataset:
-    """Load runs listed in a manifest of ``<path>,<class_name>`` lines."""
+    """Load runs listed in a manifest of ``<path>,<class_name>`` CSV rows.
+
+    A cell may be quoted (RFC 4180), so a path or class name may hold a comma.
+    Blank lines and lines starting with ``#`` are skipped; a row without a class
+    name takes it from the run file's name.  A row of more than two cells, or
+    one that is not CSV, is a SchemaMismatch naming the manifest and the line.
+    """
     base = os.path.dirname(os.path.abspath(path))
     runs = []
-    for line in _read_text(path).split("\n"):
+    for number, line in enumerate(_read_text(path).split("\n"), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        run_path, _, cls = line.partition(",")
-        run_path = run_path.strip()
+        try:
+            cells = next(csv.reader([line], strict=True, skipinitialspace=True))
+        except csv.Error as exc:
+            raise SchemaMismatch(f"{path}: line {number} is not a CSV row ({exc})") from exc
+        if len(cells) > 2:
+            raise SchemaMismatch(f"{path}: line {number} has {len(cells)} cells, expected a "
+                                 f"run path and a class name")
+        run_path, cls = cells[0].strip(), cells[1].strip() if len(cells) == 2 else ""
         if not os.path.isabs(run_path):
             run_path = os.path.join(base, run_path)
-        runs.append((run_path, cls.strip() or None))
+        runs.append((run_path, cls or None))
     tables, features = _load_runs(runs)
     with _naming(path):
         return merge_runs(tables, features)

@@ -137,6 +137,10 @@ class BadSizes(ENoseError):
     pass
 
 
+class WorkerDied(ENoseError):
+    pass
+
+
 # --- serialization -----------------------------------------------------------
 
 class CorruptModel(ENoseError):

@@ -9,6 +9,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import pool
 from .dataset import Dataset, distinct
 from .errors import (BadSizes, EmptyGrid, EmptyMatrix, ENoseError, LabelOutOfRange,
                      NonFiniteScores)
@@ -116,16 +117,17 @@ def _whole(model, params: dict):
 def cross_validate(fit, group: list[CvResult], folds, cut=None) -> CvResult:
     """Cross-validate candidates that share one model per fold, into their results.
 
-    ``group[0].params`` is fit on each prepared fold's train part (``folds`` is
-    ``prepare_folds`` output; ``fit(X, y, params, n_classes)`` is a ``Family.fit``)
-    and every member is scored on the validation part through ``cut(model, its
-    params)``, the model itself without ``cut``.  A fold whose fit or score fails
-    with a toolkit error or a numerical failure is recorded and the others still
-    run; any other exception is a bug and propagates.  Only one fold model is
-    alive at a time.  Returns ``group[0]``.
+    ``folds`` is ``(fold number, prepared fold)`` pairs (``prepare_folds`` output
+    numbered).  ``group[0].params`` is fit on each fold's train part (``fit(X, y,
+    params, n_classes)`` is a ``Family.fit``) and every member is scored on the
+    validation part through ``cut(model, its params)``, the model itself without
+    ``cut``.  A fold whose fit or score fails with a toolkit error or a numerical
+    failure is recorded under its number and the others still run; any other
+    exception is a bug and propagates.  Only one fold model is alive at a time.
+    Returns ``group[0]``.
     """
     cut = cut or _whole
-    for fold_id, (train, val) in enumerate(folds):
+    for fold_id, (train, val) in folds:
         try:
             model = fit(train.features, train.labels, group[0].params, train.n_classes)
         except (ENoseError, FloatingPointError, np.linalg.LinAlgError) as exc:
@@ -196,13 +198,27 @@ def grid_search(candidates: list[dict], folds, fit, identity=None, cut=None) -> 
     """The one model-selection pass: cross-validate every candidate on the prepared
     folds, fitting each distinct model (``identity_groups``) once per fold.
 
-    A candidate with no scored fold has mean ``-inf``; the earliest candidate
-    with the best mean wins.
+    Each (identity group, fold) pair is one unit, and the units run across the
+    CPUs (``pool.map_units``); each sends back only its members' accuracies and
+    failures, merged here in unit order, so the result does not depend on the
+    number of CPUs.  A candidate with no scored fold has mean ``-inf``; the
+    earliest candidate with the best mean wins.
     """
-    results = [CvResult(params, [], []) for params in candidates]
     # every prepared fold has the width of the version's pipeline
-    for group in identity_groups(candidates, folds[0][0].d, identity):
-        cross_validate(fit, [results[i] for i in group], folds, cut)
+    groups = identity_groups(candidates, folds[0][0].d, identity)
+    units = [(group, fold_id) for group in groups for fold_id in range(len(folds))]
+
+    def score(unit: int) -> list[tuple[list, list]]:
+        group, fold_id = units[unit]
+        members = [CvResult(candidates[i], [], []) for i in group]
+        cross_validate(fit, members, [(fold_id, folds[fold_id])], cut)
+        return [(m.accuracies, m.failures) for m in members]
+
+    results = [CvResult(params, [], []) for params in candidates]
+    for (group, _), scores in zip(units, pool.map_units(score, len(units))):
+        for i, (accuracies, failures) in zip(group, scores):
+            results[i].accuracies += accuracies
+            results[i].failures += failures
     return GridResult(results)
 
 

@@ -37,8 +37,8 @@ def _from_doc(cls, doc: dict, **fixed):
     return cls(**{n: doc[n] for n in names}, **fixed)
 
 
-# JSON encoding and decoding recurse once per level of a tree; 500 levels stay
-# clear of Python's default recursion limit of 1000 from any caller's stack
+# JSON decoding recurses once per level of a tree; 500 levels stay clear of Python's
+# default recursion limit of 1000 from any caller's stack
 MAX_SAVED_DEPTH = 500
 
 
@@ -71,18 +71,6 @@ def _dt_params(params: dict) -> TreeParams:
 
 def _fit_dt(X, y, params: dict, n_classes: int) -> DecisionTree:
     return dt_fit(X, y, _dt_params(params), n_classes=n_classes)
-
-
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"counts": node.counts.tolist()}
-    return {
-        "counts": node.counts.tolist(),
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
 
 
 def _root_from_dict(d: dict, n_features: int, n_classes: int) -> TreeNode:
@@ -130,7 +118,7 @@ def _dt_to_dict(model: DecisionTree) -> dict:
         "params": asdict(model.params),
         "n_classes": model.n_classes,
         "n_features": model.n_features,
-        "root": _node_to_dict(model.root),
+        "root": model.root,  # save_model writes the nodes
     }
 
 
@@ -313,7 +301,9 @@ class Family:
 
     model: type
     fit: Callable  # (X, y, params dict, n_classes) -> fitted model; ignores keys it lacks
-    to_dict: Callable  # fitted model -> dict without its "kind", JSON-ready but for member models
+    # fitted model -> dict without its "kind", JSON-ready but for member models and tree
+    # nodes, which save_model writes
+    to_dict: Callable
     from_dict: Callable  # that dict -> fitted model; KeyError on a missing key
     params: Callable | None = None  # params dict -> the params dataclass ``fit`` builds
     # (params dict, n_features) -> (key, size): equal keys are one model up to a cut

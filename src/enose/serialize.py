@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import fields
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from .classifiers.tree import TreeNode
 from .ensemble import VotingEnsemble
 from .errors import ConfigError, CorruptModel
 from .evaluate import REDUCTIONS, FeaturePipeline
@@ -19,8 +22,8 @@ FORMAT_VERSION = 1
 
 
 def model_to_dict(model) -> dict:
-    """The model's saved form; a forest's trees are left as models, which ``save_model``'s
-    encoder makes dicts one at a time as it writes them."""
+    """The model's saved form; a forest's trees are left as models and a tree's root as
+    its node, which ``save_model`` writes one tree at a time."""
     if isinstance(model, VotingEnsemble):
         return {"kind": "ensemble", "members": [model_to_dict(m) for m in model.members]}
     for kind, family in FAMILIES.items():
@@ -121,8 +124,87 @@ def save_model(path: str, model, pipeline: FeaturePipeline | None = None,
     if classes is not None:
         doc["classes"] = list(classes)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1, default=model_to_dict)
+        _write_json(fh.write, doc)
         fh.write("\n")
+
+
+_NOT_FINITE = {math.inf: "Infinity", -math.inf: "-Infinity"}  # and NaN: "NaN", as json writes
+
+
+def _scalar(value) -> str | None:
+    """The text ``json`` writes for a string, number, bool or None; None for anything else."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else _NOT_FINITE.get(value, "NaN")
+    return None
+
+
+def _write_json(write, value, level: int = 0) -> None:
+    """``value`` written as ``json.dump(value, fh, indent=1, sort_keys=True)`` writes it,
+    a model as its ``model_to_dict`` and a tree node by ``_tree_text``.
+
+    A container is written one element at a time, so the text of at most one tree
+    exists at once; a container of scalars is written as one string.
+    """
+    text = _scalar(value)
+    if text is not None:
+        write(text)
+    elif isinstance(value, TreeNode):
+        write(_tree_text(value, level))
+    elif not isinstance(value, (list, tuple, dict)):
+        _write_json(write, model_to_dict(value), level)
+    elif not value:
+        write("{}" if isinstance(value, dict) else "[]")
+    else:
+        inner = "\n" + " " * (level + 1)
+        if isinstance(value, dict):
+            brackets, items = "{}", [(encode_basestring_ascii(key) + ": ", item)
+                                     for key, item in sorted(value.items())]
+        else:
+            brackets, items = "[]", [("", item) for item in value]
+        texts = [_scalar(item) for _, item in items]
+        if None not in texts:
+            write(brackets[0] + inner + ("," + inner).join(
+                key + text for (key, _), text in zip(items, texts)) + inner[:-1] + brackets[1])
+            return
+        write(brackets[0])
+        for i, (key, item) in enumerate(items):
+            write(("," if i else "") + inner + key)
+            _write_json(write, item, level + 1)
+        write(inner[:-1] + brackets[1])
+
+
+def _tree_text(root: TreeNode, level: int) -> str:
+    """The node dicts of the tree under ``root`` as ``json`` writes them at ``level``
+    (``counts``, then ``feature``, ``left``, ``right`` and ``threshold`` at a split),
+    made in preorder from an explicit stack, so a tree of any depth is written."""
+    chunks, stack = [], [(root, level)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            chunks.append(item)
+            continue
+        node, level = item
+        close = "\n" + " " * level
+        inner = close + " "
+        counts = ("," + inner + " ").join(map(float.__repr__, node.counts.tolist()))
+        chunks.append(f'{{{inner}"counts": [{inner} {counts}{inner}]')
+        if node.is_leaf:
+            chunks.append(close + "}")
+            continue
+        chunks.append(f',{inner}"feature": {_scalar(node.feature)},{inner}"left": ')
+        stack += (f',{inner}"threshold": {_scalar(node.threshold)}{close}}}',
+                  (node.right, level + 1), f',{inner}"right": ', (node.left, level + 1))
+    return "".join(chunks)
 
 
 def _decode_tree(d: dict):

@@ -10,6 +10,7 @@ surface.
 
 from __future__ import annotations
 
+import csv
 import os
 from dataclasses import dataclass
 
@@ -129,7 +130,7 @@ def write_run_files(ds: Dataset, out_dir: str) -> str:
     """Emit per-class CSV run files plus a manifest; returns the manifest path."""
     os.makedirs(out_dir, exist_ok=True)
     header = ",".join(ds.feature_names)
-    manifest_lines = []
+    manifest_rows = []
     for c, name in enumerate(ds.classes):
         rows = ds.features[ds.labels == c]
         fname = f"{name}__{RUN_ID}.csv"
@@ -139,8 +140,8 @@ def write_run_files(ds: Dataset, out_dir: str) -> str:
             for start in range(0, len(rows), WRITE_CHUNK_ROWS):  # Python floats, each as its repr
                 fh.writelines(",".join(map(repr, row)) + "\n"
                               for row in rows[start:start + WRITE_CHUNK_ROWS].tolist())
-        manifest_lines.append(f"{fname},{name}")
+        manifest_rows.append((fname, name))
     manifest_path = os.path.join(out_dir, "manifest.csv")
-    with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(manifest_lines) + "\n")
+    with open(manifest_path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(manifest_rows)
     return manifest_path

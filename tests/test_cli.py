@@ -133,11 +133,13 @@ def test_awkward_class_names_survive_csv_and_svg(tmp_path, capsys):
     data_dir = tmp_path / "data"
     run_cli(capsys, "--samples", "30", "--out", str(data_dir), "synth")
     manifest = data_dir / "manifest.csv"
-    lines = manifest.read_text().splitlines()
+    with manifest.open(newline="") as fh:
+        rows = list(csv.reader(fh))
     for k, name in enumerate(awkward):
-        lines[k] = f"{lines[k].split(',')[0]},{name}"
-    manifest.write_text("\n".join(lines) + "\n")
-    classes = {line.split(",", 1)[1] for line in lines}
+        rows[k][1] = name
+    with manifest.open("w", newline="") as fh:  # the manifest is CSV, so these get quoted
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    classes = {row[1] for row in rows}
     text = CONFIG_SMALL.replace("source = synth", f"source = manifest\nmanifest = {manifest}")
     text = text.replace("families = dt,rf", "families = dt").replace(
         "formats = json,csv", "formats = json,csv,svg")
@@ -171,6 +173,69 @@ def _spy(monkeypatch, name, record):
     monkeypatch.setattr(models, name, spy)
 
 
+@pytest.fixture
+def one_process(monkeypatch):
+    """Selection on the one-process path, where an in-process spy sees every fit."""
+    from enose import pool
+
+    monkeypatch.setattr(pool, "cpu_count", lambda: 1)
+
+
+def _serial_and_pooled(tmp_path, capsys, monkeypatch, text, spies):
+    """Config ``text`` run on the one-process path, then with two forked workers.
+
+    Each ``(name, record)`` of ``spies`` spies on ``enose.models.<name>`` and appends
+    ``[pid, record(params, model)]`` as one JSON line of a file from whichever
+    process fits.  Per run: its out dir, stdout, sorted fit records, fitting
+    processes and the ``CvResult``s of each ``grid_search``.
+    """
+    from enose import cli, pool
+
+    log = tmp_path / "fits.jsonl"
+
+    def append(record):
+        def spy(params, model):
+            with open(log, "a") as fh:
+                fh.write(json.dumps([os.getpid(), record(params, model)]) + "\n")
+        return spy
+
+    for name, record in spies:
+        _spy(monkeypatch, name, append(record))
+    searches = []
+    real_search = cli.grid_search
+
+    def search(*args):
+        searches.append(real_search(*args))
+        return searches[-1]
+
+    monkeypatch.setattr(cli, "grid_search", search)
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(pool, "cpu_count", lambda: workers)
+        out_dir = tmp_path / f"workers{workers}"
+        code, out, err = run_cli(capsys, "--config", write_config(tmp_path, text), "--out",
+                                 str(out_dir), "run")
+        assert code == 0, err
+        lines = [json.loads(line) for line in log.read_text().splitlines()]
+        log.unlink()
+        runs.append({"out_dir": out_dir, "stdout": out,
+                     "fits": sorted(record for _, record in lines),
+                     "pids": {pid for pid, _ in lines}, "cv": [r.cells for r in searches]})
+        searches.clear()
+    return runs
+
+
+def _assert_same_selection(serial, pooled):
+    """The pooled run fit in workers, and fit, selected and wrote what the serial run did."""
+    assert serial["pids"] == {os.getpid()}
+    assert len(pooled["pids"] - {os.getpid()}) >= 2
+    assert pooled["fits"] == serial["fits"]  # the same multiset: the order is the scheduler's
+    assert pooled["cv"] == serial["cv"]
+    assert pooled["stdout"] == serial["stdout"]
+    for name in ("summary.json", "summary.csv"):
+        assert (pooled["out_dir"] / name).read_bytes() == (serial["out_dir"] / name).read_bytes()
+
+
 def _saved_params(out_dir, name):
     return json.loads((out_dir / "models" / f"{name}.model.json").read_text())["model"]["params"]
 
@@ -196,6 +261,7 @@ def test_rf_grid_cells_draw_from_the_master_seed(tmp_path, capsys, monkeypatch):
     assert 0 not in seeds
 
 
+@pytest.mark.usefixtures("one_process")
 def test_selection_fits_each_distinct_forest_and_tree_once_per_fold(tmp_path, capsys,
                                                                      monkeypatch):
     trees, dt_fits = [], []
@@ -218,6 +284,16 @@ def test_selection_fits_each_distinct_forest_and_tree_once_per_fold(tmp_path, ca
     assert len(dt_fits) == 4 * 5 + 1 + (tuned_dt != _saved_params(out_dir, "dt_baseline"))
 
 
+def test_pooled_selection_fits_the_same_forests_and_trees(tmp_path, capsys, monkeypatch):
+    text = CONFIG_SMALL.replace("folds = 2", "folds = 5").replace("grid = none", "grid = small")
+    serial, pooled = _serial_and_pooled(
+        tmp_path, capsys, monkeypatch, text,
+        [("rf_fit", lambda params, model: ["rf", len(model.trees)]),
+         ("dt_fit", lambda params, model: ["dt", repr(params)])])
+    _assert_same_selection(serial, pooled)
+
+
+@pytest.mark.usefixtures("one_process")
 def test_svm_selection_fits_each_distinct_machine_set_once_per_fold(tmp_path, capsys,
                                                                      monkeypatch):
     fits = []
@@ -235,6 +311,15 @@ def test_svm_selection_fits_each_distinct_machine_set_once_per_fold(tmp_path, ca
     assert fits == [1.0] * 5 + [10.0] * 5 + [1.0] + ([] if tuned_c == 1.0 else [tuned_c])
 
 
+def test_pooled_svm_selection_fits_the_same_machine_sets(tmp_path, capsys, monkeypatch):
+    text = CONFIG_SMALL.replace("folds = 2", "folds = 5").replace(
+        "families = dt,rf", "families = svm").replace("grid = none", "grid = small")
+    serial, pooled = _serial_and_pooled(
+        tmp_path, capsys, monkeypatch, text,
+        [("svm_fit_multiclass", lambda params, model: params.C)])
+    _assert_same_selection(serial, pooled)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_tuned_cv_contains_the_baseline(tmp_path, capsys, seed):
     text = CONFIG_SMALL.replace("families = dt,rf", "families = dt,rf,svm").replace(
@@ -249,6 +334,7 @@ def test_tuned_cv_contains_the_baseline(tmp_path, capsys, seed):
         assert cv[f"{family}_tuned"] >= cv[f"{family}_baseline"]
 
 
+@pytest.mark.usefixtures("one_process")
 def test_summary_json_carries_cv_failures(tmp_path, capsys, monkeypatch):
     from enose import models
     from enose.errors import DegenerateInput
@@ -277,6 +363,39 @@ def test_summary_json_carries_cv_failures(tmp_path, capsys, monkeypatch):
     # the baseline is the grid cell None/1, which shares its fits and its failure
     grid = (out_dir / "grids" / "dt.grid.csv").read_text().splitlines()
     assert [line.rsplit(",", 1)[1] for line in grid[1:]] == ["0", "0", "1", "0"]
+
+
+def test_pooled_summary_json_carries_the_same_cv_failures(tmp_path, capsys, monkeypatch):
+    import hashlib
+
+    from enose import models
+    from enose.errors import DegenerateInput
+
+    real_dt_fit = models.dt_fit
+    failing = []
+
+    def fail_first_seen(X, y, params, n_classes=None):
+        # fails every fit on the rows and params of the serial run's first fit, the
+        # baseline's fold 0, in whichever process makes it
+        key = (hashlib.sha256(X.tobytes()).hexdigest(), params)
+        if not failing:
+            failing.append(key)
+        if key == failing[0]:
+            raise DegenerateInput("boom")
+        return real_dt_fit(X, y, params, n_classes)
+
+    monkeypatch.setattr(models, "dt_fit", fail_first_seen)
+    text = CONFIG_SMALL.replace("families = dt,rf", "families = dt").replace(
+        "grid = none", "grid = small").replace("ann_variants =",
+                                               "ann_variants = baseline\nann_epochs = 2")
+    serial, pooled = _serial_and_pooled(tmp_path, capsys, monkeypatch, text,
+                                        [("dt_fit", lambda params, model: repr(params))])
+    _assert_same_selection(serial, pooled)
+    rows = {row["model"]: row for row in
+            json.loads((pooled["out_dir"] / "summary.json").read_text())}
+    assert rows["dt_baseline"]["cv_failures"] == ["fold 0: boom"]
+    grids = [run["out_dir"] / "grids" / "dt.grid.csv" for run in (serial, pooled)]
+    assert grids[0].read_bytes() == grids[1].read_bytes()
 
 
 @pytest.mark.parametrize("models, folds", [("families = dt,rf\ngrid = small", 5),

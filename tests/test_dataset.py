@@ -435,6 +435,45 @@ def test_loads_match_parsing_each_file_then_concatenating(tmp_path_factory, data
                     == load_oracle([(p, None) for p in found]))
 
 
+def test_manifest_cells_may_be_quoted(tmp_path, tiny_drifted):
+    from enose.synth import write_run_files
+    manifest = write_run_files(tiny_drifted, str(tmp_path / "runs"))
+    (tmp_path / "a,b").mkdir()
+    first, second, *_ = sorted((tmp_path / "runs").glob("*__run0.csv"))
+    first.rename(tmp_path / "a,b" / first.name)
+    text = (f'"{tmp_path / "a,b" / first.name}",apple\n'
+            f'{second.name}, "juice, fresh"\n')
+    path = tmp_path / "runs" / "quoted.csv"
+    path.write_text(text)
+    ds = load_manifest(str(path))
+    assert ds.classes == ("apple", "juice, fresh")
+    assert ds.n == 2 * 100
+
+
+def test_synth_manifest_quotes_only_awkward_class_names(tmp_path, tiny_drifted):
+    from enose.synth import write_run_files
+    manifest = write_run_files(tiny_drifted, str(tmp_path))
+    with open(manifest, encoding="utf-8") as fh:
+        text = fh.read()
+    assert text == "".join(f"{c}__run0.csv,{c}\n" for c in tiny_drifted.classes)
+    awkward = dataset.Dataset(tiny_drifted.feature_names, tiny_drifted.features,
+                              tiny_drifted.labels, ("juice, fresh",) + tiny_drifted.classes[1:])
+    manifest = write_run_files(awkward, str(tmp_path / "awkward"))
+    assert load_manifest(manifest).classes == tuple(sorted(awkward.classes))
+
+
+@pytest.mark.parametrize("line, message", [
+    ("a__run0.csv,apple,extra", "line 3 has 3 cells, expected a run path and a class name"),
+    ('"a__run0.csv,apple', "line 3 is not a CSV row (unexpected end of data)"),
+])
+def test_a_manifest_row_that_is_not_two_cells_names_the_line(tmp_path, line, message):
+    path = tmp_path / "manifest.csv"
+    path.write_text(f"# runs\n\n{line}\n")
+    with pytest.raises(SchemaMismatch) as caught:
+        load_manifest(str(path))
+    assert str(caught.value) == f"{path}: {message}"
+
+
 def test_manifest_rows_are_parsed_into_one_array(tmp_path):
     # 20 files of 2,000 rows: per-file arrays and their concatenated copy would
     # hold every row twice (2.2x the rows at the peak), more than the one file

@@ -1,9 +1,12 @@
+import json
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from enose import pool
 from enose.dataset import stratified_kfold
 from enose.errors import BadSizes, ConfigError, EmptyGrid, EmptyMatrix, LabelOutOfRange
 from enose.evaluate import (
@@ -64,6 +67,37 @@ def test_constant_model_cv_accuracy():
     assert cv.accuracies == pytest.approx([0.1] * 5)
 
 
+@pytest.fixture
+def one_process(monkeypatch):
+    """Selection on the one-process path, where an in-process spy sees every fit."""
+    monkeypatch.setattr(pool, "cpu_count", lambda: 1)
+
+
+def _logged(fit, path, record):
+    """``fit`` that appends ``[pid, record(X, model)]`` as one JSON line of ``path`` from
+    whichever process fits, so that fits made in forked workers are seen too."""
+    def logged(X, y, params, n_classes):
+        model = fit(X, y, params, n_classes)
+        with open(path, "a") as fh:
+            fh.write(json.dumps([os.getpid(), record(X, model)]) + "\n")
+        return model
+    return logged
+
+
+def _serial_and_pooled(monkeypatch, path, run):
+    """``run()`` on the one-process path, then with two forked workers: per run, its
+    result, the records its fits appended to ``path`` and the processes that fit."""
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(pool, "cpu_count", lambda: workers)
+        result = run()
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        path.unlink()
+        runs.append((result, sorted(record for _, record in lines), {pid for pid, _ in lines}))
+    return runs
+
+
+@pytest.mark.usefixtures("one_process")
 def test_cv_never_fits_on_validation_rows():
     # feature = sample index; the fold-local z-score is affine, so the spy can
     # recover exactly which original rows reached fit via the train statistics
@@ -88,6 +122,18 @@ def test_cv_never_fits_on_validation_rows():
         recovered = set(np.rint(scaled * sd + mu).astype(int).tolist())
         assert recovered == set(train_idx.tolist())
         assert not (recovered & set(val_idx.tolist()))
+
+
+def test_pooled_cv_fits_the_same_train_rows_as_the_serial_run(tmp_path, monkeypatch):
+    y = np.repeat(np.arange(4), 8)
+    ds = make_dataset(np.arange(y.shape[0], dtype=float)[:, None], y, n_classes=4)
+    folds = prepare_folds(ds, stratified_kfold(ds.labels, 4, 1).folds, "V1")
+    log = tmp_path / "fits.jsonl"
+    fit = _logged(fit_with(ConstantModel), log, lambda X, model: np.asarray(X)[:, 0].tolist())
+    serial, pooled = _serial_and_pooled(monkeypatch, log, lambda: grid_search([{}], folds, fit))
+    assert serial[2] == {os.getpid()} and os.getpid() not in pooled[2]
+    assert len(pooled[1]) == 4 and pooled[1] == serial[1]  # the same train rows, in any order
+    assert pooled[0] == serial[0]
 
 
 def test_cv_matches_independent_reimplementation():
@@ -233,6 +279,7 @@ def test_grid_bad_max_features_cell_is_fold_failure():
     assert good.failures == [] and len(good.accuracies) == 2
 
 
+@pytest.mark.usefixtures("one_process")
 def test_grid_fits_each_distinct_model_once_per_fold_and_scores_as_separate_fits():
     ds = _balanced_ds(n_per=20, C=3, seed=6)
     ds.features[:, 0] += ds.labels
@@ -257,6 +304,25 @@ def test_grid_fits_each_distinct_model_once_per_fold_and_scores_as_separate_fits
     assert sizes == [9] * 3 + [5] * 3 + [4] * 3  # one fit per distinct forest and fold
     alone = grid_search(cells, folds, fit)
     assert [c.accuracies for c in shared.cells] == [c.accuracies for c in alone.cells]
+
+
+def test_pooled_grid_fits_the_same_distinct_models_as_the_serial_run(tmp_path, monkeypatch):
+    ds = _balanced_ds(n_per=20, C=3, seed=6)
+    ds.features[:, 0] += ds.labels
+    ds.features[:, 1] -= ds.labels
+    folds = prepare_folds(ds, stratified_kfold(ds.labels, 3, 1).folds)
+    fit, identity, cut = _selection("rf")
+    cells = [{"n_estimators": 4, "seed": 1}, {"n_estimators": 9, "seed": 1},
+             {"n_estimators": 6, "max_features": "log2", "seed": 1},
+             {"n_estimators": 5, "max_features": "all", "seed": 1},
+             {"n_estimators": 4, "seed": 2}]
+    log = tmp_path / "fits.jsonl"
+    counted = _logged(fit, log, lambda X, model: len(model.trees))
+    serial, pooled = _serial_and_pooled(monkeypatch, log,
+                                        lambda: grid_search(cells, folds, counted, identity, cut))
+    assert serial[2] == {os.getpid()} and os.getpid() not in pooled[2]
+    assert pooled[1] == serial[1] == sorted([9] * 3 + [5] * 3 + [4] * 3)
+    assert pooled[0] == serial[0]
 
 
 # --- metrics ------------------------------------------------------------------

@@ -1,16 +1,19 @@
+import io
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from enose.classifiers.forest import ForestParams, RandomForest, rf_fit
-from enose.classifiers.tree import TreeParams, dt_fit
+from enose.classifiers.tree import TreeNode, TreeParams, dt_fit
 from enose.ensemble import VotingEnsemble
 from enose.errors import ConfigError, ProblemTooLarge
 from enose.evaluate import FeaturePipeline
 from enose.models import FAMILIES, MAX_SAVED_DEPTH
-from enose.serialize import load_model, model_from_dict, model_to_dict, save_model
+from enose.serialize import (_write_json, load_model, model_from_dict, model_to_dict,
+                             pipeline_to_dict, save_model)
 
 
 def _blobs(n_per=20, C=3, d=4, seed=0):
@@ -199,6 +202,51 @@ def test_saving_a_forest_makes_one_tree_dict_at_a_time(tmp_path, forest):
     path = str(tmp_path / "rf.model.json")
     peak = _traced_peak(lambda: save_model(path, forest))
     assert peak < 0.5 * _decoded_peak(path)
+
+
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                        st.floats().map(np.float64), st.text())
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=20)
+
+
+def _written(value) -> str:
+    out = io.StringIO()
+    _write_json(out.write, value)
+    return out.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_the_writer_writes_a_value_as_json_dump_does(value):
+    # NaN and the infinities, np.float64, tuples and non-ASCII text included
+    assert _written(value) == json.dumps(value, indent=1, sort_keys=True)
+
+
+def _node_dict(node: TreeNode) -> dict:
+    if node.is_leaf:
+        return {"counts": node.counts.tolist()}
+    return {"counts": node.counts.tolist(), "feature": node.feature,
+            "threshold": node.threshold, "left": _node_dict(node.left),
+            "right": _node_dict(node.right)}
+
+
+def test_a_saved_forest_is_json_dump_of_its_node_dicts(tmp_path, forest, tiny_split):
+    # the oracle is the encoder the writer replaced: json.dump with a default= hook
+    # that makes every tree and node a dict
+    pipe = FeaturePipeline("V3").fit(tiny_split[0])
+    classes = ["a, b", "caf\u00e9", "q\"uote"]
+    path = tmp_path / "rf.model.json"
+    save_model(str(path), forest, pipe, classes)
+    doc = {"format": "enose-model", "format_version": 1, "model": model_to_dict(forest),
+           "pipeline": pipeline_to_dict(pipe), "classes": classes}
+    expected = json.dumps(doc, indent=1, sort_keys=True,
+                          default=lambda o: _node_dict(o) if isinstance(o, TreeNode)
+                          else model_to_dict(o))
+    assert path.read_text(encoding="utf-8") == expected + "\n"
 
 
 def test_a_forest_with_a_tree_too_deep_to_save_writes_no_file(tmp_path):

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from enose.classifiers.tree import TreeNode, TreeParams, _search, _weighted_table, dt_fit, presort
 from enose.errors import DimensionMismatch, ProblemTooLarge, ShapeMismatch
-from enose.models import _node_to_dict
 from enose.serialize import save_model
 
 
@@ -330,6 +329,18 @@ def recursive_tree(X, y, n_classes, params, sampler, rows, depth=0):
     return node
 
 
+def preorder(root):
+    """(counts, feature, threshold) of every node in preorder; a split's feature is
+    set and a leaf's is None, so the list fixes the tree."""
+    nodes, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        nodes.append((node.counts.tolist(), node.feature, node.threshold))
+        if not node.is_leaf:
+            stack += (node.right, node.left)
+    return nodes
+
+
 @pytest.mark.parametrize("params", [TreeParams(), TreeParams(max_depth=4, min_samples_leaf=3)])
 def test_stack_growth_is_the_recursive_preorder(params):
     rng = np.random.default_rng(12)
@@ -342,7 +353,7 @@ def test_stack_growth_is_the_recursive_preorder(params):
 
     grown = dt_fit(X, y, params, n_classes=3, feature_sampler=sampler(5))
     oracle = recursive_tree(X, y, 3, params, sampler(5), np.arange(300))
-    assert _node_to_dict(grown.root) == _node_to_dict(oracle)
+    assert preorder(grown.root) == preorder(oracle)
 
 
 def test_dt_grows_past_the_recursion_limit_but_does_not_save(tmp_path):
