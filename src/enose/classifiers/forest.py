@@ -8,9 +8,9 @@ from functools import partial
 
 import numpy as np
 
-from ..errors import ConfigError, ShapeMismatch
+from ..errors import ConfigError
 from ..rng import derive_rng
-from .base import predict_from_proba
+from .base import Classifier, fit_input
 from .tree import DecisionTree, TreeParams, dt_fit, presort
 
 
@@ -50,7 +50,7 @@ def draw_features(rng: np.random.Generator, d: int, k: int) -> np.ndarray:
     return rng.random(d).argsort()[:k]
 
 
-class RandomForest:
+class RandomForest(Classifier):
     """Unweighted probability average over member trees."""
 
     def __init__(self, params: ForestParams, trees: list[DecisionTree], n_classes: int):
@@ -67,9 +67,6 @@ class RandomForest:
         proba /= len(self.trees)
         return proba
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return predict_from_proba(self.predict_proba(X))
-
 
 def rf_fit(X: np.ndarray, y: np.ndarray, params: ForestParams, n_classes: int | None = None) -> RandomForest:
     """Fit a forest; each tree uses the stream derived from (seed, tree index).
@@ -78,12 +75,7 @@ def rf_fit(X: np.ndarray, y: np.ndarray, params: ForestParams, n_classes: int | 
     each tree as integer row weights (how often each row was drawn), which
     grows the same tree as the duplicated rows would.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2 or X.shape[0] != y.shape[0] or X.shape[0] < 1:
-        raise ShapeMismatch(f"X {X.shape} incompatible with y {y.shape}")
-    if n_classes is None:
-        n_classes = int(y.max()) + 1
+    X, y, n_classes = fit_input(X, y, n_classes)
     n, d = X.shape
     k = resolve_max_features(params.max_features, d)
     order = presort(X)

@@ -12,7 +12,7 @@ from ..errors import (
     ConfigError, DegenerateLabels, DimensionMismatch, ProblemTooLarge, ShapeMismatch,
 )
 from ..dataset import distinct
-from .base import predict_from_proba, softmax
+from .base import Classifier, fit_input, softmax
 
 
 @dataclass(frozen=True)
@@ -262,7 +262,7 @@ def svm_fit_binary(
     )
 
 
-class MulticlassSvm:
+class MulticlassSvm(Classifier):
     """One-vs-rest reduction; probabilities via softmax over decision values."""
 
     def __init__(self, machines: list[BinarySvm], n_classes: int):
@@ -279,20 +279,13 @@ class MulticlassSvm:
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return softmax(self.decision_values(X))
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return predict_from_proba(self.predict_proba(X))
-
 
 def svm_fit_multiclass(
     X: np.ndarray, y: np.ndarray, params: SvmParams = SvmParams(), n_classes: int | None = None
 ) -> MulticlassSvm:
     """One machine per class, all solved over one shared Gram matrix."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    _check_shapes(X, y)
+    X, y, n_classes = fit_input(X, y, n_classes)
     _check_params(params)
-    if n_classes is None:
-        n_classes = int(y.max()) + 1
     if n_classes < 2:
         raise DegenerateLabels("multiclass SVM needs at least 2 classes")
     K = gram_matrix(params, resolve_gamma(params.gamma, X), X)

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DimensionMismatch, ShapeMismatch
-from .base import predict_from_proba
+from ..errors import DimensionMismatch
+from .base import Classifier, fit_input
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ def _search(
     return int(feats[j]), threshold, dec, i + 1, cum[j, i, :-1].copy()
 
 
-class DecisionTree:
+class DecisionTree(Classifier):
     """Greedy binary CART tree; leaves store class counts."""
 
     def __init__(self, params: TreeParams, n_classes: int, n_features: int, root: TreeNode):
@@ -137,9 +137,6 @@ class DecisionTree:
             stack.append((node.right, idx[~mask]))
         return out
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return predict_from_proba(self.predict_proba(X))
-
 
 def _weighted_table(y: np.ndarray, w: np.ndarray, n_classes: int) -> np.ndarray:
     """``n x (C+1)``: row r holds ``w[r]`` in column ``y[r]`` and in the last column."""
@@ -149,56 +146,45 @@ def _weighted_table(y: np.ndarray, w: np.ndarray, n_classes: int) -> np.ndarray:
     return table
 
 
-class _Grower:
-    """Depth-first CART growth over presorted row indices.
+def _grow(X, table, params, feature_sampler, order: np.ndarray, counts: np.ndarray) -> TreeNode:
+    """The CART tree over ``order``'s presorted rows, grown depth-first in preorder from
+    an explicit stack, so its depth is not bounded by the recursion limit.
 
     A node is a ``d x m`` matrix whose row f lists the node's rows sorted by
     feature f.  A split partitions every row of it with one stable boolean
     gather, so the children stay sorted and no feature is sorted again.
     """
-
-    def __init__(self, X, table, params, feature_sampler):
-        self.X = X
-        self.table = table
-        self.params = params
-        self.feature_sampler = feature_sampler
-        # scratch side flags; a split writes and reads only its node's rows
-        self.go_left = np.zeros(X.shape[0], dtype=bool)
-
-    def grow(self, order: np.ndarray, counts: np.ndarray) -> TreeNode:
-        """The tree over ``order``'s rows, grown in preorder from an explicit stack,
-        so its depth is not bounded by the recursion limit."""
-        params = self.params
-        root = TreeNode(counts=counts)
-        stack = [(root, order, 0)]
-        while stack:
-            node, order, depth = stack.pop()
-            counts = node.counts
-            n = counts.sum()
-            if (
-                counts.max() == n  # pure
-                or n < params.min_samples_split
-                or (params.max_depth is not None and depth >= params.max_depth)
-                or n < 2 * params.min_samples_leaf
-            ):
-                continue
-            d = order.shape[0]
-            split = _search(self.X, self.table, order, counts, n,
-                            self.feature_sampler(d), params.min_samples_leaf)
-            if split is None:
-                continue
-            f, threshold, _, n_left, left_counts = split
-            node.feature = f
-            node.threshold = threshold
-            self.go_left[order[f, :n_left]] = True
-            self.go_left[order[f, n_left:]] = False
-            go_left = self.go_left[order]
-            node.left = TreeNode(counts=left_counts)
-            node.right = TreeNode(counts=counts - left_counts)
-            # the left child is popped first, so the feature sampler draws in preorder
-            stack.append((node.right, order[~go_left].reshape(d, -1), depth + 1))
-            stack.append((node.left, order[go_left].reshape(d, -1), depth + 1))
-        return root
+    # scratch side flags; a split writes and reads only its node's rows
+    side = np.zeros(X.shape[0], dtype=bool)
+    root = TreeNode(counts=counts)
+    stack = [(root, order, 0)]
+    while stack:
+        node, order, depth = stack.pop()
+        counts = node.counts
+        n = counts.sum()
+        if (
+            counts.max() == n  # pure
+            or n < params.min_samples_split
+            or (params.max_depth is not None and depth >= params.max_depth)
+            or n < 2 * params.min_samples_leaf
+        ):
+            continue
+        d = order.shape[0]
+        split = _search(X, table, order, counts, n, feature_sampler(d), params.min_samples_leaf)
+        if split is None:
+            continue
+        f, threshold, _, n_left, left_counts = split
+        node.feature = f
+        node.threshold = threshold
+        side[order[f, :n_left]] = True
+        side[order[f, n_left:]] = False
+        go_left = side[order]
+        node.left = TreeNode(counts=left_counts)
+        node.right = TreeNode(counts=counts - left_counts)
+        # the left child is popped first, so the feature sampler draws in preorder
+        stack.append((node.right, order[~go_left].reshape(d, -1), depth + 1))
+        stack.append((node.left, order[go_left].reshape(d, -1), depth + 1))
+    return root
 
 
 def dt_fit(
@@ -218,12 +204,7 @@ def dt_fit(
     of weight 0 are left out.  ``presorted`` is ``presort(X)``, for callers
     that fit many trees on the same X.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2 or X.shape[0] != y.shape[0] or X.shape[0] < 1:
-        raise ShapeMismatch(f"X {X.shape} incompatible with y {y.shape}")
-    if n_classes is None:
-        n_classes = int(y.max()) + 1
+    X, y, n_classes = fit_input(X, y, n_classes)
     if feature_sampler is None:
         feature_sampler = np.arange
     order = presort(X) if presorted is None else presorted
@@ -232,5 +213,6 @@ def dt_fit(
     else:
         order = order[weights[order] > 0].reshape(X.shape[1], -1)
     counts = np.bincount(y, weights=weights, minlength=n_classes)
-    grower = _Grower(X, _weighted_table(y, weights, n_classes), params, feature_sampler)
-    return DecisionTree(params, n_classes, X.shape[1], grower.grow(order, counts))
+    table = _weighted_table(y, weights, n_classes)
+    return DecisionTree(params, n_classes, X.shape[1],
+                        _grow(X, table, params, feature_sampler, order, counts))

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 from contextlib import contextmanager
@@ -30,7 +29,7 @@ from .evaluate import (
 from .models import FAMILIES, candidates, default_grid
 from .preprocess import VERSIONS, feature_target_correlation
 from .rng import derive_seed
-from .serialize import load_model, save_model
+from .serialize import load_model, save_model, write_json
 from .svgplot import confusion_svg, line_chart_svg
 
 EXIT_OK = 0
@@ -68,10 +67,6 @@ def _table(path: str, header: list[str], rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _json_text(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
 def cmd_synth(cfg: PipelineConfig) -> int:
@@ -143,8 +138,7 @@ def cmd_run(cfg: PipelineConfig) -> int:
     def register(name, model, cv: CvResult | None = None):
         report = evaluate_model(model, test_t.features, test_t.labels, classes)
         if "json" in cfg.formats:
-            _write(os.path.join(out, "reports", f"{name}.report.json"),
-                   _json_text(report.to_dict()))
+            write_json(os.path.join(out, "reports", f"{name}.report.json"), report.to_dict())
         if "csv" in cfg.formats:
             _table(os.path.join(out, "roc", f"{name}.roc.csv"), ["class", "fpr", "tpr"],
                    [[c, x, y] for c, (fpr, tpr) in report.auc["curves"].items()
@@ -234,10 +228,9 @@ def cmd_run(cfg: PipelineConfig) -> int:
             _table(os.path.join(out, "summary.csv"), columns + ["best"],
                    [[row[k] for k in columns] + [int(row["best"])] for row in summary])
         if "json" in cfg.formats:
-            _write(os.path.join(out, "summary.json"), _json_text(summary))
+            write_json(os.path.join(out, "summary.json"), summary)
 
     with _stage("models"):
-        os.makedirs(os.path.join(out, "models"), exist_ok=True)
         for name, model in fitted.items():
             save_model(os.path.join(out, "models", f"{name}.model.json"), model, pipe, classes)
 
@@ -261,7 +254,7 @@ def cmd_evaluate(cfg: PipelineConfig, model_path: str) -> int:
     except (DimensionMismatch, NonFiniteScores) as exc:
         raise type(exc)(f"{model_path}: {exc}") from exc
     path = os.path.join(cfg.out_dir, "evaluate.report.json")
-    _write(path, _json_text(report.to_dict()))
+    write_json(path, report.to_dict())
     print(f"accuracy: {report.accuracy:.4f}")
     print(f"wrote {path}")
     return EXIT_OK

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .classifiers.base import predict_from_proba
+from .classifiers.base import Classifier
 from .errors import ClassTableMismatch, EmptyEnsemble
 
 
-class VotingEnsemble:
+class VotingEnsemble(Classifier):
     """Unweighted mean of member class-probability matrices."""
 
     def __init__(self, members: list):
@@ -25,9 +25,6 @@ class VotingEnsemble:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return soft_vote_proba(self, X)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return predict_from_proba(self.predict_proba(X))
 
 
 def soft_vote_proba(ensemble: VotingEnsemble, X: np.ndarray) -> np.ndarray:

@@ -110,36 +110,29 @@ class CvResult:
         return float(np.std(self.accuracies)) if self.accuracies else float("nan")
 
 
-def _whole(model, params: dict):
-    return model
+def cross_validate(fit, group: list[CvResult], fold_id: int, fold, cut=None) -> CvResult:
+    """Fit ``group``'s one model on one prepared fold and score every member on it.
 
-
-def cross_validate(fit, group: list[CvResult], folds, cut=None) -> CvResult:
-    """Cross-validate candidates that share one model per fold, into their results.
-
-    ``folds`` is ``(fold number, prepared fold)`` pairs (``prepare_folds`` output
-    numbered).  ``group[0].params`` is fit on each fold's train part (``fit(X, y,
-    params, n_classes)`` is a ``Family.fit``) and every member is scored on the
-    validation part through ``cut(model, its params)``, the model itself without
-    ``cut``.  A fold whose fit or score fails with a toolkit error or a numerical
-    failure is recorded under its number and the others still run; any other
-    exception is a bug and propagates.  Only one fold model is alive at a time.
+    ``group[0].params`` is fit on the fold's train part (``fit(X, y, params,
+    n_classes)`` is a ``Family.fit``) and every member is scored on its validation
+    part through ``cut(model, its params)``, the model itself when ``cut`` is None.
+    A fit or score that fails with a toolkit error or a numerical failure is
+    recorded under ``fold_id``; any other exception is a bug and propagates.
     Returns ``group[0]``.
     """
-    cut = cut or _whole
-    for fold_id, (train, val) in folds:
-        try:
-            model = fit(train.features, train.labels, group[0].params, train.n_classes)
-        except (ENoseError, FloatingPointError, np.linalg.LinAlgError) as exc:
-            for member in group:
-                member.failures.append(f"fold {fold_id}: {exc}")
-            continue
+    train, val = fold
+    try:
+        model = fit(train.features, train.labels, group[0].params, train.n_classes)
+    except (ENoseError, FloatingPointError, np.linalg.LinAlgError) as exc:
         for member in group:
-            try:
-                member.accuracies.append(_accuracy(cut(model, member.params), val))
-            except (ENoseError, FloatingPointError, np.linalg.LinAlgError) as exc:
-                member.failures.append(f"fold {fold_id}: {exc}")
-        del model
+            member.failures.append(f"fold {fold_id}: {exc}")
+        return group[0]
+    for member in group:
+        try:
+            scored = model if cut is None else cut(model, member.params)
+            member.accuracies.append(_accuracy(scored, val))
+        except (ENoseError, FloatingPointError, np.linalg.LinAlgError) as exc:
+            member.failures.append(f"fold {fold_id}: {exc}")
     return group[0]
 
 
@@ -211,7 +204,7 @@ def grid_search(candidates: list[dict], folds, fit, identity=None, cut=None) -> 
     def score(unit: int) -> list[tuple[list, list]]:
         group, fold_id = units[unit]
         members = [CvResult(candidates[i], [], []) for i in group]
-        cross_validate(fit, members, [(fold_id, folds[fold_id])], cut)
+        cross_validate(fit, members, fold_id, folds[fold_id], cut)
         return [(m.accuracies, m.failures) for m in members]
 
     results = [CvResult(params, [], []) for params in candidates]
@@ -224,12 +217,11 @@ def grid_search(candidates: list[dict], folds, fit, identity=None, cut=None) -> 
 
 def fit_candidates(candidates: list[dict], ds: Dataset, fit, identity=None, cut=None) -> list:
     """A model of each candidate fit on ``ds``, one fit per fitted identity."""
-    cut = cut or _whole
     models = [None] * len(candidates)
     for group in identity_groups(candidates, ds.d, identity):
         model = fit(ds.features, ds.labels, candidates[group[0]], ds.n_classes)
         for i in group:
-            models[i] = cut(model, candidates[i])
+            models[i] = model if cut is None else cut(model, candidates[i])
     return models
 
 

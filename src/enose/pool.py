@@ -12,6 +12,11 @@ import pickle
 from .errors import WorkerDied
 
 
+class ChildTraceback(Exception):
+    """The traceback text of an exception raised in a forked child, which
+    ``map_units`` raises that exception from."""
+
+
 def cpu_count() -> int:
     """The CPUs in this process's affinity: the most children ``map_units`` forks."""
     return len(os.sched_getaffinity(0))
@@ -24,8 +29,9 @@ def map_units(work, n: int) -> list:
     through a pipe of its own and ends with ``os._exit``; the results are merged
     in unit order, so they do not depend on W.  With one CPU or one unit nothing
     is forked.  An exception raised by ``work`` in a child is raised here (the
-    one of the lowest unit); a child that ends before it has sent its results
-    is a ``WorkerDied``.  Every child is reaped before this returns or raises.
+    one of the lowest unit), chained to a ``ChildTraceback`` of its traceback in
+    the child; a child that ends before it has sent its results is a
+    ``WorkerDied``.  Every child is reaped before this returns or raises.
     """
     workers = min(cpu_count(), n)
     if workers <= 1:
@@ -53,29 +59,33 @@ def map_units(work, n: int) -> list:
             raise WorkerDied(f"worker process {pid} ended by {how} before sending its results")
     raised = [message for message in messages if message[0] is not None]
     if raised:
-        raise min(raised, key=lambda message: message[0])[1]
+        _, exc, trace = min(raised, key=lambda message: message[0])
+        raise exc from ChildTraceback(trace)
     results = [None] * n
-    for w, (_, share) in enumerate(messages):
+    for w, (_, share, _) in enumerate(messages):
         results[w::workers] = share
     return results
 
 
 def _child(work, units: range, write: int) -> None:
-    """Runs ``units`` in a forked child and sends ``(None, results)``, or ``(unit,
-    exception)`` for the first unit that raised; never returns."""
+    """Runs ``units`` in a forked child and sends ``(None, results, None)``, or
+    ``(unit, exception, its formatted traceback)`` for the first unit that raised;
+    never returns."""
     try:
         unit = units.start
         try:
             results = []
             for unit in units:
                 results.append(work(unit))
-            message = (None, results)
+            message = (None, results, None)
         except BaseException as exc:  # raised again in the parent
-            message = (unit, exc)
+            import traceback  # only a child whose unit raised needs it
+
+            message = (unit, exc, traceback.format_exc())
         try:
             data = pickle.dumps(message)
         except Exception:  # an exception that does not pickle
-            data = pickle.dumps((unit, RuntimeError(repr(message[1]))))
+            data = pickle.dumps((unit, RuntimeError(repr(message[1])), message[2]))
         with open(write, "wb") as fh:
             fh.write(data)
     finally:

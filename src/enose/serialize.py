@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import fields
 from json.encoder import encode_basestring_ascii
@@ -12,7 +13,7 @@ import numpy as np
 
 from .classifiers.tree import TreeNode
 from .ensemble import VotingEnsemble
-from .errors import ConfigError, CorruptModel
+from .errors import ClassTableMismatch, ConfigError, CorruptModel, EmptyEnsemble
 from .evaluate import REDUCTIONS, FeaturePipeline
 from .models import FAMILIES, finite_array
 from .preprocess import VERSIONS, Scaler
@@ -37,7 +38,11 @@ def model_from_dict(doc: dict):
         return doc
     kind = doc["kind"]
     if kind == "ensemble":
-        return VotingEnsemble([model_from_dict(m) for m in doc["members"]])
+        members = [model_from_dict(m) for m in doc["members"]]
+        try:
+            return VotingEnsemble(members)
+        except (EmptyEnsemble, ClassTableMismatch) as exc:  # a malformed document
+            raise ConfigError(str(exc)) from exc
     if kind not in FAMILIES:
         raise ConfigError(f"unknown model kind {kind!r}")
     return FAMILIES[kind].from_dict(doc)
@@ -123,6 +128,13 @@ def save_model(path: str, model, pipeline: FeaturePipeline | None = None,
         doc["pipeline"] = pipeline_to_dict(pipeline)
     if classes is not None:
         doc["classes"] = list(classes)
+    write_json(path, doc)
+
+
+def write_json(path: str, doc) -> None:
+    """``doc`` written to ``path``, and its directory made, as ``json.dumps(doc,
+    indent=1, sort_keys=True)`` and a newline: a model file, report or summary."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         _write_json(fh.write, doc)
         fh.write("\n")

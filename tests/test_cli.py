@@ -128,8 +128,9 @@ def test_run_writes_learning_curves(tmp_path, capsys):
 
 
 def test_awkward_class_names_survive_csv_and_svg(tmp_path, capsys):
-    # a comma, a double quote, & and < in class names: CSV cells are quoted, SVG text escaped
-    awkward = ["juice, fresh", 'say "cheese"', "cardamom & co", "a<b"]
+    # a comma, a double quote, & and < in class names: CSV cells are quoted, SVG text escaped;
+    # a non-ASCII one is written to the JSON reports escaped, as json.dumps writes it
+    awkward = ["juice, fresh", 'say "cheese"', "cardamom & co", "a<b", "café"]
     data_dir = tmp_path / "data"
     run_cli(capsys, "--samples", "30", "--out", str(data_dir), "synth")
     manifest = data_dir / "manifest.csv"
@@ -137,7 +138,7 @@ def test_awkward_class_names_survive_csv_and_svg(tmp_path, capsys):
         rows = list(csv.reader(fh))
     for k, name in enumerate(awkward):
         rows[k][1] = name
-    with manifest.open("w", newline="") as fh:  # the manifest is CSV, so these get quoted
+    with manifest.open("w", encoding="utf-8", newline="") as fh:  # CSV, so these get quoted
         csv.writer(fh, lineterminator="\n").writerows(rows)
     classes = {row[1] for row in rows}
     text = CONFIG_SMALL.replace("source = synth", f"source = manifest\nmanifest = {manifest}")
@@ -147,7 +148,7 @@ def test_awkward_class_names_survive_csv_and_svg(tmp_path, capsys):
     code, out, err = run_cli(capsys, "--config", write_config(tmp_path, text), "--out",
                              str(out_dir), "run")
     assert code == 0, err
-    with (out_dir / "roc" / "dt_baseline.roc.csv").open(newline="") as fh:
+    with (out_dir / "roc" / "dt_baseline.roc.csv").open(encoding="utf-8", newline="") as fh:
         header, *rows = csv.reader(fh)
     assert header == ["class", "fpr", "tpr"] and {len(row) for row in rows} == {3}
     assert {row[0] for row in rows} == classes
@@ -156,6 +157,12 @@ def test_awkward_class_names_survive_csv_and_svg(tmp_path, capsys):
     for svg in svgs:
         texts = {t.text for t in ET.parse(svg).iter("{http://www.w3.org/2000/svg}text")}
         assert classes <= texts, svg.name
+    reports = sorted((out_dir / "reports").glob("*.report.json"))
+    assert [p.name for p in reports] == ["dt_baseline.report.json"]
+    for path in reports + [out_dir / "summary.json"]:
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n", path.name
+    assert '"caf\\u00e9": {' in reports[0].read_text(encoding="utf-8")
 
 
 def _spy(monkeypatch, name, record):
@@ -783,6 +790,12 @@ def _scaler(**change):
      "a tree's n_classes 2.0 is not a positive integer"),
     (_edit(lambda doc: doc.update(classes=["a", "b", "c"])),
      "classes ['a', 'b', 'c'] do not name the model's 2 classes"),
+    (_edit(lambda doc: doc.update(model={"kind": "ensemble", "members": [doc["model"]]})),
+     "malformed enose-model document (need at least 2 members)"),
+    (_edit(lambda doc: doc.update(model={"kind": "ensemble", "members": [
+        doc["model"], {**doc["model"]["trees"][0], "n_classes": 3,
+                       "root": {"counts": [1.0, 1.0, 1.0]}}]})),
+     "malformed enose-model document (member class counts differ: 2 vs 3)"),
     # widths that agree inside the file but not with the 9-column data scored
     (lambda path: None, "expected 3 features, got 9"),
     (_pipeline("V2"), "expected 3 columns, got 7"),
@@ -796,7 +809,8 @@ def _scaler(**change):
         "split-feature-float", "threshold-string", "threshold-bool", "threshold-nan",
         "threshold-huge-int", "counts-length", "counts-negative", "counts-infinite",
         "leaf-counts-zero", "forest-n-classes", "forest-no-trees", "tree-n-classes-float",
-        "classes-length", "model-data-width", "pipeline-data-width"])
+        "classes-length", "ensemble-one-member", "ensemble-class-counts", "model-data-width",
+        "pipeline-data-width"])
 def test_evaluate_corrupt_model_is_runtime_error(tmp_path, capsys, corrupt, message):
     path = _saved_forest(tmp_path)
     corrupt(path)

@@ -82,6 +82,19 @@ def test_a_programmer_error_in_a_worker_is_raised_with_its_type():
     assert_no_children()
 
 
+def test_a_programmer_error_in_a_worker_is_chained_to_its_traceback_in_the_child():
+    def fit_that_breaks_in_the_child(X, y, params, n_classes):
+        raise TypeError("a bug")
+
+    with pytest.raises(TypeError, match="a bug") as caught:
+        grid_search([{}], numbered_folds(), fit_that_breaks_in_the_child)
+    cause = caught.value.__cause__
+    assert isinstance(cause, pool.ChildTraceback)
+    assert str(cause).startswith("Traceback (most recent call last):")
+    assert "in fit_that_breaks_in_the_child" in str(cause)
+    assert_no_children()
+
+
 def test_a_toolkit_error_in_a_worker_fails_only_its_own_fold():
     def fit(X, y, params, n_classes):
         if X[0, 0] == 3.0:

@@ -47,6 +47,12 @@ def test_shape_mismatch():
         svm_fit_binary(np.zeros((3, 2)), np.array([1.0, -1.0]))
 
 
+def test_multiclass_without_rows_is_a_shape_mismatch():
+    # the class count of no labels used to be a numpy ValueError
+    with pytest.raises(ShapeMismatch, match=r"X \(0, 3\) incompatible"):
+        svm_fit_multiclass(np.zeros((0, 3)), np.zeros(0, dtype=int))
+
+
 def _separable(n=30, seed=0, d=2, gap=4.0):
     rng = np.random.default_rng(seed)
     half = n // 2
