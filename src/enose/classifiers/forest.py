@@ -69,23 +69,32 @@ class RandomForest(Classifier):
 
 
 def rf_fit(X: np.ndarray, y: np.ndarray, params: ForestParams, n_classes: int | None = None) -> RandomForest:
-    """Fit a forest; each tree uses the stream derived from (seed, tree index).
+    """Fit a forest: ``grow_trees`` over all of its tree indices."""
+    X, y, n_classes = fit_input(X, y, n_classes)
+    return RandomForest(params, grow_trees(X, y, params, n_classes), n_classes)
 
-    X is sorted once for the whole forest.  A bootstrap replica is passed to
-    each tree as integer row weights (how often each row was drawn), which
-    grows the same tree as the duplicated rows would.
+
+def grow_trees(X: np.ndarray, y: np.ndarray, params: ForestParams, n_classes: int | None = None,
+               trees: range | None = None) -> list[DecisionTree]:
+    """The trees of index in ``trees`` (all ``n_estimators`` by default) of the forest
+    ``params`` makes; each tree uses the stream derived from (seed, tree index), so
+    consecutive ranges grown apart and joined in index order are the whole forest.
+
+    X is sorted once for the range.  A bootstrap replica is passed to each tree as
+    integer row weights (how often each row was drawn), which grows the same tree as
+    the duplicated rows would.
     """
     X, y, n_classes = fit_input(X, y, n_classes)
     n, d = X.shape
     k = resolve_max_features(params.max_features, d)
     order = presort(X)
-    trees = []
-    for t in range(params.n_estimators):
+    grown = []
+    for t in range(params.n_estimators) if trees is None else trees:
         rng = derive_rng(params.seed, "tree", t)
         weights = None
         if params.bootstrap:
             weights = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(np.float64)
         sampler = np.arange if k >= d else partial(draw_features, rng, k=k)
-        trees.append(dt_fit(X, y, params.tree, n_classes=n_classes, feature_sampler=sampler,
+        grown.append(dt_fit(X, y, params.tree, n_classes=n_classes, feature_sampler=sampler,
                             presorted=order, weights=weights))
-    return RandomForest(params, trees, n_classes)
+    return grown

@@ -7,24 +7,27 @@ import csv
 import os
 import sys
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
 from . import dataset as ds_mod
+from . import pool
 from . import synth as synth_mod
 from .config import FORMATS, PipelineConfig, apply_overrides, load_config
 from .dataset import stratified_kfold, stratified_split
 from .ensemble import VotingEnsemble
-from .errors import ConfigError, DimensionMismatch, ENoseError, NonFiniteScores
+from .errors import ConfigError, DimensionMismatch, ENoseError, NonFiniteScores, WorkerDied
 from .evaluate import (
     CvResult,
     FeaturePipeline,
     curve_folds,
     evaluate_model,
-    fit_candidates,
-    grid_search,
+    identity_groups,
     learning_curve,
+    merge_selection,
     prepare_folds,
+    selection_units,
 )
 from .models import FAMILIES, candidates, default_grid
 from .preprocess import VERSIONS, feature_target_correlation
@@ -42,6 +45,9 @@ class StageError(Exception):
         super().__init__(f"[{stage}] {cause}")
         self.stage = stage
         self.cause = cause
+
+    def __reduce__(self):  # it comes back from a forked child (pool.map_units)
+        return StageError, (self.stage, self.cause)
 
 
 def _load_data(cfg: PipelineConfig):
@@ -109,6 +115,23 @@ def _stage(name: str):
         raise StageError(name, exc) from exc
 
 
+def _run_jobs(jobs: list[tuple]) -> list:
+    """``call()`` of each ``(stage, long, call)`` of ``jobs``, through one
+    ``pool.map_units`` that takes the long ones first.  A toolkit or OS error in a
+    call is a StageError naming its stage, and so is a worker that dies (the stage
+    of the lowest job it left without a result)."""
+    def work(i: int):
+        stage, _, call = jobs[i]
+        with _stage(stage):
+            return call()
+
+    long_first = sorted(range(len(jobs)), key=lambda i: not jobs[i][1])
+    try:
+        return pool.map_units(work, len(jobs), long_first)
+    except WorkerDied as exc:
+        raise StageError(jobs[exc.unit][0], exc) from exc
+
+
 def cmd_run(cfg: PipelineConfig) -> int:
     out = cfg.out_dir
     with _stage("ingest"):
@@ -159,17 +182,70 @@ def cmd_run(cfg: PipelineConfig) -> int:
         })
         fitted[name] = model
 
+    # every fit goes through pool.map_units, as jobs (stage, long, call): first each
+    # family's selection units and baseline train fit and every ANN variant, then the
+    # tuned train fits that are no cut of their baseline; a train fit is long, a
+    # selection unit (one model on one fold) is not
+    jobs: list[tuple] = []
+
+    def train_fit(stage: str, family: str, params: dict, members: list = ()):
+        """Adds the jobs that fit ``params`` on the train set and returns what makes
+        ``(model, its members)`` of their results: a family that ``grow``s its members
+        grows those after ``members``, in one run of indices per CPU."""
+        entry, first = FAMILIES[family], len(jobs)
+        args = (train_t.features, train_t.labels, params, train_t.n_classes)
+        if entry.grow is None:
+            jobs.append((stage, True, partial(entry.fit, *args)))
+            return lambda done: (done[first], ())
+        size = entry.identity(params, train_t.d)[1]
+        todo = range(len(members), size)
+        parts = min(pool.cpu_count(), len(todo))
+        for w in range(parts):
+            part = todo[len(todo) * w // parts:len(todo) * (w + 1) // parts]
+            jobs.append((stage, True, partial(entry.grow, *args, part)))
+        end = len(jobs)
+
+        def join(done):
+            grown = [*members, *(m for part in done[first:end] for m in part)]
+            return entry.join(params, grown, train_t.n_classes), grown
+        return join
+
+    plans = []
     for family in cfg.families:
         entry = FAMILIES[family]
         with _stage(f"baseline:{family}"):
-            # one selection pass over the baseline and the grid cells; then one train
-            # fit per fitted identity of the baseline and the earliest best candidate
             params = candidates(family, cfg.grid, derive_seed(cfg.seed, family, "baseline"))
-            result = grid_search(params, folds, entry.fit, entry.identity, entry.cut)
-            best = result.best_index
-            models = fit_candidates([params[0], params[best]], train_t, entry.fit,
-                                    entry.identity, entry.cut)
-            register(f"{family}_baseline", models[0], result.cells[0])
+            units = selection_units(params, folds, entry.fit, entry.identity, entry.cut)
+            jobs += [(f"baseline:{family}", False, score) for _, score in units]
+            plans.append((family, params, units, len(jobs),
+                          train_fit(f"baseline:{family}", family, params[0])))
+    anns = [train_fit(f"ann:{variant}", "mlp", {"variant": variant, "epochs": cfg.ann_epochs,
+                                                "seed": derive_seed(cfg.seed, "ann", variant)})
+            for variant in cfg.ann_variants]
+    done, jobs = _run_jobs(jobs), []
+
+    picks = []
+    for family, params, units, stop, baseline in plans:
+        entry = FAMILIES[family]
+        result = merge_selection(params, units, done[stop - len(units):stop])
+        best, (baseline, members) = result.best_index, baseline(done)
+        # one train fit per fitted identity of the baseline and the earliest best
+        # candidate: the tuned model is a cut of the baseline, grows on from its
+        # members, or is fit on its own
+        group, *other = identity_groups([params[0], params[best]], train_t.d, entry.identity)
+        with _stage(f"baseline:{family}"):
+            if not other and group[0] == 0:
+                cut = baseline if entry.cut is None else entry.cut(baseline, params[best])
+                tuned = lambda done, cut=cut: (cut, ())
+            else:
+                tuned = train_fit(f"baseline:{family}", family, params[best],
+                                  () if other else members)
+        picks.append((family, params, result, best, baseline, tuned))
+    tuned_done = _run_jobs(jobs)
+
+    for family, params, result, best, baseline, tuned in picks:
+        with _stage(f"baseline:{family}"):
+            register(f"{family}_baseline", baseline, result.cells[0])
 
         if cfg.grid == "none":
             continue
@@ -183,13 +259,13 @@ def cmd_run(cfg: PipelineConfig) -> int:
                        names + ["mean", "std", "failures"],
                        [[str(c.params[n]) for n in names] + [c.mean, c.std, len(c.failures)]
                         for c in cells])
-            register(f"{family}_tuned", models[1], result.cells[best])
+            register(f"{family}_tuned", tuned(tuned_done)[0], result.cells[best])
             tuned_classical.append(f"{family}_tuned")
 
         if not cfg.learning_curves:
             continue
         with _stage(f"learning_curve:{family}"):
-            rows = learning_curve(entry.fit, params[best], curve)
+            rows = learning_curve(FAMILIES[family].fit, params[best], curve)
             if "csv" in cfg.formats:
                 _table(os.path.join(out, "curves", f"{family}.learning_curve.csv"),
                        ["size", "train_acc", "val_acc"],
@@ -202,12 +278,9 @@ def cmd_run(cfg: PipelineConfig) -> int:
                            "validation": (xs, np.array([r["val_acc"] for r in rows])),
                        }, "training-set fraction", "accuracy"))
 
-    for variant in cfg.ann_variants:
+    for variant, ann in zip(cfg.ann_variants, anns):
+        model = ann(done)[0]
         with _stage(f"ann:{variant}"):
-            model = FAMILIES["mlp"].fit(train_t.features, train_t.labels,
-                                        {"variant": variant, "epochs": cfg.ann_epochs,
-                                         "seed": derive_seed(cfg.seed, "ann", variant)},
-                                        data.n_classes)
             register(f"ann_{variant}", model)
             if "csv" in cfg.formats:
                 # the val_acc column stays, empty, so the file keeps its layout

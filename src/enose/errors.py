@@ -6,6 +6,17 @@ from __future__ import annotations
 class ENoseError(Exception):
     """Base class for every toolkit error."""
 
+    def __reduce__(self):
+        # rebuilt from its args and attributes without __init__, so that an error whose
+        # __init__ takes other arguments (NonFiniteLoss) comes back from a forked child
+        return _rebuild, (type(self), self.args, self.__dict__)
+
+
+def _rebuild(cls, args: tuple, state: dict) -> ENoseError:
+    exc = cls.__new__(cls, *args)
+    exc.__dict__.update(state)
+    return exc
+
 
 # --- ingestion ---------------------------------------------------------------
 
@@ -138,7 +149,9 @@ class BadSizes(ENoseError):
 
 
 class WorkerDied(ENoseError):
-    pass
+    def __init__(self, message: str, unit: int):
+        super().__init__(message)
+        self.unit = unit  # the lowest unit left without a result
 
 
 # --- serialization -----------------------------------------------------------

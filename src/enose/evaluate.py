@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -187,42 +188,44 @@ def identity_groups(candidates: list[dict], n_features: int, identity=None) -> l
     return [[i for _, i in sorted(members)] for members in groups.values()]
 
 
-def grid_search(candidates: list[dict], folds, fit, identity=None, cut=None) -> GridResult:
-    """The one model-selection pass: cross-validate every candidate on the prepared
-    folds, fitting each distinct model (``identity_groups``) once per fold.
-
-    Each (identity group, fold) pair is one unit, and the units run across the
-    CPUs (``pool.map_units``); each sends back only its members' accuracies and
-    failures, merged here in unit order, so the result does not depend on the
-    number of CPUs.  A candidate with no scored fold has mean ``-inf``; the
-    earliest candidate with the best mean wins.
+def selection_units(candidates: list[dict], folds, fit, identity=None, cut=None) -> list:
+    """The units of the one model-selection pass, which cross-validates every
+    candidate on the prepared folds fitting each distinct model
+    (``identity_groups``) once per fold: one ``(group, score)`` per (identity
+    group, fold) pair, where ``score()`` fits the group's model on the fold and
+    returns each member's accuracies and failures there (``merge_selection``).
     """
     # every prepared fold has the width of the version's pipeline
     groups = identity_groups(candidates, folds[0][0].d, identity)
-    units = [(group, fold_id) for group in groups for fold_id in range(len(folds))]
 
-    def score(unit: int) -> list[tuple[list, list]]:
-        group, fold_id = units[unit]
+    def score(group: list[int], fold_id: int) -> list[tuple[list, list]]:
         members = [CvResult(candidates[i], [], []) for i in group]
         cross_validate(fit, members, fold_id, folds[fold_id], cut)
         return [(m.accuracies, m.failures) for m in members]
 
+    return [(group, partial(score, group, fold_id))
+            for group in groups for fold_id in range(len(folds))]
+
+
+def merge_selection(candidates: list[dict], units: list, scores: list) -> GridResult:
+    """Each candidate's ``CvResult`` from the ``scores`` of its ``selection_units``,
+    merged in unit order, so the result does not depend on where a unit ran.  A
+    candidate with no scored fold has mean ``-inf``; the earliest candidate with
+    the best mean wins."""
     results = [CvResult(params, [], []) for params in candidates]
-    for (group, _), scores in zip(units, pool.map_units(score, len(units))):
-        for i, (accuracies, failures) in zip(group, scores):
+    for (group, _), unit_scores in zip(units, scores):
+        for i, (accuracies, failures) in zip(group, unit_scores):
             results[i].accuracies += accuracies
             results[i].failures += failures
     return GridResult(results)
 
 
-def fit_candidates(candidates: list[dict], ds: Dataset, fit, identity=None, cut=None) -> list:
-    """A model of each candidate fit on ``ds``, one fit per fitted identity."""
-    models = [None] * len(candidates)
-    for group in identity_groups(candidates, ds.d, identity):
-        model = fit(ds.features, ds.labels, candidates[group[0]], ds.n_classes)
-        for i in group:
-            models[i] = model if cut is None else cut(model, candidates[i])
-    return models
+def grid_search(candidates: list[dict], folds, fit, identity=None, cut=None) -> GridResult:
+    """Model selection on its own: the ``selection_units`` run across the CPUs
+    (``pool.map_units``) and merged.  ``enose run`` runs the same units in one
+    ``map_units`` call with its train fits and merges them the same way."""
+    units = selection_units(candidates, folds, fit, identity, cut)
+    return merge_selection(candidates, units, pool.map_units(lambda i: units[i][1](), len(units)))
 
 
 # --- metrics ------------------------------------------------------------------

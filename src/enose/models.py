@@ -17,7 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .classifiers.forest import ForestParams, RandomForest, resolve_max_features, rf_fit
+from .classifiers.forest import (ForestParams, RandomForest, grow_trees, resolve_max_features,
+                                 rf_fit)
 from .classifiers.svm import KERNELS, BinarySvm, MulticlassSvm, SvmParams, svm_fit_multiclass
 from .classifiers.tree import DecisionTree, TreeNode, TreeParams, dt_fit
 from .errors import ConfigError, ProblemTooLarge
@@ -149,6 +150,14 @@ def _rf_identity(params: dict, n_features: int):
     p = _rf_params(params)
     k = resolve_max_features(p.max_features, n_features)
     return replace(p, n_estimators=0, max_features=k), p.n_estimators
+
+
+def _grow_rf(X, y, params: dict, n_classes: int, trees: range) -> list[DecisionTree]:
+    return grow_trees(X, y, _rf_params(params), n_classes=n_classes, trees=trees)
+
+
+def _rf_join(params: dict, trees: list[DecisionTree], n_classes: int) -> RandomForest:
+    return RandomForest(_rf_params(params), trees, n_classes)
 
 
 def _rf_cut(model: RandomForest, params: dict) -> RandomForest:
@@ -311,6 +320,11 @@ class Family:
     # (model of a group's largest candidate, params dict) -> that candidate's model;
     # None where equal keys are the same model
     cut: Callable | None = None
+    # for a model of independent members (a forest's trees): (X, y, params dict,
+    # n_classes, indices: range) -> the members of those indices of the model ``fit``
+    # builds, and (params dict, the members of every index, in order, n_classes) -> it
+    grow: Callable | None = None
+    join: Callable | None = None
     small_grid: tuple = ()
     default_grid: tuple = ()
 
@@ -325,6 +339,7 @@ FAMILIES = {
     "rf": Family(
         RandomForest, _fit_rf, _rf_to_dict, _rf_from_dict,
         params=_rf_params, identity=_rf_identity, cut=_rf_cut,
+        grow=_grow_rf, join=_rf_join,
         small_grid=(("n_estimators", (25, 50)), ("max_features", ("sqrt", "all"))),
         default_grid=(("n_estimators", (50, 100, 200)),
                       ("max_features", ("sqrt", "log2", "all"))),

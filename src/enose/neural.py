@@ -209,17 +209,26 @@ class MlpModel(Classifier):
             d = width
         self.layers.append(Dense(d, spec.n_classes, rng))
         # every trainable array becomes a view of theta, its gradient a view of grad
-        owned = [(l, n) for l in self.layers for n in getattr(l, "TRAINABLE", ())]
-        self.theta = np.concatenate([getattr(l, n).ravel() for l, n in owned])
+        self.theta = np.concatenate([getattr(l, n).ravel() for l in self.layers
+                                     for n in getattr(l, "TRAINABLE", ())])
         self.grad = np.zeros_like(self.theta)
-        start = 0
-        for layer, name in owned:
-            value = getattr(layer, name)
-            end = start + value.size
-            setattr(layer, name, self.theta[start:end].reshape(value.shape))
-            setattr(layer, "d" + name, self.grad[start:end].reshape(value.shape))
-            start = end
+        self._bind()
         self.history: list[dict] = []
+
+    def _bind(self) -> None:
+        start = 0
+        for layer in self.layers:
+            for name in getattr(layer, "TRAINABLE", ()):
+                value = getattr(layer, name)
+                end = start + value.size
+                setattr(layer, name, self.theta[start:end].reshape(value.shape))
+                setattr(layer, "d" + name, self.grad[start:end].reshape(value.shape))
+                start = end
+
+    def __setstate__(self, state: dict) -> None:
+        # pickle copies each view apart from theta; they become views again
+        self.__dict__.update(state)
+        self._bind()
 
     @property
     def n_classes(self) -> int:

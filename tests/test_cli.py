@@ -167,13 +167,13 @@ def test_awkward_class_names_survive_csv_and_svg(tmp_path, capsys):
 
 def _spy(monkeypatch, name, record):
     """Replace ``enose.models.<name>`` by a wrapper that records what ``record``
-    makes of each call's params and fitted model."""
+    makes of each call's params and fitted model (``grow_trees``: its trees)."""
     from enose import models
 
     real = getattr(models, name)
 
-    def spy(X, y, params, n_classes=None):
-        model = real(X, y, params, n_classes)
+    def spy(X, y, params, *args, **kwargs):
+        model = real(X, y, params, *args, **kwargs)
         record(params, model)
         return model
 
@@ -193,29 +193,36 @@ def _serial_and_pooled(tmp_path, capsys, monkeypatch, text, spies):
 
     Each ``(name, record)`` of ``spies`` spies on ``enose.models.<name>`` and appends
     ``[pid, record(params, model)]`` as one JSON line of a file from whichever
-    process fits.  Per run: its out dir, stdout, sorted fit records, fitting
-    processes and the ``CvResult``s of each ``grid_search``.
+    process fits; each unit of ``pool.map_units`` (a fit the spies may not see,
+    such as the ANN's) appends ``[pid]``.  Per run: its out dir, stdout, sorted fit
+    records, the processes that fit or ran a unit and the ``CvResult``s of each
+    ``merge_selection``.
     """
     from enose import cli, pool
 
     log = tmp_path / "fits.jsonl"
 
-    def append(record):
-        def spy(params, model):
-            with open(log, "a") as fh:
-                fh.write(json.dumps([os.getpid(), record(params, model)]) + "\n")
-        return spy
+    def append(*record):
+        with open(log, "a") as fh:
+            fh.write(json.dumps([os.getpid(), *record]) + "\n")
 
     for name, record in spies:
-        _spy(monkeypatch, name, append(record))
-    searches = []
-    real_search = cli.grid_search
+        _spy(monkeypatch, name, lambda params, model, record=record:
+             append(record(params, model)))
+    real_map = pool.map_units
 
-    def search(*args):
-        searches.append(real_search(*args))
+    def map_units(work, n, *args):
+        return real_map(lambda unit: append() or work(unit), n, *args)
+
+    monkeypatch.setattr(pool, "map_units", map_units)
+    searches = []
+    real_merge = cli.merge_selection
+
+    def merge(*args):
+        searches.append(real_merge(*args))
         return searches[-1]
 
-    monkeypatch.setattr(cli, "grid_search", search)
+    monkeypatch.setattr(cli, "merge_selection", merge)
     runs = []
     for workers in (1, 2):
         monkeypatch.setattr(pool, "cpu_count", lambda: workers)
@@ -226,8 +233,8 @@ def _serial_and_pooled(tmp_path, capsys, monkeypatch, text, spies):
         lines = [json.loads(line) for line in log.read_text().splitlines()]
         log.unlink()
         runs.append({"out_dir": out_dir, "stdout": out,
-                     "fits": sorted(record for _, record in lines),
-                     "pids": {pid for pid, _ in lines}, "cv": [r.cells for r in searches]})
+                     "fits": sorted(line[1] for line in lines if len(line) == 2),
+                     "pids": {line[0] for line in lines}, "cv": [r.cells for r in searches]})
         searches.clear()
     return runs
 
@@ -247,11 +254,13 @@ def _saved_params(out_dir, name):
     return json.loads((out_dir / "models" / f"{name}.model.json").read_text())["model"]["params"]
 
 
+@pytest.mark.usefixtures("one_process")
 def test_rf_grid_cells_draw_from_the_master_seed(tmp_path, capsys, monkeypatch):
     from enose.rng import derive_seed
 
     seeds = []
-    _spy(monkeypatch, "rf_fit", lambda params, model: seeds.append(params.seed))
+    for name in ("rf_fit", "grow_trees"):  # selection's forests, the train forests
+        _spy(monkeypatch, name, lambda params, model: seeds.append(params.seed))
     text = CONFIG_SMALL.replace("families = dt,rf", "families = rf").replace("grid = none",
                                                                              "grid = small")
     cfg = write_config(tmp_path, text)
@@ -273,6 +282,7 @@ def test_selection_fits_each_distinct_forest_and_tree_once_per_fold(tmp_path, ca
                                                                      monkeypatch):
     trees, dt_fits = [], []
     _spy(monkeypatch, "rf_fit", lambda params, model: trees.append(len(model.trees)))
+    _spy(monkeypatch, "grow_trees", lambda params, grown: trees.append(len(grown)))
     _spy(monkeypatch, "dt_fit", lambda params, model: dt_fits.append(params))
     text = CONFIG_SMALL.replace("folds = 2", "folds = 5").replace("grid = none", "grid = small")
     out_dir = tmp_path / "out"
@@ -298,6 +308,16 @@ def test_pooled_selection_fits_the_same_forests_and_trees(tmp_path, capsys, monk
         [("rf_fit", lambda params, model: ["rf", len(model.trees)]),
          ("dt_fit", lambda params, model: ["dt", repr(params)])])
     _assert_same_selection(serial, pooled)
+
+
+def test_a_train_forest_grows_one_range_of_trees_per_cpu(tmp_path, capsys, monkeypatch):
+    text = CONFIG_SMALL.replace("families = dt,rf", "families = rf")
+    serial, pooled = _serial_and_pooled(tmp_path, capsys, monkeypatch, text,
+                                        [("grow_trees", lambda params, grown: len(grown))])
+    assert serial["fits"] == [100] and pooled["fits"] == [50, 50]
+    assert os.getpid() not in pooled["pids"]
+    saved = [run["out_dir"] / "models" / "rf_baseline.model.json" for run in (serial, pooled)]
+    assert saved[0].read_bytes() == saved[1].read_bytes()
 
 
 @pytest.mark.usefixtures("one_process")

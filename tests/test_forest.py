@@ -200,6 +200,24 @@ def test_smaller_forest_is_a_prefix_of_a_larger_one(
     assert np.array_equal(cut.predict_proba(q), small.predict_proba(q))
 
 
+@pytest.mark.parametrize("max_features", ["sqrt", "all"])
+@pytest.mark.parametrize("bootstrap", [True, False])
+def test_trees_grown_in_uneven_ranges_join_into_the_whole_forest(max_features, bootstrap):
+    import pickle
+
+    from enose.classifiers.forest import grow_trees
+
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(60, 6))
+    y = rng.integers(0, 3, size=60)
+    params = ForestParams(n_estimators=9, max_features=max_features, bootstrap=bootstrap,
+                          seed=12)
+    whole = rf_fit(X, y, params, n_classes=3)
+    trees = [t for part in (range(0, 2), range(2, 7), range(7, 9))
+             for t in grow_trees(X, y, params, 3, part)]
+    assert pickle.dumps(RandomForest(params, trees, 3)) == pickle.dumps(whole)
+
+
 def _oracle_tree_proba(tree, X):
     """One tree's probabilities in their own array, each leaf writing counts / total."""
     out = np.empty((X.shape[0], tree.n_classes))

@@ -330,6 +330,23 @@ def test_trainable_arrays_are_views_after_build_and_load(tmp_path):
     assert back.theta.tobytes() == model.theta.tobytes()
 
 
+def test_trainable_arrays_are_views_after_a_pickle_round_trip():
+    import pickle
+
+    from enose.models import _mlp_to_dict
+
+    ds = _toy_two_class(seed=7)
+    model = mlp_train(mlp_build(variant_spec("baseline", 2, 2, epochs=2, seed=4)),
+                      ds.features, ds.labels)
+    back = pickle.loads(pickle.dumps(model))
+    _assert_views(back)
+    X = np.random.default_rng(8).normal(size=(9, 2))
+    assert back.predict_proba(X).tobytes() == model.predict_proba(X).tobytes()
+    assert _mlp_to_dict(back) == _mlp_to_dict(model)
+    back.theta += 1.0  # a step of the optimizer moves every layer of the copy
+    assert not np.array_equal(back.predict_proba(X), model.predict_proba(X))
+
+
 def test_predict_keeps_no_activations():
     ds = _toy_two_class(seed=6)
     model = mlp_train(mlp_build(variant_spec("baseline", 2, 2, epochs=1)), ds.features, ds.labels)

@@ -6,6 +6,7 @@ test also checks that no child process is left behind.
 
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -54,9 +55,71 @@ def numbered_folds(n=4):
 def test_units_run_in_two_workers_and_come_back_in_unit_order():
     got = pool.map_units(lambda unit: (unit, os.getpid()), 5)
     assert [unit for unit, _ in got] == list(range(5))
-    pids = [pid for _, pid in got]
-    assert pids[0::2] == [pids[0]] * 3 and pids[1::2] == [pids[1]] * 2
-    assert len(set(pids)) == 2 and os.getpid() not in pids
+    assert os.getpid() not in {pid for _, pid in got}
+    assert_no_children()
+
+
+def test_results_stay_in_unit_order_whichever_child_takes_a_unit():
+    # the slowest unit is taken first; the quick ones then go to whichever child is free
+    def work(unit):
+        time.sleep(0.5 if unit == 7 else 0.001)
+        return unit, os.getpid()
+
+    got = pool.map_units(work, 8, order=[7, 0, 1, 2, 3, 4, 5, 6])
+    assert [unit for unit, _ in got] == list(range(8))
+    pids = {pid for _, pid in got}
+    assert len(pids) == 2 and os.getpid() not in pids
+    assert_no_children()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_of_two_failing_units_the_lower_one_raises_on_any_worker_count(monkeypatch, workers):
+    from enose.cli import StageError, _run_jobs
+
+    monkeypatch.setattr(pool, "cpu_count", lambda: workers)
+
+    def fail(message):
+        raise DegenerateInput(message)
+
+    # the later failure is the long one, so two workers run it first
+    jobs = [("a", False, lambda: 0), ("b", False, lambda: fail("first")),
+            ("c", False, lambda: 2), ("d", True, lambda: fail("second"))]
+    with pytest.raises(StageError) as caught:
+        _run_jobs(jobs)
+    assert caught.value.stage == "b" and str(caught.value) == "[b] first"
+
+    def work(unit):
+        if unit in (3, 6):
+            raise ValueError(f"unit {unit}")
+        return unit
+
+    with pytest.raises(ValueError, match="unit 3"):
+        pool.map_units(work, 8, order=[6, 0, 1, 2, 3, 4, 5, 7])
+    assert_no_children()
+
+
+def test_a_schedule_longer_than_a_pipe_holds_finishes():
+    n = 40_000  # 160 kB of unit indices, more than a pipe's 64 kB
+    assert pool.map_units(lambda unit: unit, n) == list(range(n))
+    assert_no_children()
+
+
+class TwoArgumentError(Exception):
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
+def test_an_exception_that_does_not_unpickle_is_a_runtime_error_with_its_traceback():
+    def work(unit):
+        if unit == 1:
+            raise TwoArgumentError("cannot come back", "b")
+        return unit
+
+    with pytest.raises(RuntimeError) as caught:
+        pool.map_units(work, 3)
+    assert "TwoArgumentError: cannot come back" in str(caught.value)
+    assert "in work" in str(caught.value)
+    assert isinstance(caught.value.__cause__, pool.ChildTraceback)
     assert_no_children()
 
 
