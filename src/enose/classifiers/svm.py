@@ -269,10 +269,6 @@ class MulticlassSvm(Classifier):
         self.machines = machines
         self.n_classes = n_classes
 
-    @property
-    def converged(self) -> bool:
-        return all(m.converged for m in self.machines)
-
     def decision_values(self, X: np.ndarray) -> np.ndarray:
         return np.column_stack([m.decision_function(X) for m in self.machines])
 

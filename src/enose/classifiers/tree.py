@@ -44,7 +44,7 @@ def _search(
     feature_indices: np.ndarray,
     min_samples_leaf: int,
 ) -> tuple[int, float, float, int, np.ndarray] | None:
-    """Best split of the node whose rows ``order`` lists, sorted by every feature.
+    """Best split of the impure node whose rows ``order`` lists, sorted by every feature.
 
     ``table[r]`` is row r's one-hot class times its weight, followed by the
     weight itself; ``counts`` (the vector T) are the node's weighted class
@@ -58,9 +58,6 @@ def _search(
     threshold.  Returns (feature, threshold, decrease, rows going left,
     left counts).
     """
-    m = order.shape[1]
-    if m < 2:
-        return None
     feats = np.sort(feature_indices)
     rows = order.take(feats, axis=0)                     # k x m, each row sorted by its feature
     sv = X[rows, feats[:, None]]

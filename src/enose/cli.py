@@ -17,7 +17,7 @@ from . import synth as synth_mod
 from .config import FORMATS, PipelineConfig, apply_overrides, load_config
 from .dataset import stratified_kfold, stratified_split
 from .ensemble import VotingEnsemble
-from .errors import ConfigError, DimensionMismatch, ENoseError, NonFiniteScores, WorkerDied
+from .errors import ConfigError, ENoseError, WorkerDied, naming
 from .evaluate import (
     CvResult,
     FeaturePipeline,
@@ -158,7 +158,7 @@ def cmd_run(cfg: PipelineConfig) -> int:
     fitted: dict[str, object] = {}
     tuned_classical: list[str] = []
 
-    def register(name, model, cv: CvResult | None = None):
+    def register(name, model, cv: CvResult | None = None, train_acc: float | None = None):
         report = evaluate_model(model, test_t.features, test_t.labels, classes)
         if "json" in cfg.formats:
             write_json(os.path.join(out, "reports", f"{name}.report.json"), report.to_dict())
@@ -177,7 +177,8 @@ def cmd_run(cfg: PipelineConfig) -> int:
             "cv_mean": None if cv is None else cv.mean,
             "cv_std": None if cv is None else cv.std,
             "cv_failures": None if cv is None else cv.failures,
-            "train_acc": float((model.predict(train_t.features) == train_t.labels).mean()),
+            "train_acc": float((model.predict(train_t.features) == train_t.labels).mean())
+            if train_acc is None else train_acc,
             "test_acc": report.accuracy,
         })
         fitted[name] = model
@@ -281,7 +282,7 @@ def cmd_run(cfg: PipelineConfig) -> int:
     for variant, ann in zip(cfg.ann_variants, anns):
         model = ann(done)[0]
         with _stage(f"ann:{variant}"):
-            register(f"ann_{variant}", model)
+            register(f"ann_{variant}", model, train_acc=model.history[-1]["train_acc"])
             if "csv" in cfg.formats:
                 # the val_acc column stays, empty, so the file keeps its layout
                 _table(os.path.join(out, "curves", f"ann_{variant}.history.csv"),
@@ -316,16 +317,14 @@ def cmd_run(cfg: PipelineConfig) -> int:
 def cmd_evaluate(cfg: PipelineConfig, model_path: str) -> int:
     model, pipe, classes = load_model(model_path)
     data = _load_data(cfg)
-    if classes is not None and tuple(classes) != data.classes:
-        raise ConfigError(
-            f"model classes {classes} do not match data classes {list(data.classes)}"
-        )
-    try:
+    with naming(model_path):
+        if classes is not None and tuple(classes) != data.classes:
+            raise ConfigError(
+                f"model classes {classes} do not match data classes {list(data.classes)}"
+            )
         work = pipe.transform(data) if pipe is not None else data
         del data  # the raw session, no longer needed once transformed
         report = evaluate_model(model, work.features, work.labels, list(work.classes))
-    except (DimensionMismatch, NonFiniteScores) as exc:
-        raise type(exc)(f"{model_path}: {exc}") from exc
     path = os.path.join(cfg.out_dir, "evaluate.report.json")
     write_json(path, report.to_dict())
     print(f"accuracy: {report.accuracy:.4f}")

@@ -6,7 +6,6 @@ import csv
 import glob as _glob
 import math
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -23,6 +22,7 @@ from .errors import (
     RaggedRow,
     SchemaMismatch,
     TooFewPerClass,
+    naming,
 )
 from .rng import derive_rng
 
@@ -296,21 +296,11 @@ def _read_text(path: str) -> str:
         raise SchemaMismatch(f"{path}: not readable as UTF-8 text ({exc})") from exc
 
 
-@contextmanager
-def _naming(path: str):
-    """A toolkit error raised inside gets ``path`` prefixed to its message."""
-    try:
-        yield
-    except ENoseError as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
-
-
 def load_run_file(path: str, label: str | None = None, out: np.ndarray | None = None) -> RunTable:
     if label is None:
         label = label_from_filename(path)
     text = _read_text(path)
-    with _naming(path):
+    with naming(path):
         return parse_run_csv(text, label, out)
 
 
@@ -371,7 +361,7 @@ def load_manifest(path: str) -> Dataset:
             run_path = os.path.join(base, run_path)
         runs.append((run_path, cls or None))
     tables, features = _load_runs(runs)
-    with _naming(path):
+    with naming(path):
         return merge_runs(tables, features)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 
 class ENoseError(Exception):
     """Base class for every toolkit error."""
@@ -16,6 +18,16 @@ def _rebuild(cls, args: tuple, state: dict) -> ENoseError:
     exc = cls.__new__(cls, *args)
     exc.__dict__.update(state)
     return exc
+
+
+@contextmanager
+def naming(path: str):
+    """A toolkit error raised inside gets ``path`` prefixed to its message."""
+    try:
+        yield
+    except ENoseError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 # --- ingestion ---------------------------------------------------------------

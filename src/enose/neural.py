@@ -77,9 +77,6 @@ class GaussianNoise:
             return x + self.rng.normal(0.0, self.sigma, size=x.shape)
         return x
 
-    def backward(self, dout):
-        return dout
-
 
 class Dense:
     # trainable arrays; MlpModel rebinds each, and its gradient "d" + name,

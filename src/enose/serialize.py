@@ -13,7 +13,7 @@ import numpy as np
 
 from .classifiers.tree import TreeNode
 from .ensemble import VotingEnsemble
-from .errors import ClassTableMismatch, ConfigError, CorruptModel, EmptyEnsemble
+from .errors import ConfigError, CorruptModel, ENoseError
 from .evaluate import REDUCTIONS, FeaturePipeline
 from .models import FAMILIES, finite_array
 from .preprocess import VERSIONS, Scaler
@@ -38,11 +38,7 @@ def model_from_dict(doc: dict):
         return doc
     kind = doc["kind"]
     if kind == "ensemble":
-        members = [model_from_dict(m) for m in doc["members"]]
-        try:
-            return VotingEnsemble(members)
-        except (EmptyEnsemble, ClassTableMismatch) as exc:  # a malformed document
-            raise ConfigError(str(exc)) from exc
+        return VotingEnsemble([model_from_dict(m) for m in doc["members"]])
     if kind not in FAMILIES:
         raise ConfigError(f"unknown model kind {kind!r}")
     return FAMILIES[kind].from_dict(doc)
@@ -227,7 +223,7 @@ def _decode_tree(d: dict):
 
 @contextmanager
 def _malformed(path: str):
-    """An error of a malformed document, raised in the block, as CorruptModel."""
+    """A toolkit or builtin error of a malformed document, raised in the block, as CorruptModel."""
     try:
         yield
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -236,17 +232,17 @@ def _malformed(path: str):
         raise CorruptModel(f"{path}: nested too deeply to decode ({exc})") from exc
     except KeyError as exc:
         raise CorruptModel(f"{path}: malformed {FORMAT} document, missing key {exc}") from exc
-    except (ConfigError, TypeError, ValueError, IndexError, OverflowError) as exc:
+    except (ENoseError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise CorruptModel(f"{path}: malformed {FORMAT} document ({exc})") from exc
 
 
 def load_model(path: str):
     """Returns (model, pipeline-or-None, classes-or-None).
 
-    Raises ConfigError for a document of another format, and CorruptModel
-    for an enose document that is truncated, malformed (including an unknown
-    model kind, and a pipeline without the scaler or reducer its version
-    needs) or of another version.
+    Raises ConfigError for a document of another format, and CorruptModel naming
+    ``path`` for an enose document that is truncated, malformed (an unknown model
+    kind, a pipeline without its version's scaler or reducer, ``classes`` that are
+    not the model's class count of strings) or of another version.
     """
     with open(path, encoding="utf-8") as fh, _malformed(path):
         doc = json.load(fh, object_hook=_decode_tree)
@@ -261,8 +257,9 @@ def load_model(path: str):
         model = model_from_dict(doc["model"])
         pipeline = pipeline_from_dict(doc["pipeline"]) if "pipeline" in doc else None
         classes = doc.get("classes")
-        if classes is not None and (type(classes) is not list
-                                    or len(classes) != model.n_classes):
+        if classes is not None and not (type(classes) is list
+                                        and len(classes) == model.n_classes
+                                        and all(type(c) is str for c in classes)):
             raise ConfigError(f"classes {classes!r} do not name the model's "
                               f"{model.n_classes} classes")
     return model, pipeline, classes

@@ -127,6 +127,29 @@ def test_run_writes_learning_curves(tmp_path, capsys):
     assert (out_dir / "svg" / "dt.learning_curve.svg").read_text().startswith("<svg")
 
 
+def test_a_run_over_run_files_by_glob_is_the_run_by_manifest(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    run_cli(capsys, "--samples", "30", "--out", str(data_dir), "synth")
+    runs = {}
+    for source, key in (("manifest", data_dir / "manifest.csv"), ("glob", data_dir / "*__*.csv")):
+        text = CONFIG_SMALL.replace("source = synth", f"source = {source}\n{source} = {key}")
+        out_dir = tmp_path / source
+        code, out, err = run_cli(capsys, "--config", write_config(tmp_path, text), "--out",
+                                 str(out_dir), "run")
+        assert code == 0, err
+        runs[source] = out, (out_dir / "summary.json").read_bytes()
+    assert runs["glob"] == runs["manifest"]
+
+
+def test_the_format_flag_replaces_the_configured_formats(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "--config", write_config(tmp_path), "--format", "svg",
+                             "--out", str(out_dir), "run")
+    assert code == 0, err
+    assert sorted(p.name for p in out_dir.iterdir()) == ["correlation.csv", "models", "svg"]
+    assert (out_dir / "svg" / "rf_baseline.roc.svg").read_text().startswith("<svg")
+
+
 def test_awkward_class_names_survive_csv_and_svg(tmp_path, capsys):
     # a comma, a double quote, & and < in class names: CSV cells are quoted, SVG text escaped;
     # a non-ASCII one is written to the JSON reports escaped, as json.dumps writes it
@@ -318,6 +341,49 @@ def test_a_train_forest_grows_one_range_of_trees_per_cpu(tmp_path, capsys, monke
     assert os.getpid() not in pooled["pids"]
     saved = [run["out_dir"] / "models" / "rf_baseline.model.json" for run in (serial, pooled)]
     assert saved[0].read_bytes() == saved[1].read_bytes()
+
+
+@pytest.mark.usefixtures("one_process")
+def test_a_tuned_forest_with_more_trees_grows_on_from_the_baseline(tmp_path, capsys,
+                                                                    monkeypatch):
+    import pickle
+
+    from enose import cli, models
+    from enose.evaluate import GridResult
+
+    grows, saved = [], {}
+    real_grow, real_merge, real_save = models.grow_trees, cli.merge_selection, cli.save_model
+
+    def grow(X, y, params, n_classes, trees):
+        grows.append((X, y, params, n_classes, trees))
+        return real_grow(X, y, params, n_classes=n_classes, trees=trees)
+
+    def merge(params, *args):
+        # the sqrt/200 cell wins: the baseline's identity with twice its trees
+        win = next(i for i, p in enumerate(params)
+                   if i and (p["max_features"], p["n_estimators"]) == ("sqrt", 200))
+        return type("Pinned", (GridResult,), {"best_index": win})(real_merge(params, *args).cells)
+
+    def save(path, model, *args):
+        saved[os.path.basename(path)] = model
+        real_save(path, model, *args)
+
+    monkeypatch.setattr(models, "grow_trees", grow)
+    monkeypatch.setattr(cli, "merge_selection", merge)
+    monkeypatch.setattr(cli, "save_model", save)
+    text = CONFIG_SMALL.replace("families = dt,rf", "families = rf").replace("grid = none",
+                                                                             "grid = default")
+    code, out, err = run_cli(capsys, "--config", write_config(tmp_path, text), "--out",
+                             str(tmp_path / "out"), "run")
+    assert code == 0, err
+    # the baseline's train forest, then only the 100 trees the tuned forest adds to it
+    assert [g[4] for g in grows] == [range(0, 100), range(100, 200)]
+    X, y, params, n_classes, _ = grows[1]
+    assert params.n_estimators == 200
+    # tree by tree: one rf_fit shares one TreeParams object among its trees, a join does not
+    tuned, direct = saved["rf_tuned.model.json"], rf_fit(X, y, params, n_classes=n_classes)
+    assert (tuned.params, tuned.n_classes) == (direct.params, direct.n_classes)
+    assert [pickle.dumps(t) for t in tuned.trees] == [pickle.dumps(t) for t in direct.trees]
 
 
 @pytest.mark.usefixtures("one_process")
@@ -584,6 +650,23 @@ def test_invalid_config_value_names_the_key(tmp_path, capsys):
     code, out, err = run_cli(capsys, "--config", str(cfg), "run")
     assert code == 1
     assert "folds" in err
+
+
+@pytest.mark.parametrize("edit, named", [
+    (("source = synth", "source = ftp"), "data source must be synth|manifest|glob, got 'ftp'"),
+    (("source = synth", "source = glob"), "source=glob requires the 'glob' key"),
+    (("version = V2", "version = V9"), "version must be one of"),
+    (("folds = 2", "folds = 2\ntest_fraction = 1.5"), "test_fraction must be in (0, 1), got 1.5"),
+    (("grid = none", "grid = huge"), "grid must be default|small|none, got 'huge'"),
+    (("formats = json,csv", "formats = pdf"), "unknown report formats ['pdf']"),
+    (("[data]", "data"), "cannot parse config {cfg}"),
+], ids=["source", "glob-key", "version", "test-fraction", "grid", "formats", "unparsable"])
+def test_bad_config_value_is_validation_error(tmp_path, capsys, edit, named):
+    cfg = write_config(tmp_path, CONFIG_SMALL.replace(*edit))
+    code, out, err = run_cli(capsys, "--config", cfg, "--out", str(tmp_path / "o"), "run")
+    assert code == 1, err
+    assert named.format(cfg=cfg) in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_learning_curves_without_grid_is_validation_error(tmp_path, capsys):
@@ -947,6 +1030,25 @@ def test_evaluate_misshapen_ann_is_runtime_error(tmp_path, capsys, corrupt, mess
                              "evaluate", str(path))
     assert code == 2
     assert str(path) in err and message in err
+
+
+@pytest.mark.parametrize("family", ["svm", "mlp"])
+def test_evaluate_a_model_saved_with_another_versions_pipeline_names_its_file(tmp_path, capsys,
+                                                                             family):
+    from enose.evaluate import FeaturePipeline
+    from enose.models import FAMILIES
+    from enose.synth import default_spec, generate
+
+    # fit on the 7 V2 features, saved with a V1 pipeline, which passes all 9 through
+    data = generate(default_spec(3, 0))
+    v2 = FeaturePipeline("V2").fit(data).transform(data)
+    model = FAMILIES[family].fit(v2.features, v2.labels, {"epochs": 1}, v2.n_classes)
+    path = tmp_path / f"{family}.model.json"
+    save_model(str(path), model, FeaturePipeline("V1").fit(data), list(data.classes))
+    code, out, err = run_cli(capsys, "--samples", "3", "--out", str(tmp_path / "o"),
+                             "evaluate", str(path))
+    assert code == 2
+    assert f"error: {path}: expected 7 features, got 9" in err
 
 
 # --- stage names ----------------------------------------------------------------
