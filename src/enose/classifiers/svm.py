@@ -25,16 +25,11 @@ class SvmParams:
 
 
 def resolve_gamma(gamma: float | str, X: np.ndarray) -> float:
+    """The rbf width of ``check_svm_params``-checked ``gamma`` for the rows ``X``."""
     if gamma == "scale":
         v = X.var()
         return 1.0 / (X.shape[1] * v) if v > 0 else 1.0
-    try:
-        g = float(gamma)
-    except (TypeError, ValueError):
-        raise ConfigError(f"gamma must be 'scale' or a number, got {gamma!r}") from None
-    if not g > 0:
-        raise ConfigError(f"gamma must be positive, got {g}")
-    return g
+    return float(gamma)
 
 
 KERNELS = ("linear", "rbf")
@@ -214,14 +209,23 @@ def _check_shapes(X: np.ndarray, y: np.ndarray) -> None:
         raise ShapeMismatch(f"X {X.shape} incompatible with y {y.shape}")
 
 
-def _check_params(params: SvmParams) -> None:
-    """C = 0 gives a NaN bias, C < 0 or max_passes < 1 a fit that takes no step."""
+def _positive(value) -> bool:
+    return type(value) in (int, float) and 0.0 < value < math.inf
+
+
+def check_svm_params(params: SvmParams) -> None:
+    """ConfigError unless C and tol are finite positive numbers, max_passes is an
+    integer >= 1 and gamma is "scale" or a finite positive number: C = 0 gives a
+    NaN bias, C < 0 or max_passes < 1 a fit that takes no step."""
     for name in ("C", "tol"):
         value = getattr(params, name)
-        if not 0.0 < value < math.inf:
+        if not _positive(value):
             raise ConfigError(f"SVM {name} must be finite and positive, got {value!r}")
-    if params.max_passes < 1:
-        raise ConfigError(f"SVM max_passes must be >= 1, got {params.max_passes!r}")
+    if not (type(params.max_passes) is int and params.max_passes >= 1):
+        raise ConfigError(f"SVM max_passes must be an integer >= 1, got {params.max_passes!r}")
+    if not (params.gamma == "scale" or _positive(params.gamma)):
+        raise ConfigError(f"SVM gamma must be positive and finite, or 'scale', "
+                          f"got {params.gamma!r}")
 
 
 def svm_fit_binary(
@@ -238,7 +242,7 @@ def svm_fit_binary(
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     _check_shapes(X, y)
-    _check_params(params)
+    check_svm_params(params)
     if distinct(y).shape[0] < 2:
         raise DegenerateLabels("both -1 and +1 labels are required")
     n = X.shape[0]
@@ -281,7 +285,7 @@ def svm_fit_multiclass(
 ) -> MulticlassSvm:
     """One machine per class, all solved over one shared Gram matrix."""
     X, y, n_classes = fit_input(X, y, n_classes)
-    _check_params(params)
+    check_svm_params(params)
     if n_classes < 2:
         raise DegenerateLabels("multiclass SVM needs at least 2 classes")
     K = gram_matrix(params, resolve_gamma(params.gamma, X), X)

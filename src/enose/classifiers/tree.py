@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DimensionMismatch
+from ..errors import ConfigError, DimensionMismatch
 from .base import Classifier, fit_input
 
 
@@ -15,6 +15,18 @@ class TreeParams:
     max_depth: int | None = None
     min_samples_split: int = 2
     min_samples_leaf: int = 1
+
+
+def check_tree_params(params: TreeParams) -> None:
+    """ConfigError unless max_depth is None or an integer >= 0, min_samples_split an
+    integer >= 2 and min_samples_leaf an integer >= 1."""
+    depth = params.max_depth
+    if not (depth is None or type(depth) is int and depth >= 0):
+        raise ConfigError(f"tree max_depth must be None or an integer >= 0, got {depth!r}")
+    for name, least in (("min_samples_split", 2), ("min_samples_leaf", 1)):
+        value = getattr(params, name)
+        if not (type(value) is int and value >= least):
+            raise ConfigError(f"tree {name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(slots=True)
@@ -202,6 +214,7 @@ def dt_fit(
     that fit many trees on the same X.
     """
     X, y, n_classes = fit_input(X, y, n_classes)
+    check_tree_params(params)
     if feature_sampler is None:
         feature_sampler = np.arange
     order = presort(X) if presorted is None else presorted

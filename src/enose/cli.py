@@ -6,7 +6,6 @@ import argparse
 import csv
 import os
 import sys
-from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
@@ -38,16 +37,6 @@ from .svgplot import confusion_svg, line_chart_svg
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
-
-
-class StageError(Exception):
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"[{stage}] {cause}")
-        self.stage = stage
-        self.cause = cause
-
-    def __reduce__(self):  # it comes back from a forked child (pool.map_units)
-        return StageError, (self.stage, self.cause)
 
 
 def _load_data(cfg: PipelineConfig):
@@ -106,20 +95,16 @@ def cmd_inspect(cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-@contextmanager
 def _stage(name: str):
-    """One named stage of ``cmd_run``: a toolkit or OS error in it becomes a StageError."""
-    try:
-        yield
-    except (ENoseError, OSError) as exc:
-        raise StageError(name, exc) from exc
+    """One named stage of ``cmd_run``: a toolkit or OS error in it names the stage."""
+    return naming(f"[{name}]")
 
 
 def _run_jobs(jobs: list[tuple]) -> list:
     """``call()`` of each ``(stage, long, call)`` of ``jobs``, through one
     ``pool.map_units`` that takes the long ones first.  A toolkit or OS error in a
-    call is a StageError naming its stage, and so is a worker that dies (the stage
-    of the lowest job it left without a result)."""
+    call names its stage, and so does a worker that dies (the stage of the lowest
+    job it left without a result)."""
     def work(i: int):
         stage, _, call = jobs[i]
         with _stage(stage):
@@ -129,7 +114,8 @@ def _run_jobs(jobs: list[tuple]) -> list:
     try:
         return pool.map_units(work, len(jobs), long_first)
     except WorkerDied as exc:
-        raise StageError(jobs[exc.unit][0], exc) from exc
+        with _stage(jobs[exc.unit][0]):
+            raise
 
 
 def cmd_run(cfg: PipelineConfig) -> int:
@@ -183,10 +169,11 @@ def cmd_run(cfg: PipelineConfig) -> int:
         })
         fitted[name] = model
 
-    # every fit goes through pool.map_units, as jobs (stage, long, call): first each
-    # family's selection units and baseline train fit and every ANN variant, then the
-    # tuned train fits that are no cut of their baseline; a train fit is long, a
-    # selection unit (one model on one fold) is not
+    # every fit but the learning curves' (fit below, in this process) goes through
+    # pool.map_units, as jobs (stage, long, call): first each family's selection units
+    # and baseline train fit and every ANN variant, then the tuned train fits that are
+    # no cut of their baseline; a train fit is long, a selection unit (one model on one
+    # fold) is not
     jobs: list[tuple] = []
 
     def train_fit(stage: str, family: str, params: dict, members: list = ()):
@@ -317,7 +304,7 @@ def cmd_run(cfg: PipelineConfig) -> int:
 def cmd_evaluate(cfg: PipelineConfig, model_path: str) -> int:
     model, pipe, classes = load_model(model_path)
     data = _load_data(cfg)
-    with naming(model_path):
+    with naming(f"{model_path}:"):
         if classes is not None and tuple(classes) != data.classes:
             raise ConfigError(
                 f"model classes {classes} do not match data classes {list(data.classes)}"
@@ -368,10 +355,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except StageError as exc:
-        code = EXIT_VALIDATION if isinstance(exc.cause, ConfigError) else EXIT_RUNTIME
-        print(f"error: {exc}", file=sys.stderr)
-        return code
     except (ENoseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

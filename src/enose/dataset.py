@@ -300,7 +300,7 @@ def load_run_file(path: str, label: str | None = None, out: np.ndarray | None = 
     if label is None:
         label = label_from_filename(path)
     text = _read_text(path)
-    with naming(path):
+    with naming(f"{path}:"):
         return parse_run_csv(text, label, out)
 
 
@@ -361,7 +361,7 @@ def load_manifest(path: str) -> Dataset:
             run_path = os.path.join(base, run_path)
         runs.append((run_path, cls or None))
     tables, features = _load_runs(runs)
-    with naming(path):
+    with naming(f"{path}:"):
         return merge_runs(tables, features)
 
 

@@ -21,13 +21,17 @@ def _rebuild(cls, args: tuple, state: dict) -> ENoseError:
 
 
 @contextmanager
-def naming(path: str):
-    """A toolkit error raised inside gets ``path`` prefixed to its message."""
+def naming(prefix: str):
+    """A toolkit error raised inside gets ``prefix`` (a file ``"<path>:"``, a stage
+    ``"[<stage>]"``) put before its message, and keeps its type; an OS error becomes
+    a toolkit error with the prefixed message."""
     try:
         yield
     except ENoseError as exc:
-        exc.args = (f"{path}: {exc}",)
+        exc.args = (f"{prefix} {exc}",)
         raise
+    except OSError as exc:
+        raise ENoseError(f"{prefix} {exc}") from exc
 
 
 # --- ingestion ---------------------------------------------------------------

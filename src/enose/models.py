@@ -19,8 +19,9 @@ import numpy as np
 
 from .classifiers.forest import (ForestParams, RandomForest, grow_trees, resolve_max_features,
                                  rf_fit)
-from .classifiers.svm import KERNELS, BinarySvm, MulticlassSvm, SvmParams, svm_fit_multiclass
-from .classifiers.tree import DecisionTree, TreeNode, TreeParams, dt_fit
+from .classifiers.svm import (KERNELS, BinarySvm, MulticlassSvm, SvmParams, check_svm_params,
+                              svm_fit_multiclass)
+from .classifiers.tree import DecisionTree, TreeNode, TreeParams, check_tree_params, dt_fit
 from .errors import ConfigError, ProblemTooLarge
 from .evaluate import GridSpec
 from .neural import BatchNorm, Dense, MlpModel, MlpSpec, OptimizerSpec, mlp_build, mlp_train, variant_spec
@@ -47,9 +48,9 @@ def _array(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def finite_array(values, what: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Saved ``values``, a list (1-D ``shape``) or a list of rows (2-D) of finite
-    numbers that are not bools, as a float64 array; ConfigError naming ``what`` otherwise."""
+def number_array(values, what: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Saved ``values``, a list (1-D ``shape``) or a list of rows (2-D) of numbers that
+    are not bools, as a float64 array; ConfigError naming ``what`` otherwise."""
     rows = values if len(shape) == 2 else [values]
     if not (type(rows) is list and len(rows) == math.prod(shape[:-1])
             and all(type(row) is list and len(row) == shape[-1] for row in rows)):
@@ -57,7 +58,12 @@ def finite_array(values, what: str, shape: tuple[int, ...]) -> np.ndarray:
     flat = [v for row in rows for v in row]
     if not all(type(v) is float or type(v) is int for v in flat):
         raise ConfigError(f"{what} holds a value that is not a number")
-    out = _array(flat).reshape(shape)
+    return _array(flat).reshape(shape)
+
+
+def finite_array(values, what: str, shape: tuple[int, ...]) -> np.ndarray:
+    """``number_array`` of numbers that are all finite."""
+    out = number_array(values, what, shape)
     if not np.isfinite(out).all():
         raise ConfigError(f"{what} holds a number that is not finite")
     return out
@@ -93,6 +99,8 @@ def _root_from_dict(d: dict, n_features: int, n_classes: int) -> TreeNode:
         else:
             setattr(parent, side, node)
         if "feature" not in d:
+            if not d.keys().isdisjoint(("threshold", "left", "right")):
+                raise ConfigError("a node with a threshold or children has no split feature")
             continue
         node.feature, node.threshold = d["feature"], d["threshold"]
         if not (type(node.feature) is int and 0 <= node.feature < n_features):
@@ -127,7 +135,9 @@ def _dt_from_dict(doc: dict) -> DecisionTree:
     n_classes, n_features = doc["n_classes"], doc["n_features"]
     if not (type(n_classes) is int and n_classes >= 1):
         raise ConfigError(f"a tree's n_classes {n_classes!r} is not a positive integer")
-    return DecisionTree(_from_doc(TreeParams, doc["params"]), n_classes, n_features,
+    params = _from_doc(TreeParams, doc["params"])
+    check_tree_params(params)
+    return DecisionTree(params, n_classes, n_features,
                         _root_from_dict(doc["root"], n_features, n_classes))
 
 
@@ -252,7 +262,13 @@ def _svm_from_dict(doc: dict) -> MulticlassSvm:
         params = _from_doc(SvmParams, m["params"])
         if params.kernel not in KERNELS:
             raise ConfigError(f"{what} kernel {params.kernel!r} is not one of {KERNELS}")
-        machines.append(BinarySvm(params, gamma, x, y, alpha, b, m["converged"], m["n_passes"]))
+        check_svm_params(params)
+        converged, n_passes = m["converged"], m["n_passes"]
+        if not (type(converged) is bool and type(n_passes) is int
+                and 0 <= n_passes <= params.max_passes):
+            raise ConfigError(f"{what} converged {converged!r} and n_passes {n_passes!r} are "
+                              f"not a bool and a pass count in [0, {params.max_passes}]")
+        machines.append(BinarySvm(params, gamma, x, y, alpha, b, converged, n_passes))
     return MulticlassSvm(machines, n_classes)
 
 
@@ -291,12 +307,13 @@ def _mlp_from_dict(doc: dict) -> MlpModel:
                           f"the file saves {len(doc['weights'])}")
     for i, (layer, w) in enumerate(zip(layers, doc["weights"])):
         for name in _SAVED_LAYERS[type(layer)][1]:
-            # written into the built arrays: W, b, gamma and beta are views of model.theta
-            target, value = getattr(layer, name), _array(w[name])
-            if value.shape != target.shape:
-                raise ConfigError(f"weights[{i}] {name} has shape {value.shape}, "
+            # written into the built arrays: W, b, gamma and beta are views of model.theta;
+            # a weight that is not finite is refused where it makes a score not finite
+            target, what = getattr(layer, name), f"weights[{i}] {name}"
+            if np.shape(w[name]) != target.shape:
+                raise ConfigError(f"{what} has shape {np.shape(w[name])}, "
                                   f"the spec needs {target.shape}")
-            target[...] = value
+            target[...] = number_array(w[name], what, target.shape)
     return model
 
 

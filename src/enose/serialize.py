@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import json
-import math
 import os
 from contextlib import contextmanager
 from dataclasses import fields
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -129,66 +127,35 @@ def save_model(path: str, model, pipeline: FeaturePipeline | None = None,
 
 def write_json(path: str, doc) -> None:
     """``doc`` written to ``path``, and its directory made, as ``json.dumps(doc,
-    indent=1, sort_keys=True)`` and a newline: a model file, report or summary."""
+    indent=1, sort_keys=True)`` and a newline: a model file, report or summary.
+
+    The standard encoder's text is streamed into the file, a model encoded as
+    its ``model_to_dict``.  A tree node is handed to the encoder as a stand-in
+    string, and the chunk the encoder makes of it, the next one, is replaced
+    by the node's ``_tree_text`` at the indentation of the line it is on; so
+    the text of at most one tree exists at once.
+    """
+    pending = []
+
+    def default(value):
+        if isinstance(value, TreeNode):
+            pending.append(value)
+            return STAND_IN
+        return model_to_dict(value)
+
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    level = 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        _write_json(fh.write, doc)
+        for chunk in json.JSONEncoder(indent=1, sort_keys=True, default=default).iterencode(doc):
+            if pending:
+                chunk = _tree_text(pending.pop(), level)
+            elif "\n" in chunk:
+                level = len(chunk) - chunk.rindex("\n") - 1
+            fh.write(chunk)
         fh.write("\n")
 
 
-_NOT_FINITE = {math.inf: "Infinity", -math.inf: "-Infinity"}  # and NaN: "NaN", as json writes
-
-
-def _scalar(value) -> str | None:
-    """The text ``json`` writes for a string, number, bool or None; None for anything else."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return float.__repr__(value) if math.isfinite(value) else _NOT_FINITE.get(value, "NaN")
-    return None
-
-
-def _write_json(write, value, level: int = 0) -> None:
-    """``value`` written as ``json.dump(value, fh, indent=1, sort_keys=True)`` writes it,
-    a model as its ``model_to_dict`` and a tree node by ``_tree_text``.
-
-    A container is written one element at a time, so the text of at most one tree
-    exists at once; a container of scalars is written as one string.
-    """
-    text = _scalar(value)
-    if text is not None:
-        write(text)
-    elif isinstance(value, TreeNode):
-        write(_tree_text(value, level))
-    elif not isinstance(value, (list, tuple, dict)):
-        _write_json(write, model_to_dict(value), level)
-    elif not value:
-        write("{}" if isinstance(value, dict) else "[]")
-    else:
-        inner = "\n" + " " * (level + 1)
-        if isinstance(value, dict):
-            brackets, items = "{}", [(encode_basestring_ascii(key) + ": ", item)
-                                     for key, item in sorted(value.items())]
-        else:
-            brackets, items = "[]", [("", item) for item in value]
-        texts = [_scalar(item) for _, item in items]
-        if None not in texts:
-            write(brackets[0] + inner + ("," + inner).join(
-                key + text for (key, _), text in zip(items, texts)) + inner[:-1] + brackets[1])
-            return
-        write(brackets[0])
-        for i, (key, item) in enumerate(items):
-            write(("," if i else "") + inner + key)
-            _write_json(write, item, level + 1)
-        write(inner[:-1] + brackets[1])
+STAND_IN = "tree node"  # what write_json hands the encoder for a tree node
 
 
 def _tree_text(root: TreeNode, level: int) -> str:
@@ -209,8 +176,8 @@ def _tree_text(root: TreeNode, level: int) -> str:
         if node.is_leaf:
             chunks.append(close + "}")
             continue
-        chunks.append(f',{inner}"feature": {_scalar(node.feature)},{inner}"left": ')
-        stack += (f',{inner}"threshold": {_scalar(node.threshold)}{close}}}',
+        chunks.append(f',{inner}"feature": {node.feature!r},{inner}"left": ')
+        stack += (f',{inner}"threshold": {node.threshold!r}{close}}}',
                   (node.right, level + 1), f',{inner}"right": ', (node.left, level + 1))
     return "".join(chunks)
 

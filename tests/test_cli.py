@@ -1032,6 +1032,68 @@ def test_evaluate_misshapen_ann_is_runtime_error(tmp_path, capsys, corrupt, mess
     assert str(path) in err and message in err
 
 
+def _saved_synth_forest(tmp_path):
+    """A 2-tree forest for the 9 raw features and 10 classes of a synth session."""
+    rng = np.random.default_rng(0)
+    path = tmp_path / "rf.model.json"
+    save_model(str(path), rf_fit(rng.normal(size=(30, 9)), np.arange(30) % 10,
+                                 ForestParams(n_estimators=2), n_classes=10))
+    return path
+
+
+def _saved_ann(tmp_path):
+    path = tmp_path / "ann.model.json"
+    save_model(str(path), mlp_build(variant_spec("baseline", 9, 10)))
+    return path
+
+
+def _tree_params(**change):
+    return _edit(lambda doc: doc["model"]["trees"][0]["params"].update(change))
+
+
+def _svm_params(i, **change):
+    return _machine(i, lambda m: m["params"].update(change))
+
+
+# each of these files used to load, and scored with exit 0
+@pytest.mark.parametrize("saved, corrupt, message", [
+    (_saved_synth_forest, _edit(lambda doc: doc["model"]["trees"][0]["root"].pop("feature")),
+     "a node with a threshold or children has no split feature"),
+    (_saved_synth_forest, _tree_params(max_depth=float("nan")),
+     "tree max_depth must be None or an integer >= 0, got nan"),
+    (_saved_synth_forest, _tree_params(max_depth={}),
+     "tree max_depth must be None or an integer >= 0, got {}"),
+    (_saved_synth_forest, _tree_params(min_samples_split=-1),
+     "tree min_samples_split must be an integer >= 2, got -1"),
+    (_saved_svm, _svm_params(0, C="x"), "SVM C must be finite and positive, got 'x'"),
+    (_saved_svm, _svm_params(1, gamma=float("inf")),
+     "SVM gamma must be positive and finite, or 'scale', got inf"),
+    (_saved_svm, _svm_params(0, tol=-1.0), "SVM tol must be finite and positive, got -1.0"),
+    (_saved_svm, _svm_params(0, max_passes=1e308),
+     "SVM max_passes must be an integer >= 1, got 1e+308"),
+    (_saved_svm, _machine(0, lambda m: m.update(converged=None)),
+     "SVM machine 0 converged None and n_passes"),
+    (_saved_svm, _machine(1, lambda m: m.update(n_passes=float("nan"))),
+     "n_passes nan are not a bool and a pass count in [0, 200]"),
+    (_saved_ann, _set_w((0, 0, True)), "weights[0] W holds a value that is not a number"),
+    (_saved_ann, _ann_weights(lambda w: w[1].update(gamma=[False] * 128)),
+     "weights[1] gamma holds a value that is not a number"),
+], ids=["split-without-feature", "tree-max-depth-nan", "tree-max-depth-dict",
+        "tree-min-samples-split-negative", "svm-c-string", "svm-gamma-infinite",
+        "svm-tol-negative", "svm-max-passes-huge", "svm-converged-null", "svm-n-passes-nan",
+        "ann-w-bool", "ann-batchnorm-bools"])
+def test_evaluate_bad_params_fit_status_split_or_weights_is_runtime_error(tmp_path, capsys,
+                                                                         saved, corrupt,
+                                                                         message):
+    path = saved(tmp_path)
+    argv = ["--samples", "20", "--out", str(tmp_path / "o"), "evaluate", str(path)]
+    assert run_cli(capsys, *argv)[0] == 0
+    corrupt(path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert str(path) in err and message in err
+
+
 @pytest.mark.parametrize("family", ["svm", "mlp"])
 def test_evaluate_a_model_saved_with_another_versions_pipeline_names_its_file(tmp_path, capsys,
                                                                              family):

@@ -74,7 +74,7 @@ def test_results_stay_in_unit_order_whichever_child_takes_a_unit():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_of_two_failing_units_the_lower_one_raises_on_any_worker_count(monkeypatch, workers):
-    from enose.cli import StageError, _run_jobs
+    from enose.cli import _run_jobs
 
     monkeypatch.setattr(pool, "cpu_count", lambda: workers)
 
@@ -84,9 +84,9 @@ def test_of_two_failing_units_the_lower_one_raises_on_any_worker_count(monkeypat
     # the later failure is the long one, so two workers run it first
     jobs = [("a", False, lambda: 0), ("b", False, lambda: fail("first")),
             ("c", False, lambda: 2), ("d", True, lambda: fail("second"))]
-    with pytest.raises(StageError) as caught:
+    with pytest.raises(DegenerateInput) as caught:
         _run_jobs(jobs)
-    assert caught.value.stage == "b" and str(caught.value) == "[b] first"
+    assert str(caught.value) == "[b] first"
 
     def work(unit):
         if unit in (3, 6):

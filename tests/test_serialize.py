@@ -1,4 +1,3 @@
-import io
 import json
 import tracemalloc
 
@@ -12,8 +11,8 @@ from enose.ensemble import VotingEnsemble
 from enose.errors import ConfigError, ProblemTooLarge
 from enose.evaluate import FeaturePipeline
 from enose.models import FAMILIES, MAX_SAVED_DEPTH
-from enose.serialize import (_write_json, load_model, model_from_dict, model_to_dict,
-                             pipeline_to_dict, save_model)
+from enose.serialize import (STAND_IN, load_model, model_from_dict, model_to_dict,
+                             pipeline_to_dict, save_model, write_json)
 
 
 def _blobs(n_per=20, C=3, d=4, seed=0):
@@ -213,17 +212,17 @@ JSON_VALUES = st.recursive(
     max_leaves=20)
 
 
-def _written(value) -> str:
-    out = io.StringIO()
-    _write_json(out.write, value)
-    return out.getvalue()
+def _written(tmp_path_factory, value) -> str:
+    path = tmp_path_factory.mktemp("written") / "value.json"
+    write_json(str(path), value)
+    return path.read_text(encoding="utf-8")
 
 
 @settings(max_examples=300, deadline=None)
-@given(JSON_VALUES)
-def test_the_writer_writes_a_value_as_json_dump_does(value):
+@given(value=JSON_VALUES)
+def test_the_writer_writes_a_value_as_json_dump_does(tmp_path_factory, value):
     # NaN and the infinities, np.float64, tuples and non-ASCII text included
-    assert _written(value) == json.dumps(value, indent=1, sort_keys=True)
+    assert _written(tmp_path_factory, value) == json.dumps(value, indent=1, sort_keys=True) + "\n"
 
 
 def _node_dict(node: TreeNode) -> dict:
@@ -234,19 +233,56 @@ def _node_dict(node: TreeNode) -> dict:
             "right": _node_dict(node.right)}
 
 
+def _expanded(value) -> dict:
+    """``json``'s ``default=`` hook that makes every tree node and model a dict."""
+    return _node_dict(value) if isinstance(value, TreeNode) else model_to_dict(value)
+
+
+def _dumped(value) -> str:
+    return json.dumps(value, indent=1, sort_keys=True, default=_expanded) + "\n"
+
+
 def test_a_saved_forest_is_json_dump_of_its_node_dicts(tmp_path, forest, tiny_split):
-    # the oracle is the encoder the writer replaced: json.dump with a default= hook
-    # that makes every tree and node a dict
     pipe = FeaturePipeline("V3").fit(tiny_split[0])
     classes = ["a, b", "caf\u00e9", "q\"uote"]
     path = tmp_path / "rf.model.json"
     save_model(str(path), forest, pipe, classes)
     doc = {"format": "enose-model", "format_version": 1, "model": model_to_dict(forest),
            "pipeline": pipeline_to_dict(pipe), "classes": classes}
-    expected = json.dumps(doc, indent=1, sort_keys=True,
-                          default=lambda o: _node_dict(o) if isinstance(o, TreeNode)
-                          else model_to_dict(o))
-    assert path.read_text(encoding="utf-8") == expected + "\n"
+    assert path.read_text(encoding="utf-8") == _dumped(doc)
+
+
+def _small_models() -> list:
+    X, y = _blobs(n_per=6, seed=11)
+    tree = dt_fit(X, y, TreeParams(max_depth=3), n_classes=3)
+    forest = rf_fit(X, y, ForestParams(n_estimators=2, seed=5), n_classes=3)
+    return [tree, tree.root, forest, VotingEnsemble([tree, forest])]
+
+
+# JSON containers with a tree, node, forest or ensemble at any depth, beside strings
+# equal to the stand-in the writer hands the encoder for a node
+MODEL_VALUES = st.recursive(
+    st.one_of(JSON_SCALARS, st.just(STAND_IN), st.sampled_from(_small_models())),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.sampled_from(["", STAND_IN, "root", "z"]), inner,
+                                            max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=MODEL_VALUES)
+def test_the_writer_splices_each_tree_where_json_dump_writes_its_node_dicts(tmp_path_factory,
+                                                                           value):
+    assert _written(tmp_path_factory, value) == _dumped(value)
+
+
+def test_a_class_named_as_the_stand_in_is_written_as_text(tmp_path, forest):
+    report = {"classes": [STAND_IN, "b"], "per_class": {STAND_IN: {"recall": 1.0}},
+              "model": forest, "name": STAND_IN}
+    path = tmp_path / "report.json"
+    write_json(str(path), report)
+    assert path.read_text(encoding="utf-8") == _dumped(report)
+    assert json.loads(path.read_text())["per_class"] == {STAND_IN: {"recall": 1.0}}
 
 
 def test_a_forest_with_a_tree_too_deep_to_save_writes_no_file(tmp_path):

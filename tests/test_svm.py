@@ -247,7 +247,8 @@ def test_unknown_kernel_is_config_error():
 @pytest.mark.parametrize("name, value", [
     ("C", 0.0), ("C", -1.0), ("C", float("nan")), ("C", float("inf")),
     ("tol", 0.0), ("tol", -1e-3), ("tol", float("nan")), ("tol", float("inf")),
-    ("max_passes", 0),
+    ("max_passes", 0), ("max_passes", 2.5), ("C", True),
+    ("gamma", -1.0), ("gamma", float("inf")), ("gamma", "0.5"),
 ])
 def test_bad_solver_params_are_config_errors_before_the_gram(monkeypatch, fit, name, value):
     X, y = _separable(n=10)

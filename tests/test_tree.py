@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from enose.classifiers.tree import TreeNode, TreeParams, _search, _weighted_table, dt_fit, presort
-from enose.errors import DimensionMismatch, ProblemTooLarge, ShapeMismatch
+from enose.errors import ConfigError, DimensionMismatch, ProblemTooLarge, ShapeMismatch
 from enose.serialize import save_model
 
 
@@ -107,6 +107,17 @@ def test_dt_max_depth_zero_is_leaf():
     X = np.arange(4, dtype=float)[:, None]
     y = np.array([0, 1, 0, 1])
     assert dt_fit(X, y, TreeParams(max_depth=0)).root.is_leaf
+
+
+@pytest.mark.parametrize("name, value", [
+    ("max_depth", -1), ("max_depth", float("nan")), ("max_depth", 2.0),
+    ("min_samples_split", 1), ("min_samples_split", -1), ("min_samples_leaf", 0),
+    ("min_samples_leaf", True),
+])
+def test_dt_bad_params_are_config_errors(name, value):
+    X = np.arange(4, dtype=float)[:, None]
+    with pytest.raises(ConfigError, match=f"tree {name} must be"):
+        dt_fit(X, np.array([0, 1, 0, 1]), TreeParams(**{name: value}))
 
 
 def test_dt_leaf_probabilities():
