@@ -12,7 +12,24 @@ class Classifier:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Per-row argmax of the class probabilities, with lowest-index tie-break."""
-        return np.argmax(self.predict_proba(X), axis=1).astype(np.int64)
+        return argmax_rows(self.predict_proba(X))
+
+
+def argmax_rows(proba: np.ndarray) -> np.ndarray:
+    """``np.argmax(proba, axis=1)`` as int64: the lowest index on ties, the first NaN
+    where a row has one.  numpy copies an array that is not row-major (a forest's
+    class-major sums) before its argmax; this walks the columns instead."""
+    if proba.flags.c_contiguous:
+        return np.argmax(proba, axis=1).astype(np.int64, copy=False)
+    best = proba[:, 0].copy()
+    out = np.zeros(proba.shape[0], dtype=np.int64)
+    for c in range(1, proba.shape[1]):
+        column = proba[:, c]
+        take = column > best
+        take |= np.isnan(column) & ~np.isnan(best)
+        out[take] = c
+        best[take] = column[take]
+    return out
 
 
 def fit_input(X, y, n_classes: int | None) -> tuple[np.ndarray, np.ndarray, int]:

@@ -24,6 +24,8 @@ class ForestParams:
 
 
 def resolve_max_features(spec: str | float, d: int) -> int:
+    if type(spec) is bool:
+        raise ConfigError(f"max_features must be sqrt, log2, all or a fraction, got {spec!r}")
     if spec == "sqrt":
         return max(1, math.ceil(math.sqrt(d)))
     if spec == "log2":
@@ -39,6 +41,19 @@ def resolve_max_features(spec: str | float, d: int) -> int:
     if not (0.0 < f <= 1.0):
         raise ConfigError(f"max_features fraction {f} outside (0, 1]")
     return max(1, math.ceil(f * d))
+
+
+def check_forest_params(params: ForestParams) -> None:
+    """ConfigError unless n_estimators is an integer >= 1, max_features a rule that
+    ``resolve_max_features`` takes, bootstrap a bool and seed an integer."""
+    n = params.n_estimators
+    if not (type(n) is int and n >= 1):
+        raise ConfigError(f"forest n_estimators must be an integer >= 1, got {n!r}")
+    resolve_max_features(params.max_features, 1)
+    if type(params.bootstrap) is not bool:
+        raise ConfigError(f"forest bootstrap must be true or false, got {params.bootstrap!r}")
+    if type(params.seed) is not int:
+        raise ConfigError(f"forest seed must be an integer, got {params.seed!r}")
 
 
 def draw_features(rng: np.random.Generator, d: int, k: int) -> np.ndarray:
@@ -59,9 +74,10 @@ class RandomForest(Classifier):
         self.n_classes = n_classes
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Mean of the trees' probabilities, each tree added in order into one array."""
+        """Mean of the trees' probabilities, each tree added in order into one array,
+        a rows x classes view of a class-major array (see ``DecisionTree.predict_proba``)."""
         X = np.asarray(X, dtype=np.float64)
-        proba = np.zeros((X.shape[0], self.n_classes))
+        proba = np.zeros((self.n_classes, X.shape[0])).T
         for tree in self.trees:
             tree.predict_proba(X, add_to=proba)
         proba /= len(self.trees)
@@ -69,7 +85,7 @@ class RandomForest(Classifier):
 
 
 def rf_fit(X: np.ndarray, y: np.ndarray, params: ForestParams, n_classes: int | None = None) -> RandomForest:
-    """Fit a forest: ``grow_trees`` over all of its tree indices."""
+    """Fit a forest: ``grow_trees`` over all of its tree indices (which checks ``params``)."""
     X, y, n_classes = fit_input(X, y, n_classes)
     return RandomForest(params, grow_trees(X, y, params, n_classes), n_classes)
 
@@ -84,6 +100,7 @@ def grow_trees(X: np.ndarray, y: np.ndarray, params: ForestParams, n_classes: in
     integer row weights (how often each row was drawn), which grows the same tree as
     the duplicated rows would.
     """
+    check_forest_params(params)
     X, y, n_classes = fit_input(X, y, n_classes)
     n, d = X.shape
     k = resolve_max_features(params.max_features, d)

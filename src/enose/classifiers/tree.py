@@ -121,13 +121,17 @@ class DecisionTree(Classifier):
     def predict_proba(self, X: np.ndarray, *, add_to: np.ndarray | None = None) -> np.ndarray:
         """Class probabilities of X's rows, added into ``add_to`` if given; returns that sum.
 
-        A pure leaf adds 1.0 at its class and nothing elsewhere: adding +0.0
-        to a sum of probabilities leaves its bits unchanged.
+        The sum is a rows x classes view of a class-major array (``add_to``
+        should be one too), so a leaf's adds stay within one contiguous row of
+        sums per class; a pure leaf adds 1.0 at its class and nothing
+        elsewhere: adding +0.0 to a sum of probabilities leaves its bits
+        unchanged.  A split takes its rows' values from X's feature column.
         """
         X = np.asarray(X, dtype=np.float64)
         if X.shape[1] != self.n_features:
             raise DimensionMismatch(f"expected {self.n_features} features, got {X.shape[1]}")
-        out = np.zeros((X.shape[0], self.n_classes)) if add_to is None else add_to
+        out = np.zeros((self.n_classes, X.shape[0])).T if add_to is None else add_to
+        sums, columns = out.T, X.T
         # route index blocks down the tree instead of looping per row
         stack = [(self.root, np.arange(X.shape[0]))]
         while stack:
@@ -137,11 +141,11 @@ class DecisionTree(Classifier):
             if node.is_leaf:
                 counts = node.counts
                 if np.count_nonzero(counts) == 1:
-                    out[idx, counts.argmax()] += 1.0
+                    sums[counts.argmax()][idx] += 1.0
                 else:
-                    out[idx] += counts / np.add.reduce(counts)
+                    sums[:, idx] += (counts / np.add.reduce(counts))[:, None]
                 continue
-            mask = X[idx, node.feature] <= node.threshold
+            mask = columns[node.feature].take(idx) <= node.threshold
             stack.append((node.left, idx[mask]))
             stack.append((node.right, idx[~mask]))
         return out

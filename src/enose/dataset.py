@@ -100,11 +100,6 @@ def _first_bad_cell(tokens: list[str]) -> int | None:
             return i
 
 
-def _lines(text: str) -> list[str]:
-    """A run file's non-blank lines, the header first."""
-    return list(filter(str.strip, text.replace("\r\n", "\n").split("\n")))
-
-
 def _header(line: str) -> tuple[list[str], int | None, list[int]]:
     """The header's cells, the index of its ``target`` column (or None), and its feature columns."""
     header = [h.strip() for h in line.split(",")]
@@ -118,39 +113,50 @@ def parse_run_csv(text: str, label: str | None = None, out: np.ndarray | None = 
     The first line is a comma-separated header; subsequent lines are numeric.
     An optional ``target`` column carries the class name in-file; it must be
     constant and, if ``label`` is also given, must agree with it.  Cells are
-    read by Python's ``float``.  A bad file fails at its earliest bad row;
-    within a row a wrong cell count beats a target mismatch, which beats the
-    leftmost bad cell.  ``out``, if given, is a float64 array with one row per
-    data line and one column per feature; the rows are parsed into it.
+    read as Python's ``float`` reads them once stripped.  A bad file fails at
+    its earliest bad row; within a row a wrong cell count beats a target
+    mismatch, which beats the leftmost bad cell.  ``out``, if given, is a
+    float64 array with at least one row per data line and one column per
+    feature; the rows are parsed into its first rows.
     """
-    lines = _lines(text)
+    lines = list(filter(str.strip, text.replace("\r\n", "\n").split("\n")))  # non-blank
     if not lines:
         raise EmptyRun("no header line")
     header, label_col, feature_cols = _header(lines[0])
     body = lines[1:]
     if not body:
         raise EmptyRun("header only, no data rows")
-
-    width = len(header)
-
-    # the rows before the first ragged one are split and converted in chunks; a
-    # failing row or cell is located only once a chunk's bulk pass shows one
-    commas = np.fromiter(map(str.count, body, repeat(",")), dtype=np.int64, count=len(body))
-    ragged = np.flatnonzero(commas != width - 1)
-    n = int(ragged[0]) if ragged.size else len(body)
     d = len(feature_cols)
     if out is None:
         out = np.empty((len(body), d))
-    elif out.shape != (len(body), d):
+    elif out.shape[0] < len(body) or out.shape[1] != d:
         raise SchemaMismatch(f"{len(body)} data rows of {d} features do not fit the "
                              f"{out.shape} rows counted when the file was first read")
-    rows = out[:n]
+    out = out[:len(body)]
+    width = len(header)
     file_label: str | None = None
-    for start in range(0, n, PARSE_CHUNK_ROWS):
-        stop = min(start + PARSE_CHUNK_ROWS, n)
-        tokens = list(map(str.strip, ",".join(body[start:stop]).split(",")))
+    for start in range(0, len(body), PARSE_CHUNK_ROWS):
+        stop = min(start + PARSE_CHUNK_ROWS, len(body))
+        part = body[start:stop]
+        if label_col is None:
+            # numpy's C reader takes a cell only where ``float`` reads it to the same
+            # value, and refuses a wrong cell count; a chunk it refuses, or that holds
+            # a value that is not finite, is read again below, token by token
+            try:
+                chunk = np.loadtxt(part, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                chunk = None
+            if chunk is not None and chunk.shape == (stop - start, d) and np.isfinite(chunk).all():
+                out[start:stop] = chunk
+                continue
+        # the rows before the chunk's first ragged one are split and converted at
+        # once; a failing row or cell is located only once that bulk pass shows one
+        commas = np.fromiter(map(str.count, part, repeat(",")), dtype=np.int64, count=len(part))
+        ragged = np.flatnonzero(commas != width - 1)
+        n = int(ragged[0]) if ragged.size else len(part)
+        tokens = list(map(str.strip, ",".join(part[:n]).split(","))) if n else []
         mismatch = None
-        if label_col is not None:
+        if label_col is not None and n:
             targets = tokens[label_col::width]
             if file_label is None:
                 file_label = targets[0]
@@ -169,16 +175,16 @@ def parse_run_csv(text: str, label: str | None = None, out: np.ndarray | None = 
         if bad is not None:
             raise MalformedCell(row=start + bad // d + 1, col=feature_cols[bad % d] + 1,
                                 token=tokens[bad])
-        rows[start:stop] = chunk.reshape(stop - start, d)
-    if n < len(body):
-        raise RaggedRow(row=n + 1, expected=width, got=int(commas[n]) + 1)
+        if n < len(part):
+            raise RaggedRow(row=start + n + 1, expected=width, got=int(commas[n]) + 1)
+        out[start:stop] = chunk.reshape(n, d)
 
     if file_label is not None and label is not None and file_label != label:
         raise SchemaMismatch(f"in-file target {file_label!r} disagrees with supplied label {label!r}")
     final_label = label if label is not None else file_label
     if final_label is None:
         raise EmptyInput("no label supplied and no target column present")
-    return RunTable(tuple(header[i] for i in feature_cols), rows, final_label)
+    return RunTable(tuple(header[i] for i in feature_cols), out, final_label)
 
 
 def encode_class_names(names) -> tuple[str, ...]:
@@ -304,35 +310,45 @@ def load_run_file(path: str, label: str | None = None, out: np.ndarray | None = 
         return parse_run_csv(text, label, out)
 
 
+def _shape(text: str) -> tuple[tuple[str, ...], int]:
+    """A run file's feature names and a bound on its data lines: the newlines after
+    its header, its first non-blank line.  The text is neither split nor kept."""
+    text = text.lstrip()
+    if not text:
+        return (), 0
+    end = text.find("\n")
+    header, _, feature_cols = _header(text[:end] if end >= 0 else text)
+    return tuple(header[i] for i in feature_cols), text.count("\n")
+
+
 def _load_runs(runs: list[tuple[str, str | None]]) -> tuple[list[RunTable], np.ndarray]:
     """Each ``(path, label)`` run parsed, in order, into its rows of one features array.
 
-    A first pass counts each file's data lines, up to the first file it
-    cannot read; the second parses them, so the errors come in the order of
-    parsing the files one by one.  A file whose header differs from the
-    first's is parsed on its own, for its errors, and ``merge_runs`` rejects it.
+    A first pass bounds each file's data lines by the newlines after its header,
+    up to the first file it cannot read; the second parses them, so the errors
+    come in the order of parsing the files one by one.  A file whose header
+    differs from the first's is parsed on its own, for its errors, and
+    ``merge_runs`` rejects it.
     """
     shapes = []
     for path, _ in runs:
         try:
-            lines = _lines(_read_text(path))
+            shapes.append(_shape(_read_text(path)))
         except ENoseError:
             break
-        header, _, feature_cols = _header(lines[0]) if lines else ([], None, [])
-        shapes.append((tuple(header[i] for i in feature_cols), max(len(lines) - 1, 0)))
     names = shapes[0][0] if shapes else ()
     features = np.empty((sum(n for h, n in shapes if h == names), len(names)))
     tables, start = [], 0
     for (path, label), (header, n) in zip(runs, shapes):
-        out = None
-        if header == names:
-            out, start = features[start:start + n], start + n
+        out = features[start:start + n] if header == names else None
         tables.append(load_run_file(path, label, out))
+        if out is not None:
+            start += tables[-1].rows.shape[0]
     if len(shapes) < len(runs):
         path = runs[len(shapes)][0]
         _read_text(path)  # raises the error that ended the count
         raise EmptyInput(f"{path}: became readable while the run files were read")
-    return tables, features
+    return tables, features[:start]
 
 
 def load_manifest(path: str) -> Dataset:

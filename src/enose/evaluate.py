@@ -11,6 +11,7 @@ from typing import Callable
 import numpy as np
 
 from . import pool
+from .classifiers.base import argmax_rows
 from .dataset import Dataset, distinct
 from .errors import (BadSizes, EmptyGrid, EmptyMatrix, ENoseError, LabelOutOfRange,
                      NonFiniteScores)
@@ -423,7 +424,7 @@ def evaluate_model(model, X: np.ndarray, y: np.ndarray, class_names: list[str]) 
     if finite < proba.size:
         raise NonFiniteScores(f"{proba.size - finite} of {proba.size} class probabilities "
                               f"are NaN or infinite")
-    y_pred = np.argmax(proba, axis=1)
+    y_pred = argmax_rows(proba)
     cm = confusion_matrix(y, y_pred, len(class_names))
     report = prf_report(cm, class_names)
     report.auc = roc_auc(y, proba, class_names)

@@ -17,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .classifiers.forest import (ForestParams, RandomForest, grow_trees, resolve_max_features,
-                                 rf_fit)
+from .classifiers.forest import (ForestParams, RandomForest, check_forest_params, grow_trees,
+                                 resolve_max_features, rf_fit)
 from .classifiers.svm import (KERNELS, BinarySvm, MulticlassSvm, SvmParams, check_svm_params,
                               svm_fit_multiclass)
 from .classifiers.tree import DecisionTree, TreeNode, TreeParams, check_tree_params, dt_fit
@@ -87,9 +87,10 @@ def _root_from_dict(d: dict, n_features: int, n_classes: int) -> TreeNode:
     while stack:
         d, parent, side = stack.pop()
         # plain-Python checks on the parsed list, cheaper than numpy calls on C entries:
-        # entries >= 0 with a finite sum are each finite, and a non-number fails sum()
+        # entries >= 0 with a finite sum are each finite, a non-number but a bool fails
+        # sum(), and a bool is refused by its type
         counts = d["counts"]
-        if not (type(counts) is list and len(counts) == n_classes
+        if not (type(counts) is list and len(counts) == n_classes and bool not in map(type, counts)
                 and min(counts) >= 0 and 0 < sum(counts) < math.inf):
             raise ConfigError(f"node counts {counts!r} are not {n_classes} finite numbers "
                               f">= 0 with a positive finite sum")
@@ -133,8 +134,9 @@ def _dt_to_dict(model: DecisionTree) -> dict:
 
 def _dt_from_dict(doc: dict) -> DecisionTree:
     n_classes, n_features = doc["n_classes"], doc["n_features"]
-    if not (type(n_classes) is int and n_classes >= 1):
-        raise ConfigError(f"a tree's n_classes {n_classes!r} is not a positive integer")
+    for name, value in (("n_classes", n_classes), ("n_features", n_features)):
+        if not (type(value) is int and value >= 1):
+            raise ConfigError(f"a tree's {name} {value!r} is not a positive integer")
     params = _from_doc(TreeParams, doc["params"])
     check_tree_params(params)
     return DecisionTree(params, n_classes, n_features,
@@ -197,8 +199,15 @@ def _rf_from_dict(doc: dict) -> RandomForest:
         if tree.n_classes != doc["n_classes"]:
             raise ConfigError(f"the forest has {doc['n_classes']!r} classes, "
                               f"its tree {i} has {tree.n_classes!r}")
-    return RandomForest(_from_doc(ForestParams, doc["params"], tree=trees[0].params),
-                        trees, doc["n_classes"])
+        if tree.n_features != trees[0].n_features:
+            raise ConfigError(f"the forest's tree 0 has {trees[0].n_features!r} features, "
+                              f"its tree {i} has {tree.n_features!r}")
+    params = _from_doc(ForestParams, doc["params"], tree=trees[0].params)
+    check_forest_params(params)
+    if params.n_estimators != len(trees):
+        raise ConfigError(f"the forest's n_estimators {params.n_estimators} is not "
+                          f"its {len(trees)} trees")
+    return RandomForest(params, trees, doc["n_classes"])
 
 
 # --- svm ----------------------------------------------------------------------

@@ -1055,7 +1055,12 @@ def _svm_params(i, **change):
     return _machine(i, lambda m: m["params"].update(change))
 
 
-# each of these files used to load, and scored with exit 0
+def _forest_params(**change):
+    return _edit(lambda doc: doc["model"]["params"].update(change))
+
+
+# each of these files used to load, and scored with exit 0 (but for trees of different
+# n_features, which failed as they scored)
 @pytest.mark.parametrize("saved, corrupt, message", [
     (_saved_synth_forest, _edit(lambda doc: doc["model"]["trees"][0]["root"].pop("feature")),
      "a node with a threshold or children has no split feature"),
@@ -1078,10 +1083,31 @@ def _svm_params(i, **change):
     (_saved_ann, _set_w((0, 0, True)), "weights[0] W holds a value that is not a number"),
     (_saved_ann, _ann_weights(lambda w: w[1].update(gamma=[False] * 128)),
      "weights[1] gamma holds a value that is not a number"),
+    (_saved_synth_forest, _forest_params(n_estimators="x"),
+     "forest n_estimators must be an integer >= 1, got 'x'"),
+    (_saved_synth_forest, _forest_params(n_estimators=3),
+     "the forest's n_estimators 3 is not its 2 trees"),
+    (_saved_synth_forest, _forest_params(max_features=None),
+     "max_features must be sqrt, log2, all or a fraction, got None"),
+    (_saved_synth_forest, _forest_params(max_features=True),
+     "max_features must be sqrt, log2, all or a fraction, got True"),
+    (_saved_synth_forest, _forest_params(bootstrap=3.5),
+     "forest bootstrap must be true or false, got 3.5"),
+    (_saved_synth_forest, _forest_params(seed=[1]), "forest seed must be an integer, got [1]"),
+    (_saved_synth_forest, _edit(lambda doc: doc["model"]["trees"][1].update(n_features=9.0)),
+     "a tree's n_features 9.0 is not a positive integer"),
+    (_saved_synth_forest, _edit(lambda doc: doc["model"]["trees"][1].update(n_features=10)),
+     "the forest's tree 0 has 9 features, its tree 1 has 10"),
+    (_saved_synth_forest, _edit(lambda doc: doc["model"]["trees"][0]["root"]["counts"]
+                                .__setitem__(0, True)),
+     "node counts [True, "),
 ], ids=["split-without-feature", "tree-max-depth-nan", "tree-max-depth-dict",
         "tree-min-samples-split-negative", "svm-c-string", "svm-gamma-infinite",
         "svm-tol-negative", "svm-max-passes-huge", "svm-converged-null", "svm-n-passes-nan",
-        "ann-w-bool", "ann-batchnorm-bools"])
+        "ann-w-bool", "ann-batchnorm-bools", "rf-n-estimators-string",
+        "rf-n-estimators-not-tree-count", "rf-max-features-null", "rf-max-features-bool",
+        "rf-bootstrap-float", "rf-seed-list", "rf-tree-n-features-float",
+        "rf-trees-n-features-differ", "rf-counts-bool"])
 def test_evaluate_bad_params_fit_status_split_or_weights_is_runtime_error(tmp_path, capsys,
                                                                          saved, corrupt,
                                                                          message):

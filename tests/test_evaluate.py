@@ -15,6 +15,7 @@ from enose.evaluate import (
     binary_roc,
     confusion_matrix,
     curve_folds,
+    evaluate_model,
     grid_search,
     learning_curve,
     prepare_folds,
@@ -525,6 +526,26 @@ def test_roc_of_continuous_scores_peaks_no_higher_than_the_row_sweep():
     e = np.exp(rng.normal(size=(y.size, 10)))
     probas = e / e.sum(axis=1, keepdims=True)
     assert _roc_peak(roc_auc, y, probas) <= _roc_peak(_oracle_roc_auc, y, probas)
+
+
+def test_scoring_a_forest_holds_one_probability_array():
+    # the forest sums its trees class-major; an argmax that copied that array
+    # row-major would hold it twice
+    from enose.classifiers.forest import ForestParams, rf_fit
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(300, 7))
+    y = rng.integers(0, 10, size=300)
+    forest = rf_fit(X, y, ForestParams(n_estimators=100, seed=1), n_classes=10)
+    q = rng.normal(size=(50_000, 7))
+    yq = rng.integers(0, 10, size=50_000)
+    tracemalloc.start()
+    try:
+        report = evaluate_model(forest, q, yq, [f"c{i}" for i in range(10)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.confusion.sum() == 50_000
+    assert peak < 1.5 * 50_000 * 10 * 8, peak / (50_000 * 10 * 8)
 
 
 def test_learning_curve_full_size_matches_cv():

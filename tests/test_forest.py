@@ -1,9 +1,11 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from enose.classifiers.base import argmax_rows
 from enose.classifiers.forest import (
     ForestParams, RandomForest, draw_features, resolve_max_features, rf_fit,
 )
@@ -17,6 +19,21 @@ def _data(n=60, d=4, C=3, seed=0):
     X = rng.normal(size=(n, d))
     y = rng.integers(0, C, size=n)
     return X, y
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"n_estimators": 0}, "n_estimators must be an integer >= 1, got 0"),
+    ({"n_estimators": 2.0}, "n_estimators must be an integer >= 1, got 2.0"),
+    ({"max_features": False}, "max_features must be sqrt, log2, all or a fraction, got False"),
+    ({"max_features": "half"}, "max_features must be sqrt, log2, all or a fraction, got 'half'"),
+    ({"max_features": 1.5}, "max_features fraction 1.5 outside (0, 1]"),
+    ({"bootstrap": 1}, "bootstrap must be true or false, got 1"),
+    ({"seed": 1.0}, "seed must be an integer, got 1.0"),
+])
+def test_fit_checks_the_forest_params(change, message):
+    X, y = _data()
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        rf_fit(X, y, ForestParams(**{"n_estimators": 2, "seed": 0, **change}), n_classes=3)
 
 
 def test_resolve_max_features():
@@ -259,6 +276,73 @@ def test_forest_proba_is_bitwise_the_sum_of_tree_arrays(max_depth):
     assert forest.predict_proba(q).tobytes() == _oracle_forest_proba(forest, q).tobytes()
     tree = forest.trees[0]
     assert tree.predict_proba(q).tobytes() == _oracle_tree_proba(tree, q).tobytes()
+
+
+@st.composite
+def _forests_and_queries(draw):
+    """A small forest, its impure leaves from shallow trees and rows duplicated with
+    other labels, and query rows of 0, 1, a few or thousands, some NaN or infinite."""
+    seed = draw(st.integers(0, 2**16))
+    d, C = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    X, y = _data(n=draw(st.integers(4, 40)), d=d, C=C, seed=seed)
+    dup = draw(st.integers(0, X.shape[0]))
+    X = np.concatenate([X, X[:dup]])
+    y = np.concatenate([y, (y[:dup] + 1) % C])
+    params = ForestParams(n_estimators=draw(st.integers(1, 6)),
+                          max_features=draw(st.sampled_from(["sqrt", "all"])),
+                          bootstrap=draw(st.booleans()),
+                          tree=TreeParams(max_depth=draw(st.sampled_from([1, 2, 3, None]))),
+                          seed=seed)
+    forest = rf_fit(X, y, params, n_classes=C)
+    q = np.random.default_rng(seed + 1).normal(size=(draw(st.sampled_from([0, 1, 9, 3000])), d))
+    if q.size:
+        special = draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=5))
+        cells = draw(st.lists(st.integers(0, q.size - 1), min_size=len(special),
+                              max_size=len(special)))
+        q.flat[cells] = special
+    return forest, q
+
+
+@given(_forests_and_queries())
+@settings(max_examples=80, deadline=None)
+def test_predict_proba_is_bitwise_the_oracle(case):
+    forest, q = case
+    assert forest.predict_proba(q).tobytes() == _oracle_forest_proba(forest, q).tobytes()
+    for tree in forest.trees:
+        assert tree.predict_proba(q).tobytes() == _oracle_tree_proba(tree, q).tobytes()
+
+
+@given(st.integers(0, 40), st.integers(1, 5), st.booleans(),
+       st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, np.nan, np.inf, -np.inf]),
+                min_size=200, max_size=200))
+@settings(max_examples=200, deadline=None)
+def test_argmax_rows_is_numpys_argmax_in_either_layout(n, C, class_major, values):
+    # ties, signed zeros, infinities and NaNs: the first NaN of a row wins
+    proba = np.array(values[:n * C]).reshape(n, C)
+    if class_major:
+        proba = np.ascontiguousarray(proba.T).T
+    got = argmax_rows(proba)
+    assert got.dtype == np.int64
+    assert got.tolist() == np.argmax(proba, axis=1).tolist()
+
+
+def test_forest_predicts_through_each_tree_once_in_order(monkeypatch):
+    # perfbench's tracer counts tree.predict_rows from these calls' first dimension
+    X, y = _data(n=80, d=3, C=3, seed=2)
+    forest = rf_fit(X, y, ForestParams(n_estimators=7, seed=6), n_classes=3)
+    q = np.random.default_rng(3).normal(size=(50, 3))
+    calls = []
+    predict_proba = DecisionTree.predict_proba
+
+    def recorded(tree, X, **kwargs):
+        out = predict_proba(tree, X, **kwargs)
+        calls.append((tree, out.shape))
+        return out
+
+    monkeypatch.setattr(DecisionTree, "predict_proba", recorded)
+    forest.predict_proba(q)
+    assert [tree for tree, _ in calls] == forest.trees  # the same objects, in order
+    assert [shape for _, shape in calls] == [(50, 3)] * 7
 
 
 def test_forest_predict_holds_one_probability_array():
