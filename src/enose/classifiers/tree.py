@@ -31,7 +31,7 @@ def check_tree_params(params: TreeParams) -> None:
 
 @dataclass(slots=True)
 class TreeNode:
-    counts: np.ndarray                     # per-class sample counts at this node
+    counts: np.ndarray | None              # per-class sample counts; None at a loaded split
     feature: int | None = None
     threshold: float | None = None
     left: "TreeNode | None" = None

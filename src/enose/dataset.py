@@ -357,10 +357,11 @@ def load_manifest(path: str) -> Dataset:
     A cell may be quoted (RFC 4180), so a path or class name may hold a comma.
     Blank lines and lines starting with ``#`` are skipped; a row without a class
     name takes it from the run file's name.  A row of more than two cells, or
-    one that is not CSV, is a SchemaMismatch naming the manifest and the line.
+    one that is not CSV, is a SchemaMismatch naming the manifest and the line, as are
+    two rows that list one run file (by joined, normalised path): it would load twice.
     """
     base = os.path.dirname(os.path.abspath(path))
-    runs = []
+    runs, lines = [], {}  # the manifest line of each normalised run path
     for number, line in enumerate(_read_text(path).split("\n"), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -375,6 +376,9 @@ def load_manifest(path: str) -> Dataset:
         run_path, cls = cells[0].strip(), cells[1].strip() if len(cells) == 2 else ""
         if not os.path.isabs(run_path):
             run_path = os.path.join(base, run_path)
+        first = lines.setdefault(os.path.normpath(run_path), number)
+        if first != number:
+            raise SchemaMismatch(f"{path}: lines {first} and {number} both list {run_path}")
         runs.append((run_path, cls or None))
     tables, features = _load_runs(runs)
     with naming(f"{path}:"):

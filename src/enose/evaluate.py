@@ -420,10 +420,12 @@ def evaluate_model(model, X: np.ndarray, y: np.ndarray, class_names: list[str]) 
     NonFiniteScores if a class probability is NaN or infinite.
     """
     proba = model.predict_proba(X)
-    finite = np.count_nonzero(np.isfinite(proba))
-    if finite < proba.size:
-        raise NonFiniteScores(f"{proba.size - finite} of {proba.size} class probabilities "
-                              f"are NaN or infinite")
+    # a sum of finite numbers is finite unless it overflows, so count only then
+    if not math.isfinite(np.add.reduce(proba, axis=None)):
+        finite = np.count_nonzero(np.isfinite(proba))
+        if finite < proba.size:
+            raise NonFiniteScores(f"{proba.size - finite} of {proba.size} class probabilities "
+                                  f"are NaN or infinite")
     y_pred = argmax_rows(proba)
     cm = confusion_matrix(y, y_pred, len(class_names))
     report = prf_report(cm, class_names)

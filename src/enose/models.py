@@ -22,7 +22,7 @@ from .classifiers.forest import (ForestParams, RandomForest, check_forest_params
 from .classifiers.svm import (KERNELS, BinarySvm, MulticlassSvm, SvmParams, check_svm_params,
                               svm_fit_multiclass)
 from .classifiers.tree import DecisionTree, TreeNode, TreeParams, check_tree_params, dt_fit
-from .errors import ConfigError, ProblemTooLarge
+from .errors import ConfigError
 from .evaluate import GridSpec
 from .neural import BatchNorm, Dense, MlpModel, MlpSpec, OptimizerSpec, mlp_build, mlp_train, variant_spec
 
@@ -37,11 +37,6 @@ def _from_doc(cls, doc: dict, **fixed):
     """``cls`` built from a saved document; every field must be present (KeyError)."""
     names = [f.name for f in fields(cls) if f.name not in fixed]
     return cls(**{n: doc[n] for n in names}, **fixed)
-
-
-# JSON decoding recurses once per level of a tree; 500 levels stay clear of Python's
-# default recursion limit of 1000 from any caller's stack
-MAX_SAVED_DEPTH = 500
 
 
 def _array(values) -> np.ndarray:
@@ -80,56 +75,89 @@ def _fit_dt(X, y, params: dict, n_classes: int) -> DecisionTree:
     return dt_fit(X, y, _dt_params(params), n_classes=n_classes)
 
 
-def _root_from_dict(d: dict, n_features: int, n_classes: int) -> TreeNode:
-    """The tree saved under node dict ``d``, built in preorder from an explicit stack;
-    ConfigError at the first node whose counts, split feature or threshold is bad."""
-    stack, root = [(d, None, None)], None
-    while stack:
-        d, parent, side = stack.pop()
-        # plain-Python checks on the parsed list, cheaper than numpy calls on C entries:
-        # entries >= 0 with a finite sum are each finite, a non-number but a bool fails
-        # sum(), and a bool is refused by its type
-        counts = d["counts"]
-        if not (type(counts) is list and len(counts) == n_classes and bool not in map(type, counts)
-                and min(counts) >= 0 and 0 < sum(counts) < math.inf):
-            raise ConfigError(f"node counts {counts!r} are not {n_classes} finite numbers "
-                              f">= 0 with a positive finite sum")
-        node = TreeNode(_array(counts))
-        if parent is None:
-            root = node
+def _check_counts(counts, n_classes: int) -> None:
+    # plain-Python checks on the parsed list, cheaper than numpy calls on C entries:
+    # entries >= 0 with a finite sum are each finite, a non-number but a bool fails
+    # sum(), and a bool is refused by its type
+    if not (type(counts) is list and len(counts) == n_classes and bool not in map(type, counts)
+            and min(counts) >= 0 and 0 < sum(counts) < math.inf):
+        raise ConfigError(f"node counts {counts!r} are not {n_classes} finite numbers "
+                          f">= 0 with a positive finite sum")
+
+
+def _root_from_lists(feature, threshold, counts, n_features: int, n_classes: int) -> TreeNode:
+    """The tree of the preorder lists ``feature`` (one entry per node, -1 at a leaf),
+    ``threshold`` (one per split) and ``counts`` (one per leaf), built from an explicit
+    stack; ConfigError if a list is not a list, runs out or has entries left over, or
+    at the first bad split feature, threshold or leaf counts.  A split gets no counts:
+    prediction reads only the leaves'."""
+    for name, values in (("feature", feature), ("threshold", threshold), ("counts", counts)):
+        if type(values) is not list:
+            raise ConfigError(f"a tree's {name} is not a list")
+    # one leaf more than splits, and an entry for each: then the walk runs out of no list
+    n_leaves = sum(type(f) is int and f == -1 for f in feature)
+    if not len(feature) - n_leaves == len(threshold) == len(counts) - 1 == n_leaves - 1:
+        raise ConfigError(f"a tree's {len(feature)} nodes, {n_leaves} of them leaves, do not "
+                          f"match its {len(threshold)} thresholds and {len(counts)} counts")
+    top = TreeNode(None)  # the tree is its left child
+    stack, splits, leaves = [(top, "left")], 0, 0  # where the next node goes
+    for f in feature:
+        if not stack:
+            raise ConfigError("a tree's lists have entries after its last node")
+        parent, side = stack.pop()
+        if type(f) is int and f == -1:
+            _check_counts(counts[leaves], n_classes)
+            node = TreeNode(_array(counts[leaves]))
+            leaves += 1
         else:
-            setattr(parent, side, node)
-        if "feature" not in d:
-            if not d.keys().isdisjoint(("threshold", "left", "right")):
-                raise ConfigError("a node with a threshold or children has no split feature")
-            continue
-        node.feature, node.threshold = d["feature"], d["threshold"]
-        if not (type(node.feature) is int and 0 <= node.feature < n_features):
-            raise ConfigError(f"split feature {node.feature!r} is not an index "
-                              f"in [0, {n_features})")
-        if not (type(node.threshold) in (int, float) and math.isfinite(node.threshold)):
-            raise ConfigError(f"split threshold {node.threshold!r} is not a finite number")
-        stack += ((d["right"], node, "right"), (d["left"], node, "left"))
-    return root
+            if not (type(f) is int and 0 <= f < n_features):
+                raise ConfigError(f"split feature {f!r} is not an index in [0, {n_features})")
+            t = threshold[splits]
+            splits += 1
+            if not (type(t) in (int, float) and math.isfinite(t)):
+                raise ConfigError(f"split threshold {t!r} is not a finite number")
+            node = TreeNode(None, f, t)
+            stack += ((node, "right"), (node, "left"))
+        setattr(parent, side, node)
+    return top.left
 
 
-def _check_depth(tree: DecisionTree) -> None:
-    depth, level = 0, [tree.root]
-    while level := [c for node in level if not node.is_leaf for c in (node.left, node.right)]:
-        depth += 1
-    if depth > MAX_SAVED_DEPTH:
-        raise ProblemTooLarge(f"a tree of depth {depth} is deeper than the {MAX_SAVED_DEPTH} "
-                              f"levels a model file holds")
+def _lists_from_nodes(root: dict, n_classes: int) -> tuple[list, list, list]:
+    """A version-1 tree's nested node dicts, with counts at every node, as version 2's
+    lists; ConfigError at a node whose counts are bad, or that has a threshold or
+    children but no split feature."""
+    feature, threshold, counts = [], [], []
+    stack = [root]
+    while stack:
+        d = stack.pop()
+        _check_counts(d["counts"], n_classes)
+        if "feature" in d:
+            feature.append(d["feature"])
+            threshold.append(d["threshold"])
+            stack += (d["right"], d["left"])
+        elif d.keys().isdisjoint(("threshold", "left", "right")):
+            feature.append(-1)
+            counts.append(d["counts"])
+        else:
+            raise ConfigError("a node with a threshold or children has no split feature")
+    return feature, threshold, counts
 
 
 def _dt_to_dict(model: DecisionTree) -> dict:
-    _check_depth(model)
-    return {
-        "params": asdict(model.params),
-        "n_classes": model.n_classes,
-        "n_features": model.n_features,
-        "root": model.root,  # save_model writes the nodes
-    }
+    feature, threshold, counts = [], [], []
+    stack = [model.root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            feature.append(-1)
+            counts.append(node.counts.tolist())
+        else:
+            feature.append(node.feature)
+            threshold.append(node.threshold)
+            stack += (node.right, node.left)
+    return {"params": asdict(model.params), "n_classes": model.n_classes,
+            "n_features": model.n_features, "feature": feature, "threshold": threshold,
+            "counts": counts}
 
 
 def _dt_from_dict(doc: dict) -> DecisionTree:
@@ -139,8 +167,12 @@ def _dt_from_dict(doc: dict) -> DecisionTree:
             raise ConfigError(f"a tree's {name} {value!r} is not a positive integer")
     params = _from_doc(TreeParams, doc["params"])
     check_tree_params(params)
+    if "root" in doc:  # version 1
+        lists = _lists_from_nodes(doc["root"], n_classes)
+    else:
+        lists = doc["feature"], doc["threshold"], doc["counts"]
     return DecisionTree(params, n_classes, n_features,
-                        _root_from_dict(doc["root"], n_features, n_classes))
+                        _root_from_lists(*lists, n_features, n_classes))
 
 
 # --- rf -----------------------------------------------------------------------
@@ -181,10 +213,6 @@ def _rf_to_dict(model: RandomForest) -> dict:
     # the tree params are stored once per member tree, not in the forest's params
     params = asdict(model.params)
     del params["tree"]
-    # the trees are made dicts only as save_model writes them, so check them before it
-    # opens its file
-    for tree in model.trees:
-        _check_depth(tree)
     return {"params": params, "n_classes": model.n_classes, "trees": list(model.trees)}
 
 
@@ -336,9 +364,7 @@ class Family:
 
     model: type
     fit: Callable  # (X, y, params dict, n_classes) -> fitted model; ignores keys it lacks
-    # fitted model -> dict without its "kind", JSON-ready but for member models and tree
-    # nodes, which save_model writes
-    to_dict: Callable
+    to_dict: Callable  # fitted model -> dict without its "kind", JSON-ready but for member models
     from_dict: Callable  # that dict -> fitted model; KeyError on a missing key
     params: Callable | None = None  # params dict -> the params dataclass ``fit`` builds
     # (params dict, n_features) -> (key, size): equal keys are one model up to a cut

@@ -9,7 +9,6 @@ from dataclasses import fields
 
 import numpy as np
 
-from .classifiers.tree import TreeNode
 from .ensemble import VotingEnsemble
 from .errors import ConfigError, CorruptModel, ENoseError
 from .evaluate import REDUCTIONS, FeaturePipeline
@@ -17,12 +16,14 @@ from .models import FAMILIES, finite_array
 from .preprocess import VERSIONS, Scaler
 
 FORMAT = "enose-model"
-FORMAT_VERSION = 1
+# version 2 saves a tree as preorder lists, version 1 as nested node dicts; a file is
+# written with the lower version that describes it, so an older release reads it
+READ_VERSIONS = (1, 2)
 
 
 def model_to_dict(model) -> dict:
-    """The model's saved form; a forest's trees are left as models and a tree's root as
-    its node, which ``save_model`` writes one tree at a time."""
+    """The model's saved form; a forest's trees are left as models, which
+    ``save_model`` makes dicts one at a time as it writes them."""
     if isinstance(model, VotingEnsemble):
         return {"kind": "ensemble", "members": [model_to_dict(m) for m in model.members]}
     for kind, family in FAMILIES.items():
@@ -111,11 +112,17 @@ def _reducer_from_dict(cls, r: dict, width: int):
     return cls(**saved)
 
 
+def _holds_tree(model) -> bool:
+    if isinstance(model, VotingEnsemble):
+        return any(map(_holds_tree, model.members))
+    return isinstance(model, (FAMILIES["dt"].model, FAMILIES["rf"].model))
+
+
 def save_model(path: str, model, pipeline: FeaturePipeline | None = None,
                classes: list[str] | None = None) -> None:
     doc = {
         "format": FORMAT,
-        "format_version": FORMAT_VERSION,
+        "format_version": 2 if _holds_tree(model) else 1,
         "model": model_to_dict(model),
     }
     if pipeline is not None:
@@ -127,64 +134,23 @@ def save_model(path: str, model, pipeline: FeaturePipeline | None = None,
 
 def write_json(path: str, doc) -> None:
     """``doc`` written to ``path``, and its directory made, as ``json.dumps(doc,
-    indent=1, sort_keys=True)`` and a newline: a model file, report or summary.
-
-    The standard encoder's text is streamed into the file, a model encoded as
-    its ``model_to_dict``.  A tree node is handed to the encoder as a stand-in
-    string, and the chunk the encoder makes of it, the next one, is replaced
-    by the node's ``_tree_text`` at the indentation of the line it is on; so
-    the text of at most one tree exists at once.
+    indent=1, sort_keys=True, default=model_to_dict)`` and a newline: a model file,
+    report or summary.  The encoder's text is streamed into the file, so a forest's
+    trees are made dicts one at a time as they are written.
     """
-    pending = []
-
-    def default(value):
-        if isinstance(value, TreeNode):
-            pending.append(value)
-            return STAND_IN
-        return model_to_dict(value)
-
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    level = 0
+    encoder = json.JSONEncoder(indent=1, sort_keys=True, default=model_to_dict)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for chunk in json.JSONEncoder(indent=1, sort_keys=True, default=default).iterencode(doc):
-            if pending:
-                chunk = _tree_text(pending.pop(), level)
-            elif "\n" in chunk:
-                level = len(chunk) - chunk.rindex("\n") - 1
-            fh.write(chunk)
+        # each chunk goes straight to the byte buffer; pending, the encoder's many tiny
+        # chunks would cost about 7 times their 8 KB of text in string objects
+        fh.reconfigure(write_through=True)
+        fh.writelines(encoder.iterencode(doc))
         fh.write("\n")
-
-
-STAND_IN = "tree node"  # what write_json hands the encoder for a tree node
-
-
-def _tree_text(root: TreeNode, level: int) -> str:
-    """The node dicts of the tree under ``root`` as ``json`` writes them at ``level``
-    (``counts``, then ``feature``, ``left``, ``right`` and ``threshold`` at a split),
-    made in preorder from an explicit stack, so a tree of any depth is written."""
-    chunks, stack = [], [(root, level)]
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            chunks.append(item)
-            continue
-        node, level = item
-        close = "\n" + " " * level
-        inner = close + " "
-        counts = ("," + inner + " ").join(map(float.__repr__, node.counts.tolist()))
-        chunks.append(f'{{{inner}"counts": [{inner} {counts}{inner}]')
-        if node.is_leaf:
-            chunks.append(close + "}")
-            continue
-        chunks.append(f',{inner}"feature": {node.feature!r},{inner}"left": ')
-        stack += (f',{inner}"threshold": {node.threshold!r}{close}}}',
-                  (node.right, level + 1), f',{inner}"right": ', (node.left, level + 1))
-    return "".join(chunks)
 
 
 def _decode_tree(d: dict):
     """``json`` object hook: a saved tree built as soon as its dict is decoded, so that
-    the node dicts of only one tree exist at a time; any other dict as it is."""
+    the lists of only one tree exist at a time; any other dict as it is."""
     return FAMILIES["dt"].from_dict(d) if d.get("kind") == "dt" else d
 
 
@@ -209,17 +175,16 @@ def load_model(path: str):
     Raises ConfigError for a document of another format, and CorruptModel naming
     ``path`` for an enose document that is truncated, malformed (an unknown model
     kind, a pipeline without its version's scaler or reducer, ``classes`` that are
-    not the model's class count of strings) or of another version.
+    not the model's class count of strings) or of a version other than 1 and 2.
+    A tree with a ``root`` is read as version 1's nested node dicts.
     """
     with open(path, encoding="utf-8") as fh, _malformed(path):
         doc = json.load(fh, object_hook=_decode_tree)
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ConfigError(f"{path} is not an {FORMAT} document")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise CorruptModel(
-            f"{path}: format_version {doc.get('format_version')!r} is not supported "
-            f"(expected {FORMAT_VERSION})"
-        )
+    if doc.get("format_version") not in READ_VERSIONS:
+        raise CorruptModel(f"{path}: format_version {doc.get('format_version')!r} is not "
+                           f"supported (expected one of {READ_VERSIONS})")
     with _malformed(path):
         model = model_from_dict(doc["model"])
         pipeline = pipeline_from_dict(doc["pipeline"]) if "pipeline" in doc else None

@@ -743,6 +743,20 @@ def test_unreadable_manifest_is_runtime_error(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_a_manifest_that_lists_a_run_file_twice_is_runtime_error(tmp_path, capsys):
+    # the same file by another spelling of its path; its rows would be loaded twice
+    data_dir = tmp_path / "data"
+    run_cli(capsys, "--samples", "3", "--out", str(data_dir), "synth")
+    manifest = data_dir / "manifest.csv"
+    with manifest.open("a") as fh:
+        fh.write("./sub/../cardamom__run0.csv,cardamom\n")
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[data]\nsource = manifest\nmanifest = {manifest}\n")
+    code, out, err = run_cli(capsys, "--config", str(cfg), "ingest")
+    assert code == 2
+    assert f"error: {manifest}: lines 2 and 11 both list {data_dir}/./sub/../cardamom" in err
+
+
 def test_run_stage_failure_reports_stage(tmp_path, capsys):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(f"[data]\nsource = manifest\nmanifest = {tmp_path / 'missing.csv'}\n")
@@ -803,20 +817,46 @@ def _edit(change):
     return apply
 
 
-def _first_leaf(doc):
-    """The leftmost leaf of the saved forest's first tree."""
-    node = doc["model"]["trees"][0]["root"]
-    while "feature" in node:
-        node = node["left"]
-    return node
-
-
 def _root(**change):
-    return _edit(lambda doc: doc["model"]["trees"][0]["root"].update(change))
+    """An edit of the first tree's root split: its ``feature`` and ``threshold`` are the
+    first entries of their preorder lists."""
+    def apply(doc):
+        for key, value in change.items():
+            doc["model"]["trees"][0][key][0] = value
+    return _edit(apply)
 
 
 def _leaf_counts(counts):
-    return _edit(lambda doc: _first_leaf(doc).update(counts=counts))
+    """An edit of the first tree's leftmost leaf, the first entry of its counts list."""
+    return _edit(lambda doc: doc["model"]["trees"][0]["counts"].__setitem__(0, counts))
+
+
+def _tree_list(name, change):
+    """An edit of the first tree's preorder list ``name``."""
+    return _edit(lambda doc: change(doc["model"]["trees"][0][name]))
+
+
+def _version_1(doc):
+    """``doc`` made a version-1 file: each tree's lists become nested node dicts with
+    counts at every node, a split's the sum of its children's (recursive: the test
+    trees are shallow)."""
+    doc["format_version"] = 1
+    for tree in doc["model"]["trees"]:
+        feature, threshold, counts = (iter(tree.pop(key))
+                                      for key in ("feature", "threshold", "counts"))
+
+        def node():
+            f = next(feature)
+            if f == -1:
+                return {"counts": next(counts)}
+            split = {"feature": f, "threshold": next(threshold), "left": node(),
+                     "right": node()}
+            split["counts"] = [a + b for a, b in zip(split["left"]["counts"],
+                                                     split["right"]["counts"])]
+            return split
+
+        tree["root"] = node()
+    return doc
 
 
 def _pipeline(version, reducer=None, scaler=True, scaler_means=3, reducer_means=3, **change):
@@ -873,10 +913,10 @@ def _scaler(**change):
     (_scaler(means=[0.0, [1.0], 0.0]), "scaler means holds a value that is not a number"),
     (_scaler(means="abc"), "scaler means is not 3 numbers"),
     (_scaler(degenerate=[False, 0, False]), "scaler degenerate is not 3 bools"),
-    (_edit(lambda doc: doc["model"]["trees"][0]["root"].update(feature=99)),
-     "split feature 99 is not an index in [0, 3)"),
-    (_edit(lambda doc: doc["model"]["trees"][0]["root"].update(feature=1.5)),
-     "split feature 1.5 is not an index in [0, 3)"),
+    (_root(feature=99), "split feature 99 is not an index in [0, 3)"),
+    (_root(feature=1.5), "split feature 1.5 is not an index in [0, 3)"),
+    (_root(feature=True), "split feature True is not an index in [0, 3)"),
+    (_root(feature=-1.0), "split feature -1.0 is not an index in [0, 3)"),
     (_root(threshold="abc"), "split threshold 'abc' is not a finite number"),
     (_root(threshold=True), "split threshold True is not a finite number"),
     (_root(threshold=float("nan")), "split threshold nan is not a finite number"),
@@ -886,6 +926,24 @@ def _scaler(**change):
     (_leaf_counts([1.0, float("inf")]), "node counts [1.0, inf] are not 2 finite numbers"),
     (_leaf_counts([0.0, 0.0]), "node counts [0.0, 0.0] are not 2 finite numbers >= 0 "
                                "with a positive finite sum"),
+    (_leaf_counts(2.0), "node counts 2.0 are not 2 finite numbers"),
+    (_edit(lambda doc: doc["model"]["trees"][0].update(feature="x")),
+     "a tree's feature is not a list"),
+    (_tree_list("feature", list.pop),
+     "a tree's 10 nodes, 5 of them leaves, do not match its 5 thresholds and 6 counts"),
+    (_tree_list("threshold", list.pop),
+     "a tree's 11 nodes, 6 of them leaves, do not match its 4 thresholds and 6 counts"),
+    (_tree_list("counts", list.pop),
+     "a tree's 11 nodes, 6 of them leaves, do not match its 5 thresholds and 5 counts"),
+    (_tree_list("feature", lambda f: f.append(-1)),
+     "a tree's 12 nodes, 7 of them leaves, do not match its 5 thresholds and 6 counts"),
+    (_tree_list("threshold", lambda t: t.append(0.5)),
+     "a tree's 11 nodes, 6 of them leaves, do not match its 6 thresholds and 6 counts"),
+    (_tree_list("counts", lambda c: c.append([1.0, 1.0])),
+     "a tree's 11 nodes, 6 of them leaves, do not match its 5 thresholds and 7 counts"),
+    # the last leaf moved to the front: the tree is that leaf, and 10 nodes follow it
+    (_tree_list("feature", lambda f: f.insert(0, f.pop())),
+     "a tree's lists have entries after its last node"),
     (_edit(lambda doc: doc["model"].update(n_classes=3)),
      "the forest has 3 classes, its tree 0 has 2"),
     (_edit(lambda doc: doc["model"].update(trees=[])), "a forest needs at least one tree"),
@@ -896,8 +954,8 @@ def _scaler(**change):
     (_edit(lambda doc: doc.update(model={"kind": "ensemble", "members": [doc["model"]]})),
      "malformed enose-model document (need at least 2 members)"),
     (_edit(lambda doc: doc.update(model={"kind": "ensemble", "members": [
-        doc["model"], {**doc["model"]["trees"][0], "n_classes": 3,
-                       "root": {"counts": [1.0, 1.0, 1.0]}}]})),
+        doc["model"], {**doc["model"]["trees"][0], "n_classes": 3, "feature": [-1],
+                       "threshold": [], "counts": [[1.0, 1.0, 1.0]]}]})),
      "malformed enose-model document (member class counts differ: 2 vs 3)"),
     # widths that agree inside the file but not with the 9-column data scored
     (lambda path: None, "expected 3 features, got 9"),
@@ -909,9 +967,12 @@ def _scaler(**change):
         "reducer-class-means-nan", "reducer-ridge-string", "scaler-means-string",
         "scaler-stds-bool", "scaler-stds-infinite", "scaler-means-list", "scaler-means-not-list",
         "scaler-degenerate-int", "split-feature",
-        "split-feature-float", "threshold-string", "threshold-bool", "threshold-nan",
+        "split-feature-float", "split-feature-bool", "split-feature-leaf-mark-float",
+        "threshold-string", "threshold-bool", "threshold-nan",
         "threshold-huge-int", "counts-length", "counts-negative", "counts-infinite",
-        "leaf-counts-zero", "forest-n-classes", "forest-no-trees", "tree-n-classes-float",
+        "leaf-counts-zero", "leaf-counts-number", "feature-not-list", "feature-runs-out",
+        "threshold-runs-out", "counts-runs-out", "feature-left-over", "threshold-left-over",
+        "counts-left-over", "nodes-after-the-last", "forest-n-classes", "forest-no-trees", "tree-n-classes-float",
         "classes-length", "ensemble-one-member", "ensemble-class-counts", "model-data-width",
         "pipeline-data-width"])
 def test_evaluate_corrupt_model_is_runtime_error(tmp_path, capsys, corrupt, message):
@@ -1062,8 +1123,17 @@ def _forest_params(**change):
 # each of these files used to load, and scored with exit 0 (but for trees of different
 # n_features, which failed as they scored)
 @pytest.mark.parametrize("saved, corrupt, message", [
-    (_saved_synth_forest, _edit(lambda doc: doc["model"]["trees"][0]["root"].pop("feature")),
+    (_saved_synth_forest,
+     _edit(lambda doc: _version_1(doc)["model"]["trees"][0]["root"].pop("feature")),
      "a node with a threshold or children has no split feature"),
+    # -1 is version 2's leaf mark, so this split reads as a leaf with children left over
+    (_saved_synth_forest,
+     _edit(lambda doc: _version_1(doc)["model"]["trees"][0]["root"].update(feature=-1)),
+     "a tree's 25 nodes, 14 of them leaves, do not match its 12 thresholds and 13 counts"),
+    (_saved_synth_forest,
+     _edit(lambda doc: _version_1(doc)["model"]["trees"][0]["root"]["counts"]
+           .__setitem__(0, -1.0)),
+     "node counts [-1.0, "),
     (_saved_synth_forest, _tree_params(max_depth=float("nan")),
      "tree max_depth must be None or an integer >= 0, got nan"),
     (_saved_synth_forest, _tree_params(max_depth={}),
@@ -1098,10 +1168,11 @@ def _forest_params(**change):
      "a tree's n_features 9.0 is not a positive integer"),
     (_saved_synth_forest, _edit(lambda doc: doc["model"]["trees"][1].update(n_features=10)),
      "the forest's tree 0 has 9 features, its tree 1 has 10"),
-    (_saved_synth_forest, _edit(lambda doc: doc["model"]["trees"][0]["root"]["counts"]
+    (_saved_synth_forest, _edit(lambda doc: doc["model"]["trees"][0]["counts"][0]
                                 .__setitem__(0, True)),
      "node counts [True, "),
-], ids=["split-without-feature", "tree-max-depth-nan", "tree-max-depth-dict",
+], ids=["split-without-feature", "v1-split-feature-leaf-mark", "v1-split-counts-negative",
+        "tree-max-depth-nan", "tree-max-depth-dict",
         "tree-min-samples-split-negative", "svm-c-string", "svm-gamma-infinite",
         "svm-tol-negative", "svm-max-passes-huge", "svm-converged-null", "svm-n-passes-nan",
         "ann-w-bool", "ann-batchnorm-bools", "rf-n-estimators-string",
@@ -1118,6 +1189,17 @@ def test_evaluate_bad_params_fit_status_split_or_weights_is_runtime_error(tmp_pa
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert str(path) in err and message in err
+
+
+def test_evaluate_scores_a_version_1_file_as_its_version_2_file(tmp_path, capsys):
+    path = _saved_synth_forest(tmp_path)
+    argv = ["--samples", "20", "--out", str(tmp_path / "o"), "evaluate", str(path)]
+    scored = run_cli(capsys, *argv)
+    report = (tmp_path / "o" / "evaluate.report.json").read_bytes()
+    assert scored[0] == 0
+    _edit(_version_1)(path)
+    assert run_cli(capsys, *argv) == scored
+    assert (tmp_path / "o" / "evaluate.report.json").read_bytes() == report
 
 
 @pytest.mark.parametrize("family", ["svm", "mlp"])
@@ -1140,16 +1222,6 @@ def test_evaluate_a_model_saved_with_another_versions_pipeline_names_its_file(tm
 
 
 # --- stage names ----------------------------------------------------------------
-
-
-def test_a_model_too_deep_to_save_fails_at_models(tmp_path, capsys, monkeypatch):
-    from enose import models
-    monkeypatch.setattr(models, "MAX_SAVED_DEPTH", 1)
-    text = CONFIG_SMALL.replace("families = dt,rf", "families = dt")
-    code, out, err = run_cli(capsys, "--config", write_config(tmp_path, text), "--out",
-                             str(tmp_path / "o"), "run")
-    assert code == 2
-    assert "[models]" in err and "deeper than the 1 levels a model file holds" in err
 
 
 def test_overflowing_column_fails_at_pipeline(tmp_path, capsys):

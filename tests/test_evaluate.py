@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from enose import pool
 from enose.dataset import stratified_kfold
-from enose.errors import BadSizes, ConfigError, EmptyGrid, EmptyMatrix, LabelOutOfRange
+from enose.errors import (BadSizes, ConfigError, EmptyGrid, EmptyMatrix, LabelOutOfRange,
+                          NonFiniteScores)
 from enose.evaluate import (
     FeaturePipeline,
     GridSpec,
@@ -546,6 +547,29 @@ def test_scoring_a_forest_holds_one_probability_array():
         tracemalloc.stop()
     assert report.confusion.sum() == 50_000
     assert peak < 1.5 * 50_000 * 10 * 8, peak / (50_000 * 10 * 8)
+
+
+class _Scores:
+    """A model whose class probabilities are a given array."""
+
+    def __init__(self, proba):
+        self.proba = proba
+
+    def predict_proba(self, X):
+        return self.proba
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_finite_scores_whose_sum_overflows_are_scored():
+    proba = np.array([[1e308, 1e308, 0.0], [0.0, 1e308, 1e308]])
+    report = evaluate_model(_Scores(proba), None, np.array([0, 1]), ["a", "b", "c"])
+    assert report.confusion.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 0]]
+
+
+def test_non_finite_scores_are_counted():
+    proba = np.array([[np.nan, 0.5, 0.5], [0.0, np.inf, 1.0]])
+    with pytest.raises(NonFiniteScores, match="^2 of 6 class probabilities are NaN or infinite$"):
+        evaluate_model(_Scores(proba), None, np.array([0, 1]), ["a", "b", "c"])
 
 
 def test_learning_curve_full_size_matches_cv():

@@ -5,12 +5,17 @@ module attribute, a dotted ``Class.method`` through the class's own
 ``__dict__``.  A refactor that renames or moves one (a method inherited from a
 base class, say) breaks ``perfbench/run.py --trace 1``, so it fails here.  The
 targets are read from the source with ``ast``; nothing is imported from
-``perfbench``.
+``perfbench``.  The tracer also walks a fitted tree's ``TreeNode`` graph to count
+its nodes, so that graph is pinned here too.
 """
 
 import ast
 import importlib
 from pathlib import Path
+
+import numpy as np
+
+from enose.classifiers.tree import dt_fit
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -38,3 +43,19 @@ def test_every_trace_target_resolves():
         if not found:
             missing.append(f"{name}: {module}.{attr}")
     assert not missing, "trace targets that no longer resolve:\n" + "\n".join(missing)
+
+
+def test_a_fitted_tree_is_the_node_graph_the_tracer_walks():
+    # spans.py's ``_tree_nodes`` counts ``dt_fit(...).root``'s nodes through ``.left``
+    # and ``.right``, None at a leaf: a tree held another way breaks ``--trace 1``
+    X, y = np.arange(4, dtype=np.float64)[:, None], np.array([0, 1, 0, 1])
+    stack, leaves, splits = [dt_fit(X, y).root], 0, 0
+    while stack:
+        node = stack.pop()
+        if node.left is None:
+            assert node.right is None
+            leaves += 1
+        else:
+            stack += (node.left, node.right)
+            splits += 1
+    assert (splits, leaves) == (3, 4)

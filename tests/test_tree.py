@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from enose.classifiers.tree import TreeNode, TreeParams, _search, _weighted_table, dt_fit, presort
-from enose.errors import ConfigError, DimensionMismatch, ProblemTooLarge, ShapeMismatch
-from enose.serialize import save_model
+from enose.errors import ConfigError, DimensionMismatch, ShapeMismatch
+from enose.serialize import load_model, save_model
 
 
 def best_split(
@@ -367,12 +367,15 @@ def test_stack_growth_is_the_recursive_preorder(params):
     assert preorder(grown.root) == preorder(oracle)
 
 
-def test_dt_grows_past_the_recursion_limit_but_does_not_save(tmp_path):
-    # one feature with alternating labels: every split peels off one row
+def test_dt_grows_past_the_recursion_limit_and_round_trips(tmp_path):
+    # one feature with alternating labels: every split peels off one row, so the tree is
+    # a chain of depth 3999, far deeper than Python's recursion limit
     X, y = np.arange(4000, dtype=np.float64)[:, None], np.arange(4000) % 2
     tree = dt_fit(X, y)
     assert np.array_equal(tree.predict(X), y)
-    path = tmp_path / "deep.model.json"
-    with pytest.raises(ProblemTooLarge, match="a tree of depth 3999 is deeper than the 500"):
-        save_model(str(path), tree)
-    assert not path.exists()
+    first, second = tmp_path / "first.model.json", tmp_path / "second.model.json"
+    save_model(str(first), tree)
+    back = load_model(str(first))[0]
+    assert np.array_equal(back.predict_proba(X), tree.predict_proba(X))
+    save_model(str(second), back)
+    assert first.read_bytes() == second.read_bytes()
