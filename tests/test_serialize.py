@@ -147,6 +147,14 @@ def test_save_is_deterministic(tmp_path):
         assert f1.read() == f2.read()
 
 
+def test_a_tree_as_deep_as_a_file_holds_round_trips(tmp_path):
+    # a file holds a tree of any depth: this chain is 100 levels past the old 500 cap
+    n = 601  # alternating labels on one feature: a chain of depth n - 1
+    X, y = np.arange(n, dtype=np.float64)[:, None], np.arange(n) % 2
+    back = _round_trip(dt_fit(X, y), tmp_path, "deep")
+    assert np.array_equal(back.predict(X), y)
+
+
 def _node_dict(node: TreeNode) -> dict:
     if node.is_leaf:
         return {"counts": node.counts.tolist()}
@@ -285,16 +293,39 @@ def test_the_writer_writes_a_value_as_json_dump_does(tmp_path_factory, value):
     assert _written(tmp_path_factory, value) == json.dumps(value, indent=1, sort_keys=True) + "\n"
 
 
+def _preorder(node: dict, lists: dict) -> dict:
+    """Lay out a tree's node dicts as format version 2's preorder lists, by recursion."""
+    if "feature" not in node:
+        lists["feature"].append(-1)
+        lists["counts"].append(node["counts"])
+    else:
+        lists["feature"].append(node["feature"])
+        lists["threshold"].append(node["threshold"])
+        _preorder(node["left"], lists)
+        _preorder(node["right"], lists)
+    return lists
+
+
+def _from_node_dicts(value) -> dict:
+    """``json``'s ``default=`` hook that writes a model with each tree's lists taken
+    from its node dicts, not from ``model_to_dict``'s stack walk."""
+    doc = model_to_dict(value)
+    if doc["kind"] == "dt":
+        doc.update(_preorder(_node_dict(value.root),
+                             {"feature": [], "threshold": [], "counts": []}))
+    return doc
+
+
 def _dumped(value) -> str:
-    return json.dumps(value, indent=1, sort_keys=True, default=model_to_dict) + "\n"
+    return json.dumps(value, indent=1, sort_keys=True, default=_from_node_dicts) + "\n"
 
 
-def test_a_saved_forest_is_json_dump_of_its_model_dict(tmp_path, forest, tiny_split):
+def test_a_saved_forest_is_json_dump_of_its_node_dicts(tmp_path, forest, tiny_split):
     pipe = FeaturePipeline("V3").fit(tiny_split[0])
     classes = ["a, b", "caf\u00e9", "q\"uote"]
     path = tmp_path / "rf.model.json"
     save_model(str(path), forest, pipe, classes)
-    doc = {"format": "enose-model", "format_version": 2, "model": model_to_dict(forest),
+    doc = {"format": "enose-model", "format_version": 2, "model": forest,
            "pipeline": pipeline_to_dict(pipe), "classes": classes}
     assert path.read_text(encoding="utf-8") == _dumped(doc)
 
@@ -317,5 +348,18 @@ MODEL_VALUES = st.recursive(
 
 @settings(max_examples=200, deadline=None)
 @given(value=MODEL_VALUES)
-def test_the_writer_writes_models_as_json_dump_with_model_to_dict(tmp_path_factory, value):
+def test_the_writer_splices_each_tree_where_json_dump_writes_its_node_dicts(tmp_path_factory,
+                                                                           value):
+    # the writer no longer splices tree text; its output must still equal this oracle's
     assert _written(tmp_path_factory, value) == _dumped(value)
+
+
+def test_a_class_named_as_the_stand_in_is_written_as_text(tmp_path, forest):
+    # "tree node" is the string an older writer handed the encoder for each tree node
+    # and then replaced with the tree's text; a class of that name must stay text
+    report = {"classes": ["tree node", "b"], "per_class": {"tree node": {"recall": 1.0}},
+              "model": forest, "name": "tree node"}
+    path = tmp_path / "report.json"
+    write_json(str(path), report)
+    assert path.read_text(encoding="utf-8") == _dumped(report)
+    assert json.loads(path.read_text())["per_class"] == {"tree node": {"recall": 1.0}}
