@@ -327,8 +327,8 @@ def _load_runs(runs: list[tuple[str, str | None]]) -> tuple[list[RunTable], np.n
     A first pass bounds each file's data lines by the newlines after its header,
     up to the first file it cannot read; the second parses them, so the errors
     come in the order of parsing the files one by one.  A file whose header
-    differs from the first's is parsed on its own, for its errors, and
-    ``merge_runs`` rejects it.
+    differs from the first's is parsed on its own, for its errors, and once
+    all parse it is a SchemaMismatch naming it and the first file.
     """
     shapes = []
     for path, _ in runs:
@@ -348,6 +348,10 @@ def _load_runs(runs: list[tuple[str, str | None]]) -> tuple[list[RunTable], np.n
         path = runs[len(shapes)][0]
         _read_text(path)  # raises the error that ended the count
         raise EmptyInput(f"{path}: became readable while the run files were read")
+    for (path, _), t in zip(runs, tables):
+        if t.feature_names != tables[0].feature_names:
+            raise SchemaMismatch(f"{path}: header {t.feature_names} differs from "
+                                 f"{runs[0][0]}'s {tables[0].feature_names}")
     return tables, features[:start]
 
 

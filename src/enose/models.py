@@ -155,9 +155,14 @@ def _dt_to_dict(model: DecisionTree) -> dict:
             feature.append(node.feature)
             threshold.append(node.threshold)
             stack += (node.right, node.left)
-    return {"params": asdict(model.params), "n_classes": model.n_classes,
-            "n_features": model.n_features, "feature": feature, "threshold": threshold,
-            "counts": counts}
+    return {
+        "params": asdict(model.params),
+        "n_classes": model.n_classes,
+        "n_features": model.n_features,
+        "feature": feature,
+        "threshold": threshold,
+        "counts": counts,
+    }
 
 
 def _dt_from_dict(doc: dict) -> DecisionTree:

@@ -6,6 +6,7 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 
@@ -148,10 +149,14 @@ def write_json(path: str, doc) -> None:
         fh.write("\n")
 
 
-def _decode_tree(d: dict):
+def _decode_tree(d: dict, layouts: set):
     """``json`` object hook: a saved tree built as soon as its dict is decoded, so that
-    the lists of only one tree exist at a time; any other dict as it is."""
-    return FAMILIES["dt"].from_dict(d) if d.get("kind") == "dt" else d
+    the lists of only one tree exist at a time, and the format version of its layout
+    added to ``layouts``; any other dict as it is."""
+    if d.get("kind") != "dt":
+        return d
+    layouts.add(1 if "root" in d else 2)
+    return FAMILIES["dt"].from_dict(d)
 
 
 @contextmanager
@@ -175,16 +180,24 @@ def load_model(path: str):
     Raises ConfigError for a document of another format, and CorruptModel naming
     ``path`` for an enose document that is truncated, malformed (an unknown model
     kind, a pipeline without its version's scaler or reducer, ``classes`` that are
-    not the model's class count of strings) or of a version other than 1 and 2.
-    A tree with a ``root`` is read as version 1's nested node dicts.
+    not the model's class count of strings), of a version other than 1 and 2, or
+    holding a tree in the other version's layout.  A tree with a ``root`` is read as
+    version 1's nested node dicts.
     """
+    layouts: set = set()
     with open(path, encoding="utf-8") as fh, _malformed(path):
-        doc = json.load(fh, object_hook=_decode_tree)
+        doc = json.load(fh, object_hook=partial(_decode_tree, layouts=layouts))
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ConfigError(f"{path} is not an {FORMAT} document")
-    if doc.get("format_version") not in READ_VERSIONS:
-        raise CorruptModel(f"{path}: format_version {doc.get('format_version')!r} is not "
-                           f"supported (expected one of {READ_VERSIONS})")
+    version = doc.get("format_version")
+    if version not in READ_VERSIONS:
+        raise CorruptModel(
+            f"{path}: format_version {version!r} is not supported "
+            f"(expected one of {READ_VERSIONS})"
+        )
+    if layouts - {version}:
+        raise CorruptModel(f"{path}: a format_version {version!r} file holds a tree in "
+                           f"the other version's layout")
     with _malformed(path):
         model = model_from_dict(doc["model"])
         pipeline = pipeline_from_dict(doc["pipeline"]) if "pipeline" in doc else None

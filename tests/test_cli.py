@@ -12,6 +12,7 @@ from enose.cli import main
 from enose.config import load_config
 from enose.neural import mlp_build, variant_spec
 from enose.serialize import save_model
+from tests.conftest import write_version_1
 
 
 def run_cli(capsys, *argv):
@@ -836,29 +837,6 @@ def _tree_list(name, change):
     return _edit(lambda doc: change(doc["model"]["trees"][0][name]))
 
 
-def _version_1(doc):
-    """``doc`` made a version-1 file: each tree's lists become nested node dicts with
-    counts at every node, a split's the sum of its children's (recursive: the test
-    trees are shallow)."""
-    doc["format_version"] = 1
-    for tree in doc["model"]["trees"]:
-        feature, threshold, counts = (iter(tree.pop(key))
-                                      for key in ("feature", "threshold", "counts"))
-
-        def node():
-            f = next(feature)
-            if f == -1:
-                return {"counts": next(counts)}
-            split = {"feature": f, "threshold": next(threshold), "left": node(),
-                     "right": node()}
-            split["counts"] = [a + b for a, b in zip(split["left"]["counts"],
-                                                     split["right"]["counts"])]
-            return split
-
-        tree["root"] = node()
-    return doc
-
-
 def _pipeline(version, reducer=None, scaler=True, scaler_means=3, reducer_means=3, **change):
     """An edit giving the saved forest a pipeline for its 3 features.
 
@@ -944,6 +922,10 @@ def _scaler(**change):
     # the last leaf moved to the front: the tree is that leaf, and 10 nodes follow it
     (_tree_list("feature", lambda f: f.insert(0, f.pop())),
      "a tree's lists have entries after its last node"),
+    (_edit(lambda doc: doc.update(format_version=1)),
+     "a format_version 1 file holds a tree in the other version's layout"),
+    (_edit(lambda doc: doc["model"]["trees"][1].update(root={"counts": [1.0, 1.0]})),
+     "a format_version 2 file holds a tree in the other version's layout"),
     (_edit(lambda doc: doc["model"].update(n_classes=3)),
      "the forest has 3 classes, its tree 0 has 2"),
     (_edit(lambda doc: doc["model"].update(trees=[])), "a forest needs at least one tree"),
@@ -972,7 +954,8 @@ def _scaler(**change):
         "threshold-huge-int", "counts-length", "counts-negative", "counts-infinite",
         "leaf-counts-zero", "leaf-counts-number", "feature-not-list", "feature-runs-out",
         "threshold-runs-out", "counts-runs-out", "feature-left-over", "threshold-left-over",
-        "counts-left-over", "nodes-after-the-last", "forest-n-classes", "forest-no-trees", "tree-n-classes-float",
+        "counts-left-over", "nodes-after-the-last", "v2-lists-in-version-1",
+        "v1-tree-in-version-2", "forest-n-classes", "forest-no-trees", "tree-n-classes-float",
         "classes-length", "ensemble-one-member", "ensemble-class-counts", "model-data-width",
         "pipeline-data-width"])
 def test_evaluate_corrupt_model_is_runtime_error(tmp_path, capsys, corrupt, message):
@@ -1093,12 +1076,23 @@ def test_evaluate_misshapen_ann_is_runtime_error(tmp_path, capsys, corrupt, mess
     assert str(path) in err and message in err
 
 
-def _saved_synth_forest(tmp_path):
+def _synth_forest():
     """A 2-tree forest for the 9 raw features and 10 classes of a synth session."""
     rng = np.random.default_rng(0)
+    return rf_fit(rng.normal(size=(30, 9)), np.arange(30) % 10, ForestParams(n_estimators=2),
+                  n_classes=10)
+
+
+def _saved_synth_forest(tmp_path):
     path = tmp_path / "rf.model.json"
-    save_model(str(path), rf_fit(rng.normal(size=(30, 9)), np.arange(30) % 10,
-                                 ForestParams(n_estimators=2), n_classes=10))
+    save_model(str(path), _synth_forest())
+    return path
+
+
+def _saved_synth_forest_v1(tmp_path):
+    """``_synth_forest`` as a format version 1 file."""
+    path = tmp_path / "rf.model.json"
+    write_version_1(path, _synth_forest())
     return path
 
 
@@ -1123,16 +1117,15 @@ def _forest_params(**change):
 # each of these files used to load, and scored with exit 0 (but for trees of different
 # n_features, which failed as they scored)
 @pytest.mark.parametrize("saved, corrupt, message", [
-    (_saved_synth_forest,
-     _edit(lambda doc: _version_1(doc)["model"]["trees"][0]["root"].pop("feature")),
+    (_saved_synth_forest_v1,
+     _edit(lambda doc: doc["model"]["trees"][0]["root"].pop("feature")),
      "a node with a threshold or children has no split feature"),
     # -1 is version 2's leaf mark, so this split reads as a leaf with children left over
-    (_saved_synth_forest,
-     _edit(lambda doc: _version_1(doc)["model"]["trees"][0]["root"].update(feature=-1)),
+    (_saved_synth_forest_v1,
+     _edit(lambda doc: doc["model"]["trees"][0]["root"].update(feature=-1)),
      "a tree's 25 nodes, 14 of them leaves, do not match its 12 thresholds and 13 counts"),
-    (_saved_synth_forest,
-     _edit(lambda doc: _version_1(doc)["model"]["trees"][0]["root"]["counts"]
-           .__setitem__(0, -1.0)),
+    (_saved_synth_forest_v1,
+     _edit(lambda doc: doc["model"]["trees"][0]["root"]["counts"].__setitem__(0, -1.0)),
      "node counts [-1.0, "),
     (_saved_synth_forest, _tree_params(max_depth=float("nan")),
      "tree max_depth must be None or an integer >= 0, got nan"),
@@ -1197,7 +1190,7 @@ def test_evaluate_scores_a_version_1_file_as_its_version_2_file(tmp_path, capsys
     scored = run_cli(capsys, *argv)
     report = (tmp_path / "o" / "evaluate.report.json").read_bytes()
     assert scored[0] == 0
-    _edit(_version_1)(path)
+    assert _saved_synth_forest_v1(tmp_path) == path
     assert run_cli(capsys, *argv) == scored
     assert (tmp_path / "o" / "evaluate.report.json").read_bytes() == report
 

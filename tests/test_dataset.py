@@ -399,7 +399,8 @@ def _load_outcome(load, arg):
 def load_oracle(runs, manifest=None):
     """Each ``(path, label)`` run read and parsed by the row-loop oracle in turn,
     then concatenated: the outcome ``load_manifest`` (errors of the merge named by
-    ``manifest``) or ``load_glob`` (``manifest`` None) must give."""
+    ``manifest``) or ``load_glob`` (``manifest`` None) must give.  A header unlike
+    the first file's is named by its file and the first."""
     tables = []
     for path, label in runs:
         try:
@@ -414,9 +415,10 @@ def load_oracle(runs, manifest=None):
     if not tables:
         return EmptyInput, prefix + "no run tables to merge"
     names = tables[0].feature_names
-    for t in tables[1:]:
+    for (path, _), t in zip(runs, tables):
         if t.feature_names != names:
-            return SchemaMismatch, prefix + f"headers differ: {names} vs {t.feature_names}"
+            return SchemaMismatch, (f"{path}: header {t.feature_names} differs from "
+                                    f"{runs[0][0]}'s {names}")
     classes = tuple(sorted({t.label for t in tables}))
     labels = np.concatenate([np.full(t.rows.shape[0], classes.index(t.label), dtype=np.int64)
                              for t in tables])

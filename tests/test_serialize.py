@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from enose.classifiers.forest import ForestParams, rf_fit
-from enose.classifiers.tree import TreeNode, TreeParams, dt_fit
+from enose.classifiers.tree import TreeParams, dt_fit
 from enose.ensemble import VotingEnsemble
 from enose.errors import ConfigError
 from enose.evaluate import FeaturePipeline
 from enose.models import FAMILIES
 from enose.serialize import (load_model, model_from_dict, model_to_dict, pipeline_to_dict,
                              save_model, write_json)
+from tests.conftest import node_dict, write_version_1
 
 
 def _blobs(n_per=20, C=3, d=4, seed=0):
@@ -155,55 +156,50 @@ def test_a_tree_as_deep_as_a_file_holds_round_trips(tmp_path):
     assert np.array_equal(back.predict(X), y)
 
 
-def _node_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"counts": node.counts.tolist()}
-    return {"counts": node.counts.tolist(), "feature": node.feature,
-            "threshold": node.threshold, "left": _node_dict(node.left),
-            "right": _node_dict(node.right)}
-
-
-def _version_1(value) -> dict:
-    """``json``'s ``default=`` hook that writes a model as format version 1 did: a
-    tree's nodes as nested dicts under ``root``, with counts at every node."""
-    doc = model_to_dict(value)
-    if doc["kind"] == "dt":
-        for key in ("feature", "threshold", "counts"):
-            del doc[key]
-        doc["root"] = _node_dict(value.root)
-    return doc
-
-
-def _write_version_1(path, model, pipeline=None, classes=None, change=None) -> None:
-    doc = {"format": "enose-model", "format_version": 1, "model": model}
-    if pipeline is not None:
-        doc.update(pipeline=pipeline_to_dict(pipeline), classes=classes)
-    doc = json.loads(json.dumps(doc, default=_version_1))
-    if change is not None:
-        _edit_nodes(doc["model"], change)
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-
-
-def _edit_nodes(model: dict, change):
+def _trees(model: dict):
+    """The tree dicts of a saved model dict."""
     stack = [model]
     while stack:
         doc = stack.pop()
-        if "root" in doc:
-            doc = doc["root"]
-            change(doc)
+        if doc["kind"] == "dt":
+            yield doc
         stack.extend(doc.get("members", ()) or doc.get("trees", ()))
-        stack.extend(doc[side] for side in ("left", "right") if side in doc)
 
 
-@pytest.mark.parametrize("change", [
-    lambda node: node.update(counts=[int(c) for c in node["counts"]]),
-    lambda node: node.update(note="hand-edited"),
-], ids=["int-counts", "extra-key"])
-def test_nodes_with_int_counts_or_extra_keys_load_as_before(tmp_path, query, change):
+def _nodes(tree: dict):
+    """The node dicts of a version-1 tree dict."""
+    stack = [tree["root"]]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node[side] for side in ("left", "right") if side in node)
+
+
+def _int_counts(counts: list) -> list:
+    return [int(c) for c in counts]
+
+
+@pytest.mark.parametrize("version, change", [
+    (1, lambda node: node.update(counts=_int_counts(node["counts"]))),
+    (1, lambda node: node.update(note="hand-edited")),
+    (2, lambda tree: tree.update(counts=list(map(_int_counts, tree["counts"])))),
+], ids=["int-counts", "extra-key", "v2-int-counts"])
+def test_nodes_with_int_counts_or_extra_keys_load_as_before(tmp_path, query, version, change):
+    # version 1: the change is made at every node; version 2: to every tree's lists
     X, y = _blobs(seed=6)
     model = rf_fit(X, y, ForestParams(n_estimators=3, seed=3), n_classes=3)
     path = tmp_path / "rf.model.json"
-    _write_version_1(path, model, change=change)
+    if version == 1:
+        write_version_1(path, model)
+    else:
+        save_model(str(path), model)
+    doc = json.loads(path.read_text())
+    for tree in _trees(doc["model"]):
+        for part in (_nodes(tree) if version == 1 else [tree]):
+            change(part)
+    edited = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    assert edited != path.read_text()
+    path.write_text(edited)
     back, _, _ = load_model(str(path))
     assert np.array_equal(model.predict_proba(query), back.predict_proba(query))
 
@@ -218,7 +214,7 @@ def test_a_version_1_file_loads_scores_and_saves_as_version_2(tmp_path, tiny_spl
                 n_classes=train.n_classes)
     for name, model in (("dt", dt), ("rf", rf), ("ensemble", VotingEnsemble([dt, rf]))):
         old, new = tmp_path / f"{name}.v1.json", tmp_path / f"{name}.v2.json"
-        _write_version_1(old, model, pipe, list(train.classes))
+        write_version_1(old, model, pipe, list(train.classes))
         back, bpipe, classes = load_model(str(old))
         assert classes == list(train.classes)
         assert np.array_equal(model.predict_proba(X),
@@ -311,7 +307,7 @@ def _from_node_dicts(value) -> dict:
     from its node dicts, not from ``model_to_dict``'s stack walk."""
     doc = model_to_dict(value)
     if doc["kind"] == "dt":
-        doc.update(_preorder(_node_dict(value.root),
+        doc.update(_preorder(node_dict(value.root),
                              {"feature": [], "threshold": [], "counts": []}))
     return doc
 
